@@ -159,15 +159,19 @@ def values_at_midpoints(u):
     return np.einsum("qi,mi->mq", _PSI_MID, full[u.mesh.cells])
 
 
+def midpoint_mass(mesh, qvals, full=False):
+    """Mass-type matrix with coefficient values qvals (M, 3) at the edge midpoints."""
+    outer = np.einsum("qi,qj->qij", _PSI_MID, _PSI_MID)
+    blocks = (mesh.areas / 3.0)[:, None, None] * np.einsum("mq,qij->mij", qvals, outer)
+    return _assemble(mesh, blocks, full)
+
+
 def weighted_mass(mesh, w, coeff, full=False):
     """Mass matrix with coefficient d(w), 3-point edge-midpoint quadrature."""
     if coeff.is_zero:
         n = mesh.n_nodes if full else mesh.n_interior
         return sp.csr_matrix((n, n))
-    dvals = lower_order.d_eval(coeff, values_at_midpoints(w))  # (M, 3)
-    outer = np.einsum("qi,qj->qij", _PSI_MID, _PSI_MID)
-    blocks = (mesh.areas / 3.0)[:, None, None] * np.einsum("mq,qij->mij", dvals, outer)
-    return _assemble(mesh, blocks, full)
+    return midpoint_mass(mesh, lower_order.d_eval(coeff, values_at_midpoints(w)), full)
 
 
 def load_vector(mesh, f, t=0.0, full=False):

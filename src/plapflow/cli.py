@@ -181,9 +181,6 @@ def main(argv=None):
         prog="plapflow",
         description="FEM solver and diagnostics for nonlinear parabolic flows "
                     "with (p, delta)-structure")
-    parser.add_argument("--single-thread", action="store_true",
-                        help="force bit-reproducible single-threaded execution "
-                             "(the solver is single-threaded either way)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one evolution from a config file")

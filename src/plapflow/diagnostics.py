@@ -30,7 +30,7 @@ import numpy as np
 from . import assembly, lower_order
 from .lower_order import IMPLICIT, SEMI_IMPLICIT
 from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
-from .orlicz import NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX
+from .orlicz import NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, op_S_eps
 from .schemes import SchemeConfig, SolverError, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
@@ -64,9 +64,18 @@ class LedgerReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def _grad_norms(u):
-    g = assembly.gradients(u)
-    return np.sqrt(np.sum(g * g, axis=1))
+def _lagged_dissipation(traj):
+    """Cell gradients and diffusion weights of u^0..u^K, and the lagged
+    dissipations D_k = int w^{k-1} |grad d u^k|^2 for k = 1..K."""
+    cfg = traj.config
+    grads = [assembly.gradients(u) for u in traj.iterates]
+    weights = [assembly.gradient_weight(cfg.nf, cfg.eps, cfg.kind,
+                                        np.sqrt(np.sum(g * g, axis=1))) for g in grads]
+    diss = np.empty(traj.K)
+    for k in range(1, traj.K + 1):
+        gd = (grads[k] - grads[k - 1]) / cfg.tau
+        diss[k - 1] = float(np.sum(cfg.mesh.areas * weights[k - 1] * np.sum(gd * gd, axis=1)))
+    return grads, weights, diss
 
 
 def _ledger_entry(name, lhs, rhs):
@@ -88,14 +97,12 @@ def check_energy_ledgers(traj):
     pure_flow = cfg.source is None and cfg.coeff.is_zero
 
     us = traj.iterates
-    grads = [assembly.gradients(u) for u in us]
-    gnorms = [np.sqrt(np.sum(g * g, axis=1)) for g in grads]
+    grads, weights, diss_dtau = _lagged_dissipation(traj)
     energies = np.array([assembly.energy(u, cfg.nf, cfg.eps, cfg.kind) for u in us])
     mass = assembly.mass_matrix(mesh)
     l2_sq = np.array([float(u.coeffs @ (mass @ u.coeffs)) for u in us])
 
     dtau_l2_sq = np.empty(K)
-    diss_dtau = np.empty(K)
     diss_u_lag = np.empty(K)
     diss_u_cur = np.empty(K)
     fq_sq = np.zeros(K)
@@ -103,13 +110,9 @@ def check_energy_ledgers(traj):
     for k in range(1, K + 1):
         d = (us[k].coeffs - us[k - 1].coeffs) / tau
         dtau_l2_sq[k - 1] = float(d @ (mass @ d))
-        w_lag = assembly.gradient_weight(cfg.nf, cfg.eps, cfg.kind, gnorms[k - 1])
-        w_cur = assembly.gradient_weight(cfg.nf, cfg.eps, cfg.kind, gnorms[k])
-        gdiff = (grads[k] - grads[k - 1]) / tau
-        diss_dtau[k - 1] = float(np.sum(areas * w_lag * np.sum(gdiff * gdiff, axis=1)))
         gk2 = np.sum(grads[k] * grads[k], axis=1)
-        diss_u_lag[k - 1] = float(np.sum(areas * w_lag * gk2))
-        diss_u_cur[k - 1] = float(np.sum(areas * w_cur * gk2))
+        diss_u_lag[k - 1] = float(np.sum(areas * weights[k - 1] * gk2))
+        diss_u_cur[k - 1] = float(np.sum(areas * weights[k] * gk2))
         if cfg.source is not None:
             fq_sq[k - 1] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
         if not cfg.coeff.is_zero:
@@ -175,14 +178,6 @@ def _require_semi_quadratic(traj):
         raise ValueError("discrepancy terms require the quadratic-norm regularization")
 
 
-def _s_quadratic(p, eps, g):
-    base = np.sum(g * g, axis=-1) + eps * eps
-    with np.errstate(divide="ignore"):
-        w = base ** ((p - 2.0) / 2.0)
-    w = np.where(base > 0.0, w, 0.0)
-    return w[..., None] * g
-
-
 def discrepancy_terms(traj, k):
     """Cellwise residual fields by which step k misses the unregularized
     implicit equation, with their certified bounds."""
@@ -195,10 +190,10 @@ def discrepancy_terms(traj, k):
     g_cur = assembly.gradients(traj.iterates[k])
     g_lag = assembly.gradients(traj.iterates[k - 1])
 
-    s0 = _s_quadratic(p, 0.0, g_cur)
-    s_eps = _s_quadratic(p, eps, g_cur)
-    e_field = s0 - s_eps
-    w_lag = (np.sum(g_lag * g_lag, axis=-1) + eps * eps) ** ((p - 2.0) / 2.0)
+    s_eps = op_S_eps(p, eps, g_cur)
+    e_field = op_S_eps(p, 0.0, g_cur) - s_eps
+    w_lag = assembly.gradient_weight(cfg.nf, eps, cfg.kind,
+                                     np.sqrt(np.sum(g_lag * g_lag, axis=1)))
     f_field = s_eps - w_lag[:, None] * g_cur
 
     e_abs = np.sqrt(np.sum(e_field * e_field, axis=1))
@@ -230,18 +225,8 @@ def discrepancy_terms(traj, k):
 
 def lagged_dissipation_sum(traj):
     """tau^2 sum_k int w^{k-1} |grad d u^k|^2, the quantity the energy bound controls."""
-    cfg = traj.config
-    tau = cfg.tau
-    total = 0.0
-    g_prev = assembly.gradients(traj.iterates[0])
-    for k in range(1, traj.K + 1):
-        g_cur = assembly.gradients(traj.iterates[k])
-        gn_prev = np.sqrt(np.sum(g_prev * g_prev, axis=1))
-        w = assembly.gradient_weight(cfg.nf, cfg.eps, cfg.kind, gn_prev)
-        gd = (g_cur - g_prev) / tau
-        total += float(np.sum(cfg.mesh.areas * w * np.sum(gd * gd, axis=1)))
-        g_prev = g_cur
-    return tau * tau * total
+    tau = traj.config.tau
+    return tau * tau * float(sum(_lagged_dissipation(traj)[2]))
 
 
 def discrepancy_total(traj, alpha_eps=None):

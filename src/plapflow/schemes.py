@@ -1,16 +1,16 @@
 """Time-stepping schemes for the nonlinear parabolic flow.
 
-Two fully discrete schemes share one backward-Euler core.  The semi-implicit
-scheme freezes the diffusion weight and the lower-order coefficient at the
-previous iterate, so every step is a single SPD solve
+Both fully discrete schemes are built on one linear-step core: the matrix
+with diffusion weight and lower-order coefficient frozen at a state v,
 
-    (M/tau + K_w(u^{k-1}) + M_d(u^{k-1})) u^k = M u^{k-1}/tau + F(t_k).
+    A(v) = M/tau + K_w(v) + M_d(v),
 
-The implicit scheme evaluates both at the new iterate and solves the
-resulting nonlinear system with either the lagged-weight fixed point
-(Kacanov) or a damped Newton method.  The Kacanov iteration matrix is
-exactly the semi-implicit system, so the first Kacanov sweep reproduces
-the semi-implicit step by construction.
+the right-hand side of step k, b = M u^{k-1}/tau + F(t_k), and the residual
+A(v) v - b of the implicit step equation.  The semi-implicit step solves
+A(u^{k-1}) u^k = b once.  The implicit step drives A(v) v - b to zero with
+either the lagged-weight fixed point (Kacanov), whose sweeps solve
+A(v_j) v_{j+1} = b, or a damped Newton method.  The first Kacanov sweep from
+v_0 = u^{k-1} is therefore the semi-implicit step.
 """
 
 from __future__ import annotations
@@ -147,65 +147,58 @@ def _solve_spd(A, b, cfg):
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
 
-def _lagged_system(u_lag, cfg, k):
-    """Matrix/rhs pieces of the linear step with coefficients frozen at u_lag.
-
-    Returns (A, load) with A = M/tau + K_w(u_lag) + M_d(u_lag); the rhs of a
-    step from u_prev is M u_prev/tau + load.
-    """
+def _system_matrix(v, cfg):
+    """A(v) = M/tau + K_w(v) + M_d(v), weight and coefficient frozen at v."""
     mesh = cfg.mesh
-    m = assembly.mass_matrix(mesh)
-    A = m / cfg.tau + assembly.weighted_stiffness(mesh, u_lag, cfg.nf, cfg.eps, cfg.kind)
+    A = (assembly.mass_matrix(mesh) / cfg.tau
+         + assembly.weighted_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind))
     if not cfg.coeff.is_zero:
-        A = A + assembly.weighted_mass(mesh, u_lag, cfg.coeff)
+        A = A + assembly.weighted_mass(mesh, v, cfg.coeff)
+    return A.tocsr()
+
+
+def _step_rhs(u_prev, cfg, k):
+    """Right-hand side b = M u^{k-1}/tau + F_k of step k, and the load F_k."""
+    mesh = cfg.mesh
     if cfg.source is not None:
         load = assembly.load_vector(mesh, cfg.source, k * cfg.tau)
     else:
         load = np.zeros(mesh.n_interior)
-    return A.tocsr(), load
+    return assembly.mass_matrix(mesh) @ u_prev.coeffs / cfg.tau + load, load
+
+
+def _defect(v, b, cfg):
+    """Residual A(v) v - b of the implicit step equation at v, on the free nodes."""
+    return _system_matrix(v, cfg) @ v.coeffs - b
+
+
+def _semi_step(u_prev, cfg, k):
+    """The semi-implicit step with its linear-solve residual."""
+    if cfg.eps <= 0.0:
+        raise ValueError("semi-implicit step requires eps > 0")
+    A = _system_matrix(u_prev, cfg)
+    b, _ = _step_rhs(u_prev, cfg, k)
+    u = FemFunction(cfg.mesh, _solve_spd(A, b, cfg))
+    return u, StepStats(1, float(np.linalg.norm(A @ u.coeffs - b)))
 
 
 def semi_implicit_step(u_prev, cfg, k):
     """One linear step with weight and coefficient lagged at u_prev."""
-    if cfg.eps <= 0.0:
-        raise ValueError("semi-implicit step requires eps > 0")
-    A, load = _lagged_system(u_prev, cfg, k)
-    m = assembly.mass_matrix(cfg.mesh)
-    b = m @ u_prev.coeffs / cfg.tau + load
-    x = _solve_spd(A, b, cfg)
-    return FemFunction(cfg.mesh, x)
-
-
-def _residual(u, u_prev, load, cfg):
-    """Residual of the implicit step equation at u, on the free nodes."""
-    mesh = cfg.mesh
-    m = assembly.mass_matrix(mesh)
-    r = m @ (u.coeffs - u_prev.coeffs) / cfg.tau - load
-    r = r + assembly.weighted_stiffness(mesh, u, cfg.nf, cfg.eps, cfg.kind) @ u.coeffs
-    if not cfg.coeff.is_zero:
-        r = r + assembly.weighted_mass(mesh, u, cfg.coeff) @ u.coeffs
-    return r
+    return _semi_step(u_prev, cfg, k)[0]
 
 
 def implicit_step(u_prev, cfg, k):
     """One nonlinear step with weight and coefficient at the new iterate."""
     mesh = cfg.mesh
-    m = assembly.mass_matrix(mesh)
-    if cfg.source is not None:
-        load = assembly.load_vector(mesh, cfg.source, k * cfg.tau)
-    else:
-        load = np.zeros(mesh.n_interior)
-    fnorm = float(np.linalg.norm(load))
-    tol = cfg.tol_res * (1.0 + fnorm)
-    b = m @ u_prev.coeffs / cfg.tau + load
+    b, load = _step_rhs(u_prev, cfg, k)
+    tol = cfg.tol_res * (1.0 + float(np.linalg.norm(load)))
 
     v = u_prev
     history = []
     if cfg.nonlinear == KACANOV:
         for j in range(1, cfg.max_iter + 1):
-            A, _ = _lagged_system(v, cfg, k)
-            v = FemFunction(mesh, _solve_spd(A, b, cfg))
-            res = float(np.linalg.norm(_residual(v, u_prev, load, cfg)))
+            v = FemFunction(mesh, _solve_spd(_system_matrix(v, cfg), b, cfg))
+            res = float(np.linalg.norm(_defect(v, b, cfg)))
             history.append(res)
             if res <= tol:
                 return v, StepStats(j, res)
@@ -213,20 +206,21 @@ def implicit_step(u_prev, cfg, k):
             f"Kacanov iteration did not reach {tol:.3e} in {cfg.max_iter} "
             f"iterations; residual history {history}")
 
-    res_vec = _residual(v, u_prev, load, cfg)
+    res_vec = _defect(v, b, cfg)
     res = float(np.linalg.norm(res_vec))
     for j in range(1, cfg.max_iter + 1):
         if res <= tol:
             return v, StepStats(j - 1, res)
-        J = m / cfg.tau + assembly.jacobian_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind)
+        J = (assembly.mass_matrix(mesh) / cfg.tau
+             + assembly.jacobian_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind))
         if not cfg.coeff.is_zero:
             gp = lower_order.g_prime_eval(cfg.coeff, assembly.values_at_midpoints(v))
-            J = J + _mass_with_coefficient(mesh, gp)
+            J = J + assembly.midpoint_mass(mesh, gp)
         delta = _solve_spd(J.tocsr(), -res_vec, cfg)
         step = 1.0
         for _ in range(30):
             trial = FemFunction(mesh, v.coeffs + step * delta)
-            trial_vec = _residual(trial, u_prev, load, cfg)
+            trial_vec = _defect(trial, b, cfg)
             trial_res = float(np.linalg.norm(trial_vec))
             if trial_res <= (1.0 - 1e-4 * step) * res:
                 break
@@ -243,28 +237,21 @@ def implicit_step(u_prev, cfg, k):
         f"residual history {history}")
 
 
-def _mass_with_coefficient(mesh, qvals):
-    """Mass-type matrix with given coefficient values at the edge midpoints."""
-    psi = assembly._PSI_MID
-    outer = np.einsum("qi,qj->qij", psi, psi)
-    blocks = (mesh.areas / 3.0)[:, None, None] * np.einsum("mq,qij->mij", qvals, outer)
-    return assembly._assemble(mesh, blocks, full=False)
-
-
 def first_kacanov_equals_semi_implicit(u_prev, cfg, tol=1e-12):
     """Check the structural identity between the two schemes.
 
-    The first Kacanov sweep from v0 = u_prev solves exactly the semi-implicit
-    linear system, so the iterates must coincide to solver accuracy.
+    The first Kacanov sweep of the implicit step from v0 = u_prev solves
+    exactly the semi-implicit linear system, so the iterates must coincide
+    to solver accuracy.
     """
     if cfg.eps <= 0.0:
         raise ValueError("comparison requires eps > 0")
     semi = semi_implicit_step(u_prev, cfg, 1)
-    A, load = _lagged_system(u_prev, cfg, 1)
-    b = assembly.mass_matrix(cfg.mesh) @ u_prev.coeffs / cfg.tau + load
-    v1 = _solve_spd(A, b, cfg)
+    one_sweep = replace(cfg, scheme=IMPLICIT, nonlinear=KACANOV, max_iter=1,
+                        tol_res=np.inf)
+    v1, _ = implicit_step(u_prev, one_sweep, 1)
     scale = 1.0 + float(np.max(np.abs(semi.coeffs))) if semi.coeffs.size else 1.0
-    diff = float(np.max(np.abs(semi.coeffs - v1))) if semi.coeffs.size else 0.0
+    diff = float(np.max(np.abs(semi.coeffs - v1.coeffs))) if semi.coeffs.size else 0.0
     return diff <= tol * scale
 
 
@@ -272,25 +259,16 @@ def run_evolution(u0, cfg):
     """Apply the configured step for k = 1..K from the initial iterate u0."""
     if u0.mesh is not cfg.mesh:
         raise ValueError("initial data lives on a different mesh than the config")
+    step = _semi_step if cfg.scheme == SEMI_IMPLICIT else implicit_step
     iterates = [u0]
     stats = []
-    mass = assembly.mass_matrix(cfg.mesh) if cfg.K > 0 else None
     for k in range(1, cfg.K + 1):
-        u_prev = iterates[-1]
         try:
-            if cfg.scheme == SEMI_IMPLICIT:
-                if cfg.eps <= 0.0:
-                    raise ValueError("semi-implicit step requires eps > 0")
-                A, load = _lagged_system(u_prev, cfg, k)
-                b = mass @ u_prev.coeffs / cfg.tau + load
-                u = FemFunction(cfg.mesh, _solve_spd(A, b, cfg))
-                stats.append(StepStats(1, float(np.linalg.norm(A @ u.coeffs - b))))
-            else:
-                u, st = implicit_step(u_prev, cfg, k)
-                stats.append(st)
+            u, st = step(iterates[-1], cfg, k)
         except (SolverError, assembly.DegenerateWeightError) as exc:
             raise SolverError(f"step {k} (t = {k * cfg.tau:g}) failed: {exc}") from exc
         iterates.append(u)
+        stats.append(st)
     return Trajectory(cfg, iterates, stats)
 
 

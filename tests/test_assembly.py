@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plapflow import assembly
+from plapflow import assembly, lower_order
 from plapflow.assembly import (DegenerateWeightError, energy, gradients,
                                jacobian_stiffness, l2_error, load_vector,
                                mass_matrix, norm_L2, quadrature_norm_sq,
@@ -104,6 +104,21 @@ class TestWeightedStiffness:
 
 
 class TestWeightedMass:
+    def test_midpoint_mass_is_derivative_of_weighted_term(self, mesh4, rng):
+        # directional derivative of u -> M_d(u) u matches the Newton tangent
+        for coeff in (LowerOrderCoeff.power(2.5), LowerOrderCoeff.shifted_power(2.5, 0.5)):
+            u = FemFunction(mesh4, rng.uniform(-1, 1, mesh4.n_interior))
+            v = rng.uniform(-1, 1, mesh4.n_interior)
+            gp = lower_order.g_prime_eval(coeff, assembly.values_at_midpoints(u))
+            J = assembly.midpoint_mass(mesh4, gp)
+            h = 1e-7
+
+            def term(c):
+                return weighted_mass(mesh4, FemFunction(mesh4, c), coeff) @ c
+
+            fd = (term(u.coeffs + h * v) - term(u.coeffs - h * v)) / (2 * h)
+            np.testing.assert_allclose(J @ v, fd, rtol=1e-5, atol=1e-7)
+
     def test_zero_coefficient(self, mesh4):
         w = FemFunction.zeros(mesh4)
         M = weighted_mass(mesh4, w, LowerOrderCoeff.zero())

@@ -95,8 +95,8 @@ class TestRunCommand:
     def test_deterministic_outputs(self, tmp_path):
         cfg_a = write_config(tmp_path, MINIMAL, name="a.ini", out=tmp_path / "a")
         cfg_b = write_config(tmp_path, MINIMAL, name="b.ini", out=tmp_path / "b")
-        assert main(["--single-thread", "run", cfg_a]) == 0
-        assert main(["--single-thread", "run", cfg_b]) == 0
+        assert main(["run", cfg_a]) == 0
+        assert main(["run", cfg_b]) == 0
         a = (tmp_path / "a" / "run_trajectory.csv").read_bytes()
         b = (tmp_path / "b" / "run_trajectory.csv").read_bytes()
         assert a == b

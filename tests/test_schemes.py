@@ -159,6 +159,20 @@ class TestKacanovIdentity:
 
 
 class TestRunEvolution:
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
+    def test_iterates_are_the_public_step(self, mesh8, rng, scheme):
+        cfg = make_cfg(mesh8, scheme=scheme, K=3, T=0.03,
+                       coeff=LowerOrderCoeff.power(2.5),
+                       source=fields.make_source("bump", decay=1.0))
+        u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
+        traj = run_evolution(u0, cfg)
+        for k in range(1, traj.K + 1):
+            if scheme == "implicit":
+                u, _ = implicit_step(traj.iterates[k - 1], cfg, k)
+            else:
+                u = semi_implicit_step(traj.iterates[k - 1], cfg, k)
+            assert np.array_equal(u.coeffs, traj.iterates[k].coeffs)
+
     def test_k_zero(self, mesh4):
         cfg = make_cfg(mesh4, K=0, T=0.0)
         u0 = FemFunction.zeros(mesh4)
