@@ -25,6 +25,8 @@ class DegenerateWeightError(ValueError):
 _PSI_MID = np.array([[0.5, 0.5, 0.0],
                      [0.0, 0.5, 0.5],
                      [0.5, 0.0, 0.5]])
+# Row q holds the 3x3 block psi_i psi_j at midpoint q, flattened.
+_PSI_MID_OUTER = np.einsum("qi,qj->qij", _PSI_MID, _PSI_MID).reshape(3, 9)
 
 # Degree-5 rule: barycentric coordinates and weights (normalized to 1).
 _S15 = np.sqrt(15.0)
@@ -39,20 +41,70 @@ _QUAD7_W = np.array([9.0 / 40.0]
                     + [(155.0 + _S15) / 1200.0] * 3)
 
 
-def _assemble(mesh, element_blocks, full):
-    """Scatter (M, 3, 3) element blocks into a CSR matrix."""
-    key = "asm_index"
+def _pattern(mesh, full):
+    """CSR pattern shared by every P1 matrix on mesh, and where each local entry goes.
+
+    The pattern is the diagonal plus both directions of every mesh edge, with
+    sorted column indices and no duplicates.  Returns (indptr, indices, slot):
+    entry (m, i, j) of an (M, 3, 3) stack of element blocks adds into data
+    slot slot[9 m + 3 i + j].  Without full, entries in a boundary row or
+    column all go to the one "trash" slot past the end.
+
+    The slots are found one local (i, j) position at a time, so the set-up
+    holds no temporary of the size of all 9 M local entries: on large meshes
+    such temporaries stayed resident after they were freed and raised the
+    peak memory of the whole run.
+    """
+    key = ("pattern", full)
     if key not in mesh._cache:
-        rows = np.repeat(mesh.cells, 3, axis=1).ravel()
-        cols = np.tile(mesh.cells, (1, 3)).ravel()
-        mesh._cache[key] = (rows, cols)
-    rows, cols = mesh._cache[key]
-    mat = sp.csr_matrix((element_blocks.ravel(), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    if full:
-        return mat
-    free = mesh.interior
-    return mat[free][:, free].tocsr()
+        if full:
+            n = mesh.n_nodes
+            number = np.arange(n)
+        else:
+            n = mesh.n_interior
+            number = np.full(mesh.n_nodes, -1, dtype=np.int64)
+            number[mesh.interior] = np.arange(n)
+        ends = number[mesh.edges]
+        ends = ends[np.all(ends >= 0, axis=1)]
+        pairs = np.sort(np.concatenate([np.arange(n) * (n + 1),
+                                        ends[:, 0] * n + ends[:, 1],
+                                        ends[:, 1] * n + ends[:, 0]]))
+        row, col = np.divmod(pairs, n)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+        indices = col.astype(np.int32)
+
+        dof = number[mesh.cells]
+        slot = np.full((mesh.n_cells, 3, 3), pairs.size, dtype=np.int32)
+        for i in range(3):
+            for j in range(3):
+                inside = (dof[:, i] >= 0) & (dof[:, j] >= 0)
+                slot[inside, i, j] = np.searchsorted(pairs, dof[inside, i] * n + dof[inside, j])
+        for shared in (indptr, indices, slot):
+            shared.flags.writeable = False  # every matrix on the mesh holds these
+        mesh._cache[key] = (indptr, indices, slot.reshape(-1))
+    return mesh._cache[key]
+
+
+def _assemble(mesh, element_blocks, full):
+    """Sum (M, 3, 3) element blocks into a CSR matrix on the mesh's shared pattern."""
+    indptr, indices, slot = _pattern(mesh, full)
+    nnz = indices.size
+    data = np.bincount(slot, weights=element_blocks.reshape(-1), minlength=nnz + 1)[:nnz]
+    mat = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    mat.has_canonical_format = True
+    return mat
+
+
+def _stiffness_blocks(mesh):
+    """Unweighted element stiffness blocks area * grad phi_i . grad phi_j, (M, 3, 3)."""
+    key = "stiffness_blocks"
+    if key not in mesh._cache:
+        grads = mesh.hat_gradients()
+        blocks = np.einsum("mid,mjd->mij", grads, grads)
+        blocks *= mesh.areas[:, None, None]
+        mesh._cache[key] = blocks
+    return mesh._cache[key]
 
 
 def mass_matrix(mesh, full=False):
@@ -69,9 +121,7 @@ def stiffness_matrix(mesh, full=False):
     """Unweighted Laplace stiffness matrix."""
     key = ("stiffness", full)
     if key not in mesh._cache:
-        grads = mesh.hat_gradients()
-        blocks = mesh.areas[:, None, None] * np.einsum("mid,mjd->mij", grads, grads)
-        mesh._cache[key] = _assemble(mesh, blocks, full)
+        mesh._cache[key] = _assemble(mesh, _stiffness_blocks(mesh), full)
     return mesh._cache[key]
 
 
@@ -114,9 +164,7 @@ def weighted_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
     """
     gn = np.sqrt(np.sum(gradients(w) ** 2, axis=1))
     omega = gradient_weight(nf, eps, kind, gn)
-    grads = mesh.hat_gradients()
-    blocks = (mesh.areas * omega)[:, None, None] * np.einsum("mid,mjd->mij", grads, grads)
-    return _assemble(mesh, blocks, full)
+    return _assemble(mesh, omega[:, None, None] * _stiffness_blocks(mesh), full)
 
 
 def jacobian_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
@@ -161,8 +209,7 @@ def values_at_midpoints(u):
 
 def midpoint_mass(mesh, qvals, full=False):
     """Mass-type matrix with coefficient values qvals (M, 3) at the edge midpoints."""
-    outer = np.einsum("qi,qj->qij", _PSI_MID, _PSI_MID)
-    blocks = (mesh.areas / 3.0)[:, None, None] * np.einsum("mq,qij->mij", qvals, outer)
+    blocks = (mesh.areas / 3.0)[:, None] * (qvals @ _PSI_MID_OUTER)
     return _assemble(mesh, blocks, full)
 
 
@@ -180,8 +227,7 @@ def load_vector(mesh, f, t=0.0, full=False):
     fq = np.asarray(f(xq[..., 0], xq[..., 1], t), dtype=float)
     fq = np.broadcast_to(fq, xq.shape[:2])
     contrib = (mesh.areas / 3.0)[:, None] * np.einsum("mq,qi->mi", fq, _PSI_MID)
-    vec = np.zeros(mesh.n_nodes)
-    np.add.at(vec, mesh.cells.ravel(), contrib.ravel())
+    vec = np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
     if full:
         return vec
     return vec[mesh.interior]

@@ -51,6 +51,7 @@ kind = zero                   ; zero | power | shifted-power
 ; c = 0.1
 
 [solver]
+; "cholesky" is SuperLU's sparse LU with COLAMD ordering and partial pivoting
 linear = cholesky             ; cholesky | cg
 cg-tol = 1e-12
 cg-max-iter = 5000

@@ -204,8 +204,7 @@ def discrepancy_terms(traj, k):
     # dual estimate of F against the unit W^{1,2} ball of the P1 basis
     grads = mesh.hat_gradients()
     pair = np.einsum("md,mid,m->mi", f_field, grads, area)
-    vec = np.zeros(mesh.n_nodes)
-    np.add.at(vec, mesh.cells.ravel(), pair.ravel())
+    vec = np.bincount(mesh.cells.ravel(), weights=pair.ravel(), minlength=mesh.n_nodes)
     mdiag = assembly.mass_matrix(mesh, full=True).diagonal()
     kdiag = assembly.stiffness_matrix(mesh, full=True).diagonal()
     denom = np.sqrt(mdiag + kdiag)

@@ -56,9 +56,8 @@ class TriMesh:
             raise ValueError("cells must be counterclockwise with positive area")
         self.areas = 0.5 * cross
 
-        edges = self.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        edges = np.sort(edges, axis=1)
-        self.edges, counts = np.unique(edges, axis=0, return_counts=True)
+        keys, counts = np.unique(_edge_keys(self.cells, len(self.nodes)), return_counts=True)
+        self.edges = np.column_stack(np.divmod(keys, len(self.nodes)))
         if np.any(counts > 2):
             raise ValueError("mesh is not conforming: an edge meets > 2 cells")
         self.boundary_edges = self.edges[counts == 1]
@@ -145,6 +144,12 @@ class FemFunction:
         return FemFunction(self.mesh, self.coeffs.copy())
 
 
+def _edge_keys(cells, n_nodes):
+    """Key lo * n_nodes + hi of the edges 01, 12, 20 of every cell, (M, 3)."""
+    nxt = np.roll(cells, -1, axis=1)
+    return np.minimum(cells, nxt) * n_nodes + np.maximum(cells, nxt)
+
+
 def unit_square_mesh(n):
     """Structured triangulation of (0,1)^2: n x n squares, each split along
     its lower-left/upper-right diagonal; (n+1)^2 nodes, 2 n^2 cells.
@@ -159,45 +164,36 @@ def unit_square_mesh(n):
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def idx(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return TriMesh(nodes, np.asarray(cells), level=0)
+    # lower-left corner of square (i, j), squares ordered row by row
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    cells = np.stack([np.column_stack([v00, v10, v11]),
+                      np.column_stack([v00, v11, v01])], axis=1)
+    return TriMesh(nodes, cells.reshape(-1, 3), level=0)
 
 
 def refine_red(m):
-    """Uniform red refinement: every triangle split into 4 via edge midpoints."""
+    """Uniform red refinement: every triangle split into 4 via edge midpoints.
+
+    Midpoints are numbered after the parent nodes, in order of first
+    appearance along the cells' edges 01, 12, 20.
+    """
     n_old = m.n_nodes
-    midpoint_id = {}
-    midpoint_edges = []
-    new_nodes = [m.nodes]
+    keys = _edge_keys(m.cells, n_old).ravel()
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    mab, mbc, mca = (n_old + rank[inverse]).reshape(-1, 3).T
+    a, b, c = m.cells.T
+    new_cells = np.stack([np.column_stack([a, mab, mca]),
+                          np.column_stack([mab, b, mbc]),
+                          np.column_stack([mca, mbc, c]),
+                          np.column_stack([mab, mbc, mca])], axis=1)
 
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in midpoint_id:
-            midpoint_id[key] = n_old + len(midpoint_edges)
-            midpoint_edges.append(key)
-        return midpoint_id[key]
-
-    new_cells = []
-    for a, b, c in m.cells:
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        new_cells.extend([(a, mab, mca), (mab, b, mbc),
-                          (mca, mbc, c), (mab, mbc, mca)])
-
-    midpoint_edges = np.asarray(midpoint_edges, dtype=np.int64)
-    new_nodes.append(0.5 * (m.nodes[midpoint_edges[:, 0]]
-                            + m.nodes[midpoint_edges[:, 1]]))
-    return TriMesh(np.vstack(new_nodes), np.asarray(new_cells),
+    midpoint_edges = np.column_stack(np.divmod(uniq[order], n_old))
+    new_nodes = 0.5 * (m.nodes[midpoint_edges[:, 0]] + m.nodes[midpoint_edges[:, 1]])
+    return TriMesh(np.vstack([m.nodes, new_nodes]), new_cells.reshape(-1, 3),
                    level=m.level + 1, parent=m,
                    parent_map=np.arange(n_old, dtype=np.int64),
                    midpoint_edges=midpoint_edges)

@@ -131,6 +131,12 @@ class Trajectory:
 
 
 def _solve_spd(A, b, cfg):
+    """Solve A x = b with the configured linear solver.
+
+    "cholesky" is not a Cholesky factorization: it is SuperLU's sparse LU
+    (``splu``) with COLAMD column ordering and partial pivoting.  "cg" is
+    unpreconditioned conjugate gradients.
+    """
     if cfg.linear_solver == CG:
         x, info = spla.cg(A, b, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iter)
         if info != 0:
@@ -148,13 +154,17 @@ def _solve_spd(A, b, cfg):
 
 
 def _system_matrix(v, cfg):
-    """A(v) = M/tau + K_w(v) + M_d(v), weight and coefficient frozen at v."""
+    """A(v) = M/tau + K_w(v) + M_d(v), weight and coefficient frozen at v.
+
+    All P1 matrices on a mesh share one CSR pattern, so the sum is taken on
+    the data vectors of the freshly assembled K_w(v).
+    """
     mesh = cfg.mesh
-    A = (assembly.mass_matrix(mesh) / cfg.tau
-         + assembly.weighted_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind))
+    A = assembly.weighted_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind)
+    A.data += assembly.mass_matrix(mesh).data / cfg.tau
     if not cfg.coeff.is_zero:
-        A = A + assembly.weighted_mass(mesh, v, cfg.coeff)
-    return A.tocsr()
+        A.data += assembly.weighted_mass(mesh, v, cfg.coeff).data
+    return A
 
 
 def _step_rhs(u_prev, cfg, k):
@@ -211,12 +221,12 @@ def implicit_step(u_prev, cfg, k):
     for j in range(1, cfg.max_iter + 1):
         if res <= tol:
             return v, StepStats(j - 1, res)
-        J = (assembly.mass_matrix(mesh) / cfg.tau
-             + assembly.jacobian_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind))
+        J = assembly.jacobian_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind)
+        J.data += assembly.mass_matrix(mesh).data / cfg.tau
         if not cfg.coeff.is_zero:
             gp = lower_order.g_prime_eval(cfg.coeff, assembly.values_at_midpoints(v))
-            J = J + assembly.midpoint_mass(mesh, gp)
-        delta = _solve_spd(J.tocsr(), -res_vec, cfg)
+            J.data += assembly.midpoint_mass(mesh, gp).data
+        delta = _solve_spd(J, -res_vec, cfg)
         step = 1.0
         for _ in range(30):
             trial = FemFunction(mesh, v.coeffs + step * delta)

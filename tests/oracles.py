@@ -69,3 +69,52 @@ def gauss5_time_integral(f, a, b):
     """Integral of a scalar function over [a, b] with 5-point Gauss."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * sum(w * f(mid + half * x) for x, w in zip(GAUSS5_X, GAUSS5_W))
+
+
+def unit_square_cells(n):
+    """Cells of the n x n unit-square triangulation, one square at a time."""
+    def idx(i, j):
+        return j * (n + 1) + i
+
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = idx(i, j), idx(i + 1, j)
+            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    return np.asarray(cells, dtype=np.int64)
+
+
+def sorted_edges(cells):
+    """Distinct edges (lo, hi) of a triangulation in lexicographic order."""
+    edges = np.sort(np.asarray(cells)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    return np.unique(edges, axis=0)
+
+
+def refine_red(nodes, cells):
+    """Red refinement cell by cell, midpoints numbered by first appearance.
+
+    Returns (nodes, cells, midpoint_edges) of the refined triangulation.
+    """
+    n_old = len(nodes)
+    midpoint_id = {}
+    midpoint_edges = []
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in midpoint_id:
+            midpoint_id[key] = n_old + len(midpoint_edges)
+            midpoint_edges.append(key)
+        return midpoint_id[key]
+
+    new_cells = []
+    for a, b, c in cells:
+        mab = midpoint(a, b)
+        mbc = midpoint(b, c)
+        mca = midpoint(c, a)
+        new_cells.extend([(a, mab, mca), (mab, b, mbc),
+                          (mca, mbc, c), (mab, mbc, mca)])
+    mids = np.asarray(midpoint_edges, dtype=np.int64)
+    new_nodes = np.vstack([nodes, 0.5 * (nodes[mids[:, 0]] + nodes[mids[:, 1]])])
+    return new_nodes, np.asarray(new_cells, dtype=np.int64), mids

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plapflow import assembly, lower_order
+from plapflow import assembly, lower_order, schemes
 from plapflow.assembly import (DegenerateWeightError, energy, gradients,
                                jacobian_stiffness, l2_error, load_vector,
                                mass_matrix, norm_L2, quadrature_norm_sq,
@@ -240,6 +241,81 @@ class TestEnergyAndNorms:
         # ||sin(pi x) sin(pi y)||_L2 = 1/2
         val = l2_error(u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         assert val == pytest.approx(0.5, rel=1e-4)
+
+
+def jittered_unit_square(n, seed, amount=0.1):
+    """unit_square_mesh(n) with every interior node moved by up to amount * h per axis."""
+    m = unit_square_mesh(n)
+    nodes = m.nodes.copy()
+    shift = np.random.default_rng(seed).uniform(-amount, amount, (m.n_interior, 2)) / n
+    nodes[m.interior] += shift
+    return TriMesh(nodes, m.cells)
+
+
+class TestSharedPattern:
+    @staticmethod
+    def all_matrices(m, w, full):
+        nf = NFunctionPD(1.5)
+        coeff = LowerOrderCoeff.shifted_power(2.5, 0.5)
+        qvals = np.random.default_rng(7).uniform(-1, 1, (m.n_cells, 3))
+        return [mass_matrix(m, full), stiffness_matrix(m, full),
+                weighted_stiffness(m, w, nf, 0.2, QUADRATIC_NORM, full),
+                jacobian_stiffness(m, w, nf, 0.2, ADDITIVE_SHIFT, full),
+                assembly.midpoint_mass(m, qvals, full),
+                weighted_mass(m, w, coeff, full)]
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_one_sorted_pattern(self, full, rng):
+        m = jittered_unit_square(5, 3)
+        w = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
+        mats = self.all_matrices(m, w, full)
+        first = mats[0]
+        n = m.n_nodes if full else m.n_interior
+        assert first.shape == (n, n)
+        for mat in mats[1:]:
+            np.testing.assert_array_equal(mat.indptr, first.indptr)
+            np.testing.assert_array_equal(mat.indices, first.indices)
+        # strictly increasing columns in every row: sorted and no duplicates
+        rows = np.repeat(np.arange(n), np.diff(first.indptr))
+        later = np.flatnonzero(rows[1:] == rows[:-1])
+        assert np.all(first.indices[later + 1] > first.indices[later])
+
+    def test_second_call_reuses_cached_pattern(self, rng):
+        m = jittered_unit_square(4, 5)
+        nf = NFunctionPD(1.5)
+        w = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
+        a = weighted_stiffness(m, w, nf, 0.2, QUADRATIC_NORM)
+        b = weighted_stiffness(m, w, nf, 0.3, QUADRATIC_NORM)
+        assert np.shares_memory(a.indices, b.indices)
+        assert np.shares_memory(a.indices, mass_matrix(m).indices)
+        assert not np.shares_memory(a.data, b.data)
+
+    @pytest.mark.parametrize("coeff", [LowerOrderCoeff.zero(),
+                                       LowerOrderCoeff.shifted_power(2.5, 0.5)])
+    def test_system_matrix_is_the_sparse_sum(self, coeff, rng):
+        m = jittered_unit_square(6, 11)
+        cfg = schemes.SchemeConfig(mesh=m, nf=NFunctionPD(1.5), eps=0.1, K=4, T=0.2,
+                                   coeff=coeff)
+        v = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
+        expect = (mass_matrix(m) / cfg.tau
+                  + weighted_stiffness(m, v, cfg.nf, cfg.eps, cfg.kind)
+                  + weighted_mass(m, v, coeff)).toarray()
+        got = schemes._system_matrix(v, cfg).toarray()
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14 * np.max(np.abs(expect)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_against_dense_oracles_on_jittered_meshes(self, n, seed):
+        m = jittered_unit_square(n, seed)
+        free = np.ix_(m.interior, m.interior)
+        for assemble, dense in ((mass_matrix, oracles.dense_mass),
+                                (stiffness_matrix, oracles.dense_stiffness)):
+            ref = dense(m.nodes, m.cells)
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(assemble(m, full=True).toarray(), ref,
+                                       rtol=0, atol=1e-14 * scale)
+            np.testing.assert_allclose(assemble(m).toarray(), ref[free],
+                                       rtol=0, atol=1e-14 * scale)
 
 
 def test_symmetry_is_exact(mesh8, rng):

@@ -5,6 +5,8 @@ from plapflow import assembly
 from plapflow.mesh import (FemFunction, TriMesh, export_csv, export_vtk,
                            interpolate_nodal, prolong, refine_red, unit_square_mesh)
 
+import oracles
+
 
 def _canonical_cells(m):
     """Cells as a set of frozensets of rounded coordinates (ordering-free)."""
@@ -51,6 +53,19 @@ class TestRedRefinement:
         ref = unit_square_mesh(2)
         assert child.n_nodes == 9 and child.n_cells == 8
         assert _canonical_cells(child) == _canonical_cells(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_loop_oracle(self, n):
+        m = unit_square_mesh(n)
+        np.testing.assert_array_equal(m.cells, oracles.unit_square_cells(n))
+        np.testing.assert_array_equal(m.edges, oracles.sorted_edges(m.cells))
+        for _ in range(4):
+            nodes, cells, mids = oracles.refine_red(m.nodes, m.cells)
+            m = refine_red(m)
+            assert np.array_equal(m.nodes, nodes)
+            assert np.array_equal(m.cells, cells)
+            assert np.array_equal(m.edges, oracles.sorted_edges(cells))
+            assert np.array_equal(m.midpoint_edges, mids)
 
     def test_counts_closed_form(self):
         m = unit_square_mesh(2)
