@@ -13,11 +13,9 @@ import scipy.sparse as sp
 
 from . import lower_order
 from .mesh import FemFunction
-from .orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, REGULARIZATION_KINDS
-
-
-class DegenerateWeightError(ValueError):
-    """The gradient weight is unbounded on some cell (eps = delta = 0 there)."""
+# DegenerateWeightError is re-exported: callers of the assemblers catch it here.
+from .orlicz import (ADDITIVE_SHIFT, QUADRATIC_NORM, REGULARIZATION_KINDS,  # noqa: F401
+                     DegenerateWeightError, diffusion_weight)
 
 
 # Values of the three local hats at the three edge midpoints (rows: midpoints
@@ -132,38 +130,13 @@ def gradients(u):
     return np.einsum("mi,mid->md", full[u.mesh.cells], grads)
 
 
-def gradient_weight(nf, eps, kind, t):
-    """Diffusion weight at gradient magnitude t for the chosen regularization.
-
-    additive-shift: (delta + eps + t)^(p-2);  quadratic-norm: (t^2+eps^2)^((p-2)/2).
-    Raises DegenerateWeightError where the weight is unbounded.
-    """
-    if kind not in REGULARIZATION_KINDS:
-        raise ValueError(f"unknown regularization kind {kind!r}")
-    t = np.asarray(t, dtype=float)
-    if kind == QUADRATIC_NORM:
-        if nf.delta != 0.0:
-            raise ValueError("quadratic-norm regularization requires delta = 0")
-        base = t * t + eps * eps
-        exponent = (nf.p - 2.0) / 2.0
-    else:
-        base = nf.delta + eps + t
-        exponent = nf.p - 2.0
-    if nf.p == 2.0:
-        return np.ones_like(base)
-    if np.any(base == 0.0):
-        raise DegenerateWeightError(
-            "unbounded diffusion weight: zero gradient with eps = delta = 0")
-    return base**exponent
-
-
 def weighted_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
     """Stiffness matrix with the per-cell weight evaluated at |grad w|.
 
     Exact for P1: the weight is constant on every cell.
     """
     gn = np.sqrt(np.sum(gradients(w) ** 2, axis=1))
-    omega = gradient_weight(nf, eps, kind, gn)
+    omega = diffusion_weight(nf, eps, kind, gn)
     return _assemble(mesh, omega[:, None, None] * _stiffness_blocks(mesh), full)
 
 
@@ -175,16 +148,15 @@ def jacobian_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
     """
     g = gradients(w)
     t = np.sqrt(np.sum(g * g, axis=1))
-    omega = gradient_weight(nf, eps, kind, t)
+    omega = diffusion_weight(nf, eps, kind, t)
+    # omega'(t)/t from omega = base^e itself; the additive form's t -> 0 limit is 0
     if nf.p == 2.0:
         coef = np.zeros_like(t)
     elif kind == QUADRATIC_NORM:
-        coef = (nf.p - 2.0) * (t * t + eps * eps) ** ((nf.p - 4.0) / 2.0)
+        coef = (nf.p - 2.0) * omega / (t * t + eps * eps)
     else:
-        base = nf.delta + eps + t
-        # omega'(t)/t with the t -> 0 limit (the rank-one part vanishes there)
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(t > 0.0, (nf.p - 2.0) * base ** (nf.p - 3.0) / np.where(t > 0, t, 1.0), 0.0)
+            coef = np.where(t > 0.0, (nf.p - 2.0) * omega / ((nf.delta + eps + t) * t), 0.0)
     grads = mesh.hat_gradients()
     gg = np.einsum("md,me->mde", g, g)
     tensor = omega[:, None, None] * np.eye(2) + coef[:, None, None] * gg

@@ -8,12 +8,13 @@ are validated here with section/key identification before any computation.
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import fields
 from .lower_order import LowerOrderCoeff
 from .mesh import refine_red, unit_square_mesh
-from .orlicz import ADDITIVE_SHIFT, NFunctionPD, QUADRATIC_NORM
+from .orlicz import NFunctionPD, QUADRATIC_NORM
 from .schemes import SchemeConfig
 from .diagnostics import StudyConfig
 
@@ -93,6 +94,17 @@ class _Section:
             raise ConfigError(f"[{self._name}] {key} = {raw!r}: {exc}") from exc
 
 
+@contextmanager
+def _invalid_in(section):
+    """Name the section in a ValueError raised inside; a ConfigError already does."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 @dataclass
 class RunSetup:
     """Everything a CLI run needs: scheme config, initial data, metadata."""
@@ -123,12 +135,8 @@ def load_run_config(path, want_study=False):
     parser = _parse_file(path)
     run = _Section(parser, "run")
 
-    p = run.get("p", float)
-    delta = run.get("delta", float, 0.0)
-    try:
-        nf = NFunctionPD(p, delta)
-    except ValueError as exc:
-        raise ConfigError(f"[run] {exc}") from exc
+    with _invalid_in("run"):
+        nf = NFunctionPD(run.get("p", float), run.get("delta", float, 0.0))
 
     n = run.get("n", int, 4)
     if n < 1:
@@ -140,13 +148,9 @@ def load_run_config(path, want_study=False):
     for _ in range(refine):
         mesh = refine_red(mesh)
 
-    kind = run.get("regularization", str, QUADRATIC_NORM).strip()
-    if kind not in (QUADRATIC_NORM, ADDITIVE_SHIFT):
-        raise ConfigError(f"[run] regularization = {kind!r} is not a known kind")
-
     lo = _Section(parser, "lower-order")
     lo_kind = lo.get("kind", str, "zero").strip()
-    try:
+    with _invalid_in("lower-order"):
         if lo_kind == "zero":
             coeff = LowerOrderCoeff.zero()
         elif lo_kind == "power":
@@ -155,34 +159,27 @@ def load_run_config(path, want_study=False):
             coeff = LowerOrderCoeff.shifted_power(lo.get("r", float), lo.get("c", float))
         else:
             raise ConfigError(f"[lower-order] kind = {lo_kind!r} is not in the registry")
-    except ValueError as exc:
-        raise ConfigError(f"[lower-order] {exc}") from exc
 
     src = _Section(parser, "source")
-    src_name = src.get("field", str, "zero").strip()
-    try:
-        source = fields.make_source(src_name,
+    with _invalid_in("source"):
+        source = fields.make_source(src.get("field", str, "zero").strip(),
                                     decay=src.get("decay", float, 0.0),
                                     amplitude=src.get("amplitude", float, 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"[source] {exc}") from exc
 
     ini = _Section(parser, "initial")
-    ini_name = ini.get("field", str, "sin-product").strip()
-    try:
-        initial = fields.make_field(ini_name, amplitude=ini.get("amplitude", float, 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"[initial] {exc}") from exc
+    with _invalid_in("initial"):
+        initial = fields.make_field(ini.get("field", str, "sin-product").strip(),
+                                    amplitude=ini.get("amplitude", float, 1.0))
 
     sol = _Section(parser, "solver")
-    try:
+    with _invalid_in("run"):
         scheme_config = SchemeConfig(
             mesh=mesh, nf=nf,
             eps=run.get("eps", float),
             K=run.get("K", int),
             T=run.get("T", float),
             scheme=run.get("scheme", str, "semi-implicit").strip(),
-            kind=kind,
+            kind=run.get("regularization", str, QUADRATIC_NORM).strip(),
             coeff=coeff,
             source=source,
             linear_solver=sol.get("linear", str, "cholesky").strip(),
@@ -192,13 +189,11 @@ def load_run_config(path, want_study=False):
             tol_res=sol.get("tol-res", float, 1e-10),
             max_iter=sol.get("max-iter", int, 60),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[run] {exc}") from exc
 
     study = None
     if want_study:
         st = _Section(parser, "study")
-        try:
+        with _invalid_in("study"):
             study = StudyConfig(
                 base=scheme_config,
                 initial=initial,
@@ -206,8 +201,6 @@ def load_run_config(path, want_study=False):
                 coupling=st.get("coupling", str, "default").strip(),
                 control_levels=st.get("control-levels", int, 6),
             )
-        except ValueError as exc:
-            raise ConfigError(f"[study] {exc}") from exc
 
     out = _Section(parser, "output")
     raw = {s: dict(parser[s]) for s in parser.sections()}

@@ -30,7 +30,7 @@ import numpy as np
 from . import assembly, lower_order
 from .lower_order import IMPLICIT, SEMI_IMPLICIT
 from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
-from .orlicz import NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, op_S_eps
+from .orlicz import NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight, op_S_eps
 from .schemes import SchemeConfig, SolverError, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
@@ -69,8 +69,8 @@ def _lagged_dissipation(traj):
     dissipations D_k = int w^{k-1} |grad d u^k|^2 for k = 1..K."""
     cfg = traj.config
     grads = [assembly.gradients(u) for u in traj.iterates]
-    weights = [assembly.gradient_weight(cfg.nf, cfg.eps, cfg.kind,
-                                        np.sqrt(np.sum(g * g, axis=1))) for g in grads]
+    weights = [diffusion_weight(cfg.nf, cfg.eps, cfg.kind, np.sqrt(np.sum(g * g, axis=1)))
+               for g in grads]
     diss = np.empty(traj.K)
     for k in range(1, traj.K + 1):
         gd = (grads[k] - grads[k - 1]) / cfg.tau
@@ -192,8 +192,7 @@ def discrepancy_terms(traj, k):
 
     s_eps = op_S_eps(p, eps, g_cur)
     e_field = op_S_eps(p, 0.0, g_cur) - s_eps
-    w_lag = assembly.gradient_weight(cfg.nf, eps, cfg.kind,
-                                     np.sqrt(np.sum(g_lag * g_lag, axis=1)))
+    w_lag = diffusion_weight(cfg.nf, eps, cfg.kind, np.sqrt(np.sum(g_lag * g_lag, axis=1)))
     f_field = s_eps - w_lag[:, None] * g_cur
 
     e_abs = np.sqrt(np.sum(e_field * e_field, axis=1))
@@ -435,7 +434,7 @@ def run_study(sc):
                 linf_l2=np.nan, lp_w1p=np.nan, gap=np.nan,
                 discrepancy_total=np.nan, e_cell_ratio=np.nan,
                 ledgers_semi=LedgerReport([]), ledgers_implicit=LedgerReport([]),
-                error=str(exc)))
+                error=f"level {n}: {exc}"))
             semis.append(None)
 
     cauchy = []

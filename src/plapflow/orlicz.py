@@ -12,7 +12,9 @@ floating point.
 
 Two regularizations of the degenerate weight at zero gradient are supported:
 the additive shift (shifted density, weight (delta+eps+t)^(p-2)) and the
-quadratic norm (weight (t^2 + eps^2)^((p-2)/2)).
+quadratic norm (weight (t^2 + eps^2)^((p-2)/2)); ``diffusion_weight`` is the
+one the solver assembles.  Each certified inequality is one private array
+kernel, shared by the scalar ``check_*`` functions and ``certify_lemmas``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,22 @@ EQUI_SANDWICH_BOUNDS = {
 }
 
 
+class DegenerateWeightError(ValueError):
+    """The diffusion weight is unbounded on some cell (eps = delta = 0 there)."""
+
+
+def _additive_weight(p, shift, r):
+    """phi_shift'(r)/r = (shift + r)^(p-2), elementwise; inf where shift + r = 0."""
+    with np.errstate(divide="ignore"):
+        return (shift + r) ** (p - 2.0)
+
+
+def _quadratic_weight(p, eps, r2):
+    """(r2 + eps^2)^((p-2)/2) at the squared magnitude r2; inf where that base is 0."""
+    with np.errstate(divide="ignore"):
+        return (r2 + eps * eps) ** ((p - 2.0) / 2.0)
+
+
 @dataclass(frozen=True)
 class NFunctionPD:
     """Canonical N-function with (p, delta)-structure."""
@@ -93,7 +111,7 @@ class NFunctionPD:
 
     def phi_prime(self, t):
         t = np.asarray(t, dtype=float)
-        return (self.delta + t) ** (self.p - 2.0) * t
+        return _additive_weight(self.p, self.delta, t) * t
 
     def phi_prime2(self, t):
         """Second derivative, defined for t > 0 (and t = 0 when delta > 0)."""
@@ -152,7 +170,7 @@ def phi_shifted_prime(nf, alpha, t):
     _check_scalar("t", t, minimum=0.0)
     if t == 0.0:
         return 0.0
-    return float((nf.delta + alpha + t) ** (nf.p - 2.0) * t)
+    return float(_additive_weight(nf.p, nf.delta + alpha, t) * t)
 
 
 def phi_shifted(nf, alpha, t):
@@ -162,24 +180,34 @@ def phi_shifted(nf, alpha, t):
     return float(nf.shifted(alpha).phi(t))
 
 
+def _dot(a, b):
+    """Inner product of plane vectors along the last axis; written out, it adds
+    in the order np.sum(a * b, axis=-1) does, at a fraction of its cost."""
+    if a.shape[-1:] != (2,) or b.shape[-1:] != (2,):
+        raise ValueError("vectors must have 2 components along the last axis")
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
 def _vnorm(a):
-    return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sqrt(_dot(a, a))
 
 
-def shift_weight(nf, alpha, r):
-    """Weight phi_alpha'(r)/r = (delta+alpha+r)^(p-2); inf where the base is 0."""
-    base = nf.delta + alpha + np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore"):
-        return base ** (nf.p - 2.0)
+def _op_A(p, shift, a, r):
+    """A_shift(a) = (shift + |a|)^(p-2) a with A(0) = 0, given r = |a|."""
+    w = _additive_weight(p, shift, r)  # unbounded only at r = shift = 0
+    return np.where(np.isinf(w), 0.0, w)[..., None] * a
+
+
+def _op_S(p, eps, a, r2):
+    """S_eps(a) = (|a|^2 + eps^2)^((p-2)/2) a with S(0) = 0, given r2 = |a|^2."""
+    w = _quadratic_weight(p, eps, r2)  # unbounded only at r2 = eps = 0
+    return np.where(np.isinf(w), 0.0, w)[..., None] * a
 
 
 def op_A(nf, alpha, a):
     """Vector operator of the alpha-shifted density, A_alpha(0) = 0."""
     a = np.asarray(a, dtype=float)
-    r = _vnorm(a)
-    w = shift_weight(nf, alpha, r)
-    w = np.where(r > 0.0, w, 0.0)
-    return w[..., None] * a
+    return _op_A(nf.p, nf.delta + alpha, a, _vnorm(a))
 
 
 def op_S_eps(p, eps, a):
@@ -188,21 +216,83 @@ def op_S_eps(p, eps, a):
         raise ValueError(f"exponent p must lie in (1, 2], got {p}")
     _check_scalar("eps", eps, minimum=0.0)
     a = np.asarray(a, dtype=float)
-    base = np.sum(a * a, axis=-1) + eps * eps
-    with np.errstate(divide="ignore"):
-        w = base ** ((p - 2.0) / 2.0)
-    w = np.where(base > 0.0, w, 0.0)
-    return w[..., None] * a
+    return _op_S(p, eps, a, _dot(a, a))
+
+
+def diffusion_weight(nf, eps, kind, t):
+    """Diffusion weight at gradient magnitude t for the chosen regularization.
+
+    additive-shift: (delta + eps + t)^(p-2), so w(|g|) g = op_A(nf, eps, g);
+    quadratic-norm: (t^2 + eps^2)^((p-2)/2), so w(|g|) g = op_S_eps(p, eps, g).
+    Raises DegenerateWeightError where the weight is unbounded.
+    """
+    if kind not in REGULARIZATION_KINDS:
+        raise ValueError(f"unknown regularization kind {kind!r}")
+    t = np.asarray(t, dtype=float)
+    if kind == QUADRATIC_NORM:
+        if nf.delta != 0.0:
+            raise ValueError("quadratic-norm regularization requires delta = 0")
+        w = _quadratic_weight(nf.p, eps, t * t)
+    else:
+        w = _additive_weight(nf.p, nf.delta + eps, t)
+    if np.any(np.isinf(w)):
+        raise DegenerateWeightError(
+            "unbounded diffusion weight: zero gradient with eps = delta = 0")
+    return w
+
+
+# The certified inequalities, one kernel each; a batch computes |a|, |b|, |a-b| once.
+
+def _uniform_eps_bound(p, delta, eps, a, ra):
+    """|A_eps(a) - A_0(a)| <= (1 - kappa0) phi'(eps); returns (lhs, rhs, holds)."""
+    lhs = _vnorm(_op_A(p, delta + eps, a, ra) - _op_A(p, delta, a, ra))
+    rhs = (2.0 - p) * _additive_weight(p, delta, eps) * eps
+    return lhs, rhs, lhs <= rhs + _ineq_scale(lhs, rhs)
+
+
+def _orlicz_stability(p, shift, a, ra, b, rb, s):
+    """w b.(b-a) >= phi(|b|) - phi(|a|) + (w/2) |b-a|^2 with phi the shifted
+    density phi_shift and w = phi'(|a|)/|a|; returns (lhs, rhs, holds)."""
+    w = _additive_weight(p, shift, ra)
+    lhs = w * _dot(b, b - a)
+    rhs = _phi_closed(p, shift, rb) - _phi_closed(p, shift, ra) + 0.5 * w * s * s
+    return lhs, rhs, lhs >= rhs - _ineq_scale(lhs, rhs)
+
+
+def _lagged_weight(p, shift, a, ra, rb, s):
+    """|(w(|a|) - w(|b|)) a| against w(|b|) |a-b| for w(t) = phi_shift'(t)/t:
+    (lhs, bound_unit, ratio), the ratio 0 where |b| = 0 or the bound is 0."""
+    wb = _additive_weight(p, shift, rb)
+    # (w_a - w_b) a as A(a) - w_b a, finite even where the weight at |a| = 0 is not
+    lhs = _vnorm(_op_A(p, shift, a, ra) - wb[..., None] * a)
+    bound_unit = wb * s
+    good = (rb > 0.0) & (bound_unit > 0.0)
+    ratio = np.where(good, lhs / np.where(good, bound_unit, 1.0), 0.0)
+    return lhs, bound_unit, ratio
+
+
+def _monotone_forms(p, shift, a, ra, b, rb, s):
+    """The three equivalent monotonicity quantities of A_shift at a != b:
+    (A(a) - A(b)).(a-b), phi_{shift+|a|}(|a-b|), phi'(|a|+|b|)/(|a|+|b|) |a-b|^2."""
+    inner = _dot(_op_A(p, shift, a, ra) - _op_A(p, shift, b, rb), a - b)
+    shifted = _phi_closed(p, shift + ra, s)
+    quotient = _additive_weight(p, shift, ra + rb) * s * s
+    return inner, shifted, quotient
+
+
+def _s_eps_quotient(p, eps, a, ra, b, rb, s):
+    """|S_eps(a) - S_eps(b)| / (|a-b| (eps^2+|a|^2+|b|^2)^((p-2)/2)); 0 where a = b."""
+    num = _vnorm(_op_S(p, eps, a, ra * ra) - _op_S(p, eps, b, rb * rb))
+    den = s * _quadratic_weight(p, eps, ra * ra + rb * rb)
+    return np.where(s > 0.0, num / den, 0.0)
 
 
 def check_uniform_eps_bound(nf, a, eps):
     """|A_eps(a) - A_0(a)| against (1 - kappa0) phi'(eps)."""
     _check_scalar("eps", eps, minimum=0.0, strict=True)
     a = np.asarray(a, dtype=float)
-    lhs = float(_vnorm(op_A(nf, eps, a) - op_A(nf, 0.0, a)))
-    rhs = float((1.0 - nf.kappa0) * nf.phi_prime(eps))
-    holds = lhs <= rhs + _ineq_scale(lhs, rhs)
-    return lhs, rhs, bool(holds)
+    lhs, rhs, holds = _uniform_eps_bound(nf.p, nf.delta, eps, a, _vnorm(a))
+    return float(lhs), float(rhs), bool(holds)
 
 
 def check_orlicz_stability(nf, a, b, eps):
@@ -212,21 +302,16 @@ def check_orlicz_stability(nf, a, b, eps):
     rhs = phi_eps(|b|) - phi_eps(|a|) + (1/2)(phi_eps'(|a|)/|a|) |b-a|^2
     """
     _check_scalar("eps", eps, minimum=0.0)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ra, rb = float(_vnorm(a)), float(_vnorm(b))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ra, rb = _vnorm(a), _vnorm(b)
     if nf.delta + eps + ra == 0.0:
         # Degenerate weight at a = 0 with no shift: both sides diverge unless
         # b = 0; the inequality holds in the limit.
         if rb == 0.0:
             return 0.0, 0.0, True
         return np.inf, np.inf, True
-    w = float(shift_weight(nf, eps, ra))
-    shifted = nf.shifted(eps)
-    lhs = w * float(np.dot(b, b - a))
-    rhs = float(shifted.phi(rb) - shifted.phi(ra)) + 0.5 * w * float(np.sum((b - a) ** 2))
-    holds = lhs >= rhs - _ineq_scale(lhs, rhs)
-    return lhs, rhs, bool(holds)
+    lhs, rhs, holds = _orlicz_stability(nf.p, nf.delta + eps, a, ra, b, rb, _vnorm(a - b))
+    return float(lhs), float(rhs), bool(holds)
 
 
 def check_lagged_weight_estimate(nf, a, b, eps):
@@ -237,18 +322,12 @@ def check_lagged_weight_estimate(nf, a, b, eps):
     bound_unit = (phi_eps'(|b|)/|b|) |a-b|.
     """
     _check_scalar("eps", eps, minimum=0.0)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rb = float(_vnorm(b))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rb = _vnorm(b)
     if rb == 0.0:
         raise ValueError("b must be nonzero")
-    wb = float(shift_weight(nf, eps, rb))
-    # (w_a - w_b) a written as A_eps(a) - w_b a, which is finite even when
-    # the weight at |a| = 0 is not.
-    lhs = float(_vnorm(op_A(nf, eps, a) - wb * a))
-    bound_unit = wb * float(_vnorm(a - b))
-    ratio = lhs / bound_unit if bound_unit > 0.0 else 0.0
-    return lhs, bound_unit, ratio
+    out = _lagged_weight(nf.p, nf.delta + eps, a, _vnorm(a), rb, _vnorm(a - b))
+    return tuple(float(x) for x in out)
 
 
 def check_monotonicity_equivalence(nf, a, b, alpha):
@@ -258,17 +337,12 @@ def check_monotonicity_equivalence(nf, a, b, alpha):
     their pairwise ratios stay inside MONOTONE_RATIO_BOUNDS.
     """
     _check_scalar("alpha", alpha, minimum=0.0)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    diff = a - b
-    s = float(_vnorm(diff))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s = _vnorm(a - b)
     if s == 0.0:
         raise ValueError("degenerate pair: a must differ from b")
-    inner = float(np.sum((op_A(nf, alpha, a) - op_A(nf, alpha, b)) * diff))
-    ra, rb = float(_vnorm(a)), float(_vnorm(b))
-    shifted_phi_val = float(nf.shifted(alpha + ra).phi(s))
-    quotient_form = float(shift_weight(nf, alpha, ra + rb)) * s * s
-    return inner, shifted_phi_val, quotient_form
+    forms = _monotone_forms(nf.p, nf.delta + alpha, a, _vnorm(a), b, _vnorm(b), s)
+    return tuple(float(x) for x in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -313,123 +387,83 @@ def certify_lemmas(samples=1_000_000, seed=42, p_grid=P_GRID, delta_grid=DELTA_G
     alpha = rng.uniform(0.0, alpha_max, size=n)
     a = _sample_vectors(rng, n, radius)
     b = _sample_vectors(rng, n, radius)
-    ra = _vnorm(a)
-    rb = _vnorm(b)
-    diff = a - b
-    s = _vnorm(diff)
+    ra, rb, s = _vnorm(a), _vnorm(b), _vnorm(a - b)
     ok = s > 0.0  # excludes the measure-zero coincidence a == b
+    shift = delta + eps
 
+    # Each check drops its sample-sized arrays before the next one starts: at
+    # 10^6 samples they are 8-16 MB each, and live ones add to every later peak.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _run_checks(n, p, delta, eps, alpha, a, b, ra, rb, diff, s, ok)
+        # --- monotonicity of A_alpha and the equivalence of its three forms -
+        inner, shifted_val, quotient = _monotone_forms(p, delta + alpha, a, ra, b, rb, s)
+        monotonicity = CheckResult("monotonicity", n, int(np.count_nonzero(ok & (inner <= 0.0))),
+                                   {"min_inner": float(np.min(inner[ok]))})
+        viol, stats = 0, {}
+        for key, num, den in (("inner-over-shifted", inner, shifted_val),
+                              ("inner-over-quotient", inner, quotient),
+                              ("shifted-over-quotient", shifted_val, quotient)):
+            q = np.where(ok, num / np.where(ok, den, 1.0), 1.0)
+            lo, hi = MONOTONE_RATIO_BOUNDS[key]
+            viol += int(np.count_nonzero((q < lo) | (q > hi)))
+            stats[key] = (float(np.min(q[ok])), float(np.max(q[ok])))
+        equivalence = CheckResult("monotonicity-equivalence", n, viol, stats)
+        del inner, shifted_val, quotient
 
+        # --- uniform eps-bound |A_eps - A_0| <= (1-kappa0) phi'(eps) --------
+        lhs, rhs, holds = _uniform_eps_bound(p, delta, eps, a, ra)
+        uniform = CheckResult("uniform-eps-bound", n, int(np.count_nonzero(~holds)),
+                              {"max_excess": float(np.max(lhs - rhs))})
 
-def _run_checks(n, p, delta, eps, alpha, a, b, ra, rb, diff, s, ok):
+        # --- Orlicz stability ------------------------------------------------
+        lhs, rhs, holds = _orlicz_stability(p, shift, a, ra, b, rb, s)
+        stability = CheckResult("orlicz-stability", n, int(np.count_nonzero(~holds)),
+                                {"min_margin": float(np.min(lhs - rhs))})
+        del lhs, rhs, holds
 
-    results = []
+        # --- kappa bracket (exact in closed form, 1e-12 relative) -----------
+        r = np.where(ra > 0.0, ra, 1.0)  # avoid r = 0 (phi'' undefined there)
+        pp = _additive_weight(p, delta, r) * r
+        rpp2 = r * (delta + r) ** (p - 3.0) * ((p - 1.0) * r + delta)
+        tol = 1e-12 * np.maximum(1.0, pp)
+        viol = int(np.count_nonzero((rpp2 < (p - 1.0) * pp - tol) | (rpp2 > pp + tol)))
+        bracket = CheckResult("kappa-bracket", n, viol,
+                              {"max_ratio": float(np.max(rpp2 / pp)),
+                               "min_ratio": float(np.min(rpp2 / pp))})
+        del r, pp, rpp2, tol
 
-    def weight(shift, r):
-        return (delta + shift + r) ** (p - 2.0)
+        # --- (C2): phi'(r)/r nonincreasing ----------------------------------
+        # w1 may be inf at |a| or |b| = delta = 0, still ordered
+        w1 = _additive_weight(p, delta, np.minimum(ra, rb))
+        w2 = _additive_weight(p, delta, np.maximum(ra, rb))
+        viol = int(np.count_nonzero((ra != rb) & (w1 < w2 - 1e-12 * np.maximum(1.0, w2))))
+        nonincreasing = CheckResult("weight-nonincreasing", n, viol, {})
+        del w1, w2
 
-    def a_op(shift, vec, r):
-        w = np.where(r > 0.0, weight(shift, r), 0.0)
-        return w[:, None] * vec
+        # --- lagged weight ratio (regression against the frozen sup) --------
+        ratio = _lagged_weight(p, shift, a, ra, rb, s)[2]
+        lagged = CheckResult("lagged-weight-ratio", n,
+                             int(np.count_nonzero(ratio > LAGGED_WEIGHT_RATIO_MAX)),
+                             {"max_ratio": float(np.max(ratio)),
+                              "frozen_bound": LAGGED_WEIGHT_RATIO_MAX})
 
-    # --- strict monotonicity of A_alpha ------------------------------------
-    inner = np.sum((a_op(alpha, a, ra) - a_op(alpha, b, rb)) * diff, axis=-1)
-    viol = int(np.count_nonzero(ok & (inner <= 0.0)))
-    results.append(CheckResult("monotonicity", n, viol,
-                               {"min_inner": float(np.min(inner[ok]))}))
+        # --- sandwich for the shifted density -------------------------------
+        q = ((_phi_closed(p, shift, ra) + eps**p + delta**p)
+             / (ra**p + eps**p + delta**p))
+        viol, stats = 0, {}
+        for pv in np.unique(p).tolist():
+            qs = q[p == pv]
+            stats[f"p={pv}"] = (float(np.min(qs)), float(np.max(qs)))
+            bounds = EQUI_SANDWICH_BOUNDS.get(pv)
+            if bounds is not None:
+                viol += int(np.count_nonzero((qs < bounds[0]) | (qs > bounds[1])))
+        sandwich = CheckResult("shifted-density-sandwich", n, viol, stats)
 
-    # --- uniform eps-bound |A_eps - A_0| <= (1-kappa0) phi'(eps) ------------
-    lhs = _vnorm(a_op(eps, a, ra) - a_op(0.0, a, ra))
-    rhs = (2.0 - p) * (delta + eps) ** (p - 2.0) * eps
-    viol = int(np.count_nonzero(lhs > rhs + _ineq_scale(lhs, rhs)))
-    results.append(CheckResult("uniform-eps-bound", n, viol,
-                               {"max_excess": float(np.max(lhs - rhs))}))
+        # --- quadratic-norm operator difference quotient (regression) -------
+        q = _s_eps_quotient(p, eps, a, ra, b, rb, s)
+        s_eps = CheckResult("s-eps-difference-quotient", n,
+                            int(np.count_nonzero(q > S_EPS_LIPSCHITZ_MAX)),
+                            {"max_ratio": float(np.max(q)),
+                             "frozen_bound": S_EPS_LIPSCHITZ_MAX})
 
-    # --- Orlicz stability ----------------------------------------------------
-    w_a = weight(eps, ra)
-    phi_b = _phi_closed(p, delta + eps, rb)
-    phi_a = _phi_closed(p, delta + eps, ra)
-    lhs = w_a * np.sum(b * (b - a), axis=-1)
-    rhs = phi_b - phi_a + 0.5 * w_a * s * s
-    viol = int(np.count_nonzero(lhs < rhs - _ineq_scale(lhs, rhs)))
-    results.append(CheckResult("orlicz-stability", n, viol,
-                               {"min_margin": float(np.min(lhs - rhs))}))
-
-    # --- kappa bracket (exact in closed form, 1e-12 relative) ---------------
-    r = np.where(ra > 0.0, ra, 1.0)  # avoid r = 0 (phi'' undefined there)
-    pp = (delta + r) ** (p - 2.0) * r
-    rpp2 = r * (delta + r) ** (p - 3.0) * ((p - 1.0) * r + delta)
-    tol = 1e-12 * np.maximum(1.0, pp)
-    viol = int(np.count_nonzero((rpp2 < (p - 1.0) * pp - tol) | (rpp2 > pp + tol)))
-    results.append(CheckResult("kappa-bracket", n, viol,
-                               {"max_ratio": float(np.max(rpp2 / pp)),
-                                "min_ratio": float(np.min(rpp2 / pp))}))
-
-    # --- (C2): phi'(r)/r nonincreasing --------------------------------------
-    r1 = np.minimum(ra, rb)
-    r2 = np.maximum(ra, rb)
-    pair_ok = r2 > r1
-    w1 = (delta + r1) ** (p - 2.0)  # may be inf at r1 = delta = 0, still ordered
-    w2 = (delta + r2) ** (p - 2.0)
-    viol = int(np.count_nonzero(pair_ok & (w1 < w2 - 1e-12 * np.maximum(1.0, w2))))
-    results.append(CheckResult("weight-nonincreasing", n, viol, {}))
-
-    # --- lagged weight ratio (regression against the frozen sup) ------------
-    has_b = rb > 0.0
-    wb = np.where(has_b, weight(eps, rb), 1.0)
-    lhs = _vnorm(a_op(eps, a, ra) - wb[:, None] * a)
-    denom = wb * s
-    good = has_b & (denom > 0.0)
-    ratio = np.where(good, lhs / np.where(good, denom, 1.0), 0.0)
-    max_ratio = float(np.max(ratio))
-    viol = int(np.count_nonzero(ratio > LAGGED_WEIGHT_RATIO_MAX))
-    results.append(CheckResult("lagged-weight-ratio", n, viol,
-                               {"max_ratio": max_ratio,
-                                "frozen_bound": LAGGED_WEIGHT_RATIO_MAX}))
-
-    # --- equivalence ratios of the monotonicity forms ------------------------
-    shifted_val = _phi_closed(p, delta + alpha + ra, s)
-    quotient = weight(alpha, ra + rb) * s * s
-    q1 = np.where(ok, inner / np.where(ok, shifted_val, 1.0), 1.0)
-    q2 = np.where(ok, inner / np.where(ok, quotient, 1.0), 1.0)
-    q3 = np.where(ok, shifted_val / np.where(ok, quotient, 1.0), 1.0)
-    viol = 0
-    stats = {}
-    for key, q in (("inner-over-shifted", q1), ("inner-over-quotient", q2),
-                   ("shifted-over-quotient", q3)):
-        lo, hi = MONOTONE_RATIO_BOUNDS[key]
-        viol += int(np.count_nonzero((q < lo) | (q > hi)))
-        stats[key] = (float(np.min(q[ok])), float(np.max(q[ok])))
-    results.append(CheckResult("monotonicity-equivalence", n, viol, stats))
-
-    # --- sandwich for the shifted density ------------------------------------
-    t = np.abs(ra)
-    num = _phi_closed(p, delta + eps, t) + eps**p + delta**p
-    den = t**p + eps**p + delta**p
-    q = num / den
-    viol = 0
-    stats = {}
-    for pv in sorted(set(float(x) for x in p)):
-        sel = p == pv
-        qs = q[sel]
-        stats[f"p={pv}"] = (float(np.min(qs)), float(np.max(qs)))
-        bounds = EQUI_SANDWICH_BOUNDS.get(pv)
-        if bounds is not None:
-            viol += int(np.count_nonzero((qs < bounds[0]) | (qs > bounds[1])))
-    results.append(CheckResult("shifted-density-sandwich", n, viol, stats))
-
-    # --- quadratic-norm operator difference quotient (regression) ------------
-    s_a = (ra * ra + eps * eps) ** ((p - 2.0) / 2.0)
-    s_b = (rb * rb + eps * eps) ** ((p - 2.0) / 2.0)
-    num = _vnorm(s_a[:, None] * a - s_b[:, None] * b)
-    den = s * (eps * eps + ra * ra + rb * rb) ** ((p - 2.0) / 2.0)
-    q = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    max_q = float(np.max(q))
-    viol = int(np.count_nonzero(q > S_EPS_LIPSCHITZ_MAX))
-    results.append(CheckResult("s-eps-difference-quotient", n, viol,
-                               {"max_ratio": max_q,
-                                "frozen_bound": S_EPS_LIPSCHITZ_MAX}))
-
-    return results
+    return [monotonicity, uniform, stability, bracket, nonincreasing, lagged,
+            equivalence, sandwich, s_eps]

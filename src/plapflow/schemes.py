@@ -276,7 +276,8 @@ def run_evolution(u0, cfg):
         try:
             u, st = step(iterates[-1], cfg, k)
         except (SolverError, assembly.DegenerateWeightError) as exc:
-            raise SolverError(f"step {k} (t = {k * cfg.tau:g}) failed: {exc}") from exc
+            raise SolverError(f"{cfg.scheme} step {k} (t = {k * cfg.tau:g}; p = {cfg.nf.p:g}, "
+                              f"eps = {cfg.eps:g}, tau = {cfg.tau:g}) failed: {exc}") from exc
         iterates.append(u)
         stats.append(st)
     return Trajectory(cfg, iterates, stats)

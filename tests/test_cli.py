@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from plapflow import orlicz
 from plapflow.cli import main
 from plapflow.config import ConfigError, load_run_config
 
@@ -137,6 +139,54 @@ class TestCheckLemmas:
         main(["check-lemmas", "--samples", "10000", "--seed", "9", "--json", str(a)])
         main(["check-lemmas", "--samples", "10000", "--seed", "9", "--json", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCheckLemmasCanFail:
+    def test_impossible_bounds_fail_exactly_their_checks(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(orlicz, "LAGGED_WEIGHT_RATIO_MAX", -1.0)
+        monkeypatch.setattr(orlicz, "S_EPS_LIPSCHITZ_MAX", -1.0)
+        monkeypatch.setitem(orlicz.MONOTONE_RATIO_BOUNDS, "inner-over-quotient", (2.0, 3.0))
+        monkeypatch.setitem(orlicz.EQUI_SANDWICH_BOUNDS, 1.5, (1.5, 2.0))
+        out = tmp_path / "lemmas.json"
+        assert main(["check-lemmas", "--samples", "20000", "--json", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        failing = {c["name"] for c in payload["checks"] if c["violations"] > 0}
+        assert failing == {"lagged-weight-ratio", "s-eps-difference-quotient",
+                           "monotonicity-equivalence", "shifted-density-sandwich"}
+        assert payload["total_violations"] == sum(c["violations"] for c in payload["checks"])
+        assert f"total violations: {payload['total_violations']}" in capsys.readouterr().out
+
+
+LOWER_ORDER = MINIMAL + """
+[lower-order]
+{lower}
+"""
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("lower,message", [
+        ("kind = cubic", "[lower-order] kind = 'cubic' is not in the registry"),
+        ("kind = power", "[lower-order] missing required key 'r'"),
+        ("kind = power\nr = -1", "[lower-order] growth exponent r must lie in (2, inf)"),
+    ])
+    def test_lower_order_errors_name_the_section_once(self, tmp_path, lower, message):
+        cfg = write_config(tmp_path, LOWER_ORDER, out=tmp_path / "out", lower=lower)
+        with pytest.raises(ConfigError, match="^" + re.escape(message)) as info:
+            load_run_config(cfg)
+        assert str(info.value).count("[lower-order]") == 1
+
+    def test_unknown_regularization_names_run_once(self, tmp_path):
+        text = MINIMAL.replace("regularization = quadratic-norm", "regularization = cubic")
+        cfg = write_config(tmp_path, text, out=tmp_path / "out")
+        with pytest.raises(ConfigError, match=r"^\[run\] unknown regularization kind 'cubic'$"):
+            load_run_config(cfg)
+
+    def test_bad_value_in_a_wrapped_section_is_named_once(self, tmp_path):
+        text = MINIMAL + "\n[source]\nfield = bump\ndecay = fast\n"
+        cfg = write_config(tmp_path, text, out=tmp_path / "out")
+        with pytest.raises(ConfigError, match=r"^\[source\] decay = 'fast': ") as info:
+            load_run_config(cfg)
+        assert str(info.value).count("[source]") == 1
 
 
 class TestExportMesh:

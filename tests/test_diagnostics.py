@@ -229,6 +229,19 @@ class TestStudy:
                         coupling="sideways")
 
 
+def test_failed_level_names_level_step_and_parameters():
+    # one Kacanov sweep cannot reach tol-res, so every implicit run fails
+    base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2,
+                        kind=QUADRATIC_NORM, max_iter=1)
+    rep = run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"),
+                                levels=2, control_levels=2))
+    assert not rep.assertions["all-levels-ran"]
+    for lv in rep.levels:
+        assert lv.error.startswith(f"level {lv.n}: implicit step 1 ")
+        assert f"p = 1.5, eps = {lv.eps:g}, tau = {lv.tau:g}" in lv.error
+        assert "Kacanov iteration did not reach" in lv.error
+
+
 class TestHeatManufactured:
     def test_exact_solution_satisfies_initial_condition(self):
         x = np.array([0.3, 0.5])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from plapflow import orlicz
@@ -310,3 +311,48 @@ def test_certification_is_deterministic():
     for ra, rb in zip(a, b):
         assert ra.name == rb.name and ra.violations == rb.violations
         assert ra.stats == rb.stats
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8),
+       p=st.floats(1.0, 2.0, exclude_min=True), eps=st.floats(1e-6, 1.0),
+       delta=st.floats(0.0, 1.0), kind=st.sampled_from(orlicz.REGULARIZATION_KINDS))
+def test_diffusion_weight_times_gradient_is_the_certified_operator(g, p, eps, delta, kind):
+    # the weight the solver assembles, times g, is the operator whose
+    # inequalities certify_lemmas checks
+    g = np.array(g)
+    t = np.sqrt(np.sum(g * g, axis=1))
+    if kind == orlicz.QUADRATIC_NORM:
+        nf = NFunctionPD(p)
+        expect = op_S_eps(p, eps, g)
+    else:
+        nf = NFunctionPD(p, delta)
+        expect = op_A(nf, eps, g)
+    w = orlicz.diffusion_weight(nf, eps, kind, t)
+    np.testing.assert_allclose(w[:, None] * g, expect, rtol=1e-14, atol=0.0)
+
+
+def test_diffusion_weight_validation():
+    nf = NFunctionPD(1.5)
+    with pytest.raises(ValueError, match="unknown regularization kind"):
+        orlicz.diffusion_weight(nf, 0.1, "cubic", [1.0])
+    with pytest.raises(ValueError, match="requires delta = 0"):
+        orlicz.diffusion_weight(NFunctionPD(1.5, 0.1), 0.1, orlicz.QUADRATIC_NORM, [1.0])
+    with pytest.raises(orlicz.DegenerateWeightError):
+        orlicz.diffusion_weight(nf, 0.0, orlicz.ADDITIVE_SHIFT, [1.0, 0.0])
+    # p = 2 has the constant weight 1, even at a zero gradient without shift
+    np.testing.assert_array_equal(
+        orlicz.diffusion_weight(NFunctionPD(2.0), 0.0, orlicz.QUADRATIC_NORM, [0.0, 3.0]), 1.0)
+
+
+def test_operators_and_checks_reject_non_planar_vectors():
+    nf = NFunctionPD(1.5)
+    with pytest.raises(ValueError, match="2 components"):
+        op_A(nf, 0.1, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="2 components"):
+        op_S_eps(1.5, 0.1, [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="2 components"):
+        check_uniform_eps_bound(nf, [1.0, 2.0, 3.0], 0.1)
