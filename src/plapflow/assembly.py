@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from . import lower_order
 from .mesh import FemFunction
 # DegenerateWeightError is re-exported: callers of the assemblers catch it here.
-from .orlicz import (ADDITIVE_SHIFT, QUADRATIC_NORM, REGULARIZATION_KINDS,  # noqa: F401
-                     DegenerateWeightError, diffusion_weight)
+from .orlicz import (QUADRATIC_NORM, REGULARIZATION_KINDS, DegenerateWeightError,  # noqa: F401
+                     diffusion_weight, vnorm)
 
 
 # Values of the three local hats at the three edge midpoints (rows: midpoints
@@ -39,29 +39,26 @@ _QUAD7_W = np.array([9.0 / 40.0]
                     + [(155.0 + _S15) / 1200.0] * 3)
 
 
-def _pattern(mesh, full):
+def _pattern(mesh):
     """CSR pattern shared by every P1 matrix on mesh, and where each local entry goes.
 
-    The pattern is the diagonal plus both directions of every mesh edge, with
+    The matrices act on the interior nodes, numbered as in mesh.interior.  The
+    pattern is the diagonal plus both directions of every interior edge, with
     sorted column indices and no duplicates.  Returns (indptr, indices, slot):
     entry (m, i, j) of an (M, 3, 3) stack of element blocks adds into data
-    slot slot[9 m + 3 i + j].  Without full, entries in a boundary row or
-    column all go to the one "trash" slot past the end.
+    slot slot[9 m + 3 i + j]; entries in a boundary row or column all go to
+    the one "trash" slot past the end.
 
     The slots are found one local (i, j) position at a time, so the set-up
     holds no temporary of the size of all 9 M local entries: on large meshes
     such temporaries stayed resident after they were freed and raised the
     peak memory of the whole run.
     """
-    key = ("pattern", full)
+    key = "pattern"
     if key not in mesh._cache:
-        if full:
-            n = mesh.n_nodes
-            number = np.arange(n)
-        else:
-            n = mesh.n_interior
-            number = np.full(mesh.n_nodes, -1, dtype=np.int64)
-            number[mesh.interior] = np.arange(n)
+        n = mesh.n_interior
+        number = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        number[mesh.interior] = np.arange(n)
         ends = number[mesh.edges]
         ends = ends[np.all(ends >= 0, axis=1)]
         pairs = np.sort(np.concatenate([np.arange(n) * (n + 1),
@@ -84,9 +81,9 @@ def _pattern(mesh, full):
     return mesh._cache[key]
 
 
-def _assemble(mesh, element_blocks, full):
+def _assemble(mesh, element_blocks):
     """Sum (M, 3, 3) element blocks into a CSR matrix on the mesh's shared pattern."""
-    indptr, indices, slot = _pattern(mesh, full)
+    indptr, indices, slot = _pattern(mesh)
     nnz = indices.size
     data = np.bincount(slot, weights=element_blocks.reshape(-1), minlength=nnz + 1)[:nnz]
     mat = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
@@ -105,21 +102,21 @@ def _stiffness_blocks(mesh):
     return mesh._cache[key]
 
 
-def mass_matrix(mesh, full=False):
+def mass_matrix(mesh):
     """Consistent P1 mass matrix; element block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
-    key = ("mass", full)
+    key = "mass"
     if key not in mesh._cache:
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
         blocks = mesh.areas[:, None, None] * base
-        mesh._cache[key] = _assemble(mesh, blocks, full)
+        mesh._cache[key] = _assemble(mesh, blocks)
     return mesh._cache[key]
 
 
-def stiffness_matrix(mesh, full=False):
+def stiffness_matrix(mesh):
     """Unweighted Laplace stiffness matrix."""
-    key = ("stiffness", full)
+    key = "stiffness"
     if key not in mesh._cache:
-        mesh._cache[key] = _assemble(mesh, _stiffness_blocks(mesh), full)
+        mesh._cache[key] = _assemble(mesh, _stiffness_blocks(mesh))
     return mesh._cache[key]
 
 
@@ -130,24 +127,23 @@ def gradients(u):
     return np.einsum("mi,mid->md", full[u.mesh.cells], grads)
 
 
-def weighted_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
+def weighted_stiffness(mesh, w, nf, eps, kind):
     """Stiffness matrix with the per-cell weight evaluated at |grad w|.
 
     Exact for P1: the weight is constant on every cell.
     """
-    gn = np.sqrt(np.sum(gradients(w) ** 2, axis=1))
-    omega = diffusion_weight(nf, eps, kind, gn)
-    return _assemble(mesh, omega[:, None, None] * _stiffness_blocks(mesh), full)
+    omega = diffusion_weight(nf, eps, kind, vnorm(gradients(w)))
+    return _assemble(mesh, omega[:, None, None] * _stiffness_blocks(mesh))
 
 
-def jacobian_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
+def jacobian_stiffness(mesh, w, nf, eps, kind):
     """Tangent of the weighted diffusion term at w, for Newton's method.
 
     Per cell the tangent tensor is omega(t) I + (omega'(t)/t) g g^T with
     g = grad w and t = |g|; both terms are positive definite for p in (1, 2].
     """
     g = gradients(w)
-    t = np.sqrt(np.sum(g * g, axis=1))
+    t = vnorm(g)
     omega = diffusion_weight(nf, eps, kind, t)
     # omega'(t)/t from omega = base^e itself; the additive form's t -> 0 limit is 0
     if nf.p == 2.0:
@@ -161,7 +157,7 @@ def jacobian_stiffness(mesh, w, nf, eps, kind=ADDITIVE_SHIFT, full=False):
     gg = np.einsum("md,me->mde", g, g)
     tensor = omega[:, None, None] * np.eye(2) + coef[:, None, None] * gg
     blocks = mesh.areas[:, None, None] * np.einsum("mid,mde,mje->mij", grads, tensor, grads)
-    return _assemble(mesh, blocks, full)
+    return _assemble(mesh, blocks)
 
 
 def midpoint_coords(mesh):
@@ -179,29 +175,26 @@ def values_at_midpoints(u):
     return np.einsum("qi,mi->mq", _PSI_MID, full[u.mesh.cells])
 
 
-def midpoint_mass(mesh, qvals, full=False):
+def midpoint_mass(mesh, qvals):
     """Mass-type matrix with coefficient values qvals (M, 3) at the edge midpoints."""
     blocks = (mesh.areas / 3.0)[:, None] * (qvals @ _PSI_MID_OUTER)
-    return _assemble(mesh, blocks, full)
+    return _assemble(mesh, blocks)
 
 
-def weighted_mass(mesh, w, coeff, full=False):
+def weighted_mass(mesh, w, coeff):
     """Mass matrix with coefficient d(w), 3-point edge-midpoint quadrature."""
     if coeff.is_zero:
-        n = mesh.n_nodes if full else mesh.n_interior
-        return sp.csr_matrix((n, n))
-    return midpoint_mass(mesh, lower_order.d_eval(coeff, values_at_midpoints(w)), full)
+        return sp.csr_matrix((mesh.n_interior, mesh.n_interior))
+    return midpoint_mass(mesh, lower_order.d_eval(coeff, values_at_midpoints(w)))
 
 
-def load_vector(mesh, f, t=0.0, full=False):
+def load_vector(mesh, f, t=0.0):
     """Load vector of an analytic source f(x, y, t), midpoint quadrature."""
     xq = midpoint_coords(mesh)
     fq = np.asarray(f(xq[..., 0], xq[..., 1], t), dtype=float)
     fq = np.broadcast_to(fq, xq.shape[:2])
     contrib = (mesh.areas / 3.0)[:, None] * np.einsum("mq,qi->mi", fq, _PSI_MID)
     vec = np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
-    if full:
-        return vec
     return vec[mesh.interior]
 
 
@@ -221,7 +214,7 @@ def energy(u, nf, eps, kind):
     """
     if kind not in REGULARIZATION_KINDS:
         raise ValueError(f"unknown regularization kind {kind!r}")
-    gn = np.sqrt(np.sum(gradients(u) ** 2, axis=1))
+    gn = vnorm(gradients(u))
     if kind == QUADRATIC_NORM:
         if nf.delta != 0.0:
             raise ValueError("quadratic-norm regularization requires delta = 0")
@@ -239,7 +232,7 @@ def norm_L2(u):
 
 def seminorm_W1p(u, p):
     """Exact W^{1,p} seminorm: (sum area |grad u|^p)^(1/p)."""
-    gn = np.sqrt(np.sum(gradients(u) ** 2, axis=1))
+    gn = vnorm(gradients(u))
     return float(np.sum(u.mesh.areas * gn**p) ** (1.0 / p))
 
 

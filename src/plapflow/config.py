@@ -87,8 +87,6 @@ class _Section:
             return default
         raw = self._sec[key]
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{self._name}] {key} = {raw!r}: {exc}") from exc

@@ -30,8 +30,9 @@ import numpy as np
 from . import assembly, lower_order
 from .lower_order import IMPLICIT, SEMI_IMPLICIT
 from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
-from .orlicz import NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight, op_S_eps
-from .schemes import SchemeConfig, SolverError, run_evolution
+from .orlicz import (NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight,
+                     op_S_eps, vnorm)
+from .schemes import SchemeConfig, SolverError, interpolant_eval, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
 
@@ -69,8 +70,7 @@ def _lagged_dissipation(traj):
     dissipations D_k = int w^{k-1} |grad d u^k|^2 for k = 1..K."""
     cfg = traj.config
     grads = [assembly.gradients(u) for u in traj.iterates]
-    weights = [diffusion_weight(cfg.nf, cfg.eps, cfg.kind, np.sqrt(np.sum(g * g, axis=1)))
-               for g in grads]
+    weights = [diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g)) for g in grads]
     diss = np.empty(traj.K)
     for k in range(1, traj.K + 1):
         gd = (grads[k] - grads[k - 1]) / cfg.tau
@@ -192,10 +192,10 @@ def discrepancy_terms(traj, k):
 
     s_eps = op_S_eps(p, eps, g_cur)
     e_field = op_S_eps(p, 0.0, g_cur) - s_eps
-    w_lag = diffusion_weight(cfg.nf, eps, cfg.kind, np.sqrt(np.sum(g_lag * g_lag, axis=1)))
+    w_lag = diffusion_weight(cfg.nf, eps, cfg.kind, vnorm(g_lag))
     f_field = s_eps - w_lag[:, None] * g_cur
 
-    e_abs = np.sqrt(np.sum(e_field * e_field, axis=1))
+    e_abs = vnorm(e_field)
     area = mesh.areas
     omega = float(np.sum(area))
     bound_cell = (2.0 - p) * eps ** (p - 1.0)
@@ -204,11 +204,10 @@ def discrepancy_terms(traj, k):
     grads = mesh.hat_gradients()
     pair = np.einsum("md,mid,m->mi", f_field, grads, area)
     vec = np.bincount(mesh.cells.ravel(), weights=pair.ravel(), minlength=mesh.n_nodes)
-    mdiag = assembly.mass_matrix(mesh, full=True).diagonal()
-    kdiag = assembly.stiffness_matrix(mesh, full=True).diagonal()
-    denom = np.sqrt(mdiag + kdiag)
+    denom = np.sqrt(assembly.mass_matrix(mesh).diagonal()
+                    + assembly.stiffness_matrix(mesh).diagonal())
     free = mesh.interior
-    f_dual = float(np.max(np.abs(vec[free]) / denom[free])) if free.size else 0.0
+    f_dual = float(np.max(np.abs(vec[free]) / denom)) if free.size else 0.0
 
     return DiscrepancyRecord(
         k=k,
@@ -227,10 +226,10 @@ def lagged_dissipation_sum(traj):
     return tau * tau * float(sum(_lagged_dissipation(traj)[2]))
 
 
-def discrepancy_total(traj, alpha_eps=None):
+def discrepancy_total(traj):
     """Balanced upper bound for the integrated discrepancy pairing.
 
-    With alpha = (tau eps^(p-2))^(1/2) (the default balance) the total is
+    With the balance alpha = (tau eps^(p-2))^(1/2) the total is
 
         (2-p) eps^(p-1) + c^2 alpha tau^2 sum_k D_k + tau eps^(p-2) / (2 alpha),
 
@@ -241,8 +240,7 @@ def discrepancy_total(traj, alpha_eps=None):
     _require_semi_quadratic(traj)
     cfg = traj.config
     p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
-    if alpha_eps is None:
-        alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
+    alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
     diss = lagged_dissipation_sum(traj)
     c = S_EPS_LIPSCHITZ_MAX
     return ((2.0 - p) * eps ** (p - 1.0)
@@ -372,13 +370,11 @@ def _trajectory_norms(traj):
 
 def _cauchy_difference(coarse, fine, fine_mesh, p):
     """Distance of consecutive-level runs on the finer space-time grid."""
-    tau_f, tau_c = fine.config.tau, coarse.config.tau
+    tau_f = fine.config.tau
     linf = 0.0
     acc = 0.0
     for j in range(fine.K + 1):
-        t = j * tau_f
-        i = 0 if t <= 0.0 else min(int(np.ceil(t / tau_c - 1e-9)), coarse.K)
-        uc = prolong(coarse.iterates[i], fine_mesh)
+        uc = prolong(interpolant_eval(coarse, "constant", j * tau_f), fine_mesh)
         diff = FemFunction(fine_mesh, fine.iterates[j].coeffs - uc.coeffs)
         linf = max(linf, assembly.norm_L2(diff))
         if j >= 1:
@@ -413,17 +409,21 @@ def run_study(sc):
     params = sc.parameter_sequence()
     levels = []
     semis = []
+    semi0_total = np.nan  # level 0's semi-implicit run is also the control run at m = 0
     for n, (eps_n, K_n) in enumerate(params):
         cfg = replace(base, mesh=meshes[n], eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
         try:
             semi = run_evolution(u0s[n], cfg)
-            impl = run_evolution(u0s[n], cfg.with_scheme(IMPLICIT))
+            total = discrepancy_total(semi)
+            if n == 0:
+                semi0_total = total
+            impl = run_evolution(u0s[n], replace(cfg, scheme=IMPLICIT))
             linf, lp = _trajectory_norms(semi)
             levels.append(LevelResult(
                 n=n, h=meshes[n].h, eps=eps_n, tau=cfg.tau, K=K_n,
                 linf_l2=linf, lp_w1p=lp,
                 gap=_scheme_gap(semi, impl),
-                discrepancy_total=discrepancy_total(semi),
+                discrepancy_total=total,
                 e_cell_ratio=cell_bound_satisfied(semi),
                 ledgers_semi=check_energy_ledgers(semi),
                 ledgers_implicit=check_energy_ledgers(impl)))
@@ -448,8 +448,8 @@ def run_study(sc):
     products = [lv.tau * float(base.nf.phi_prime2(lv.eps)) for lv in levels]
 
     # anti-coupled control: mesh and tau pinned, eps halving
-    control_totals = []
-    for m in range(sc.control_levels):
+    control_totals = [semi0_total][:sc.control_levels]
+    for m in range(1, sc.control_levels):
         cfg = replace(base, eps=base.eps * 2.0 ** (-m), scheme=SEMI_IMPLICIT)
         try:
             control_totals.append(discrepancy_total(run_evolution(u0s[0], cfg)))
@@ -495,14 +495,6 @@ def heat_run_error(n, K, T, scheme=SEMI_IMPLICIT):
                for k in range(traj.K + 1))
 
 
-def heat_manufactured_error(n=4, K=4, T=0.05, levels=3, vary="tau"):
-    """Errors across levels that halve tau (at fixed h) or h (at fixed tau)."""
-    if vary not in ("tau", "h"):
-        raise ValueError("vary must be 'tau' or 'h'")
-    errors = []
-    for lvl in range(levels):
-        if vary == "tau":
-            errors.append(heat_run_error(n, K * 2**lvl, T))
-        else:
-            errors.append(heat_run_error(n * 2**lvl, K, T))
-    return errors
+def heat_manufactured_error(n=4, K=4, T=0.05, levels=3):
+    """Errors across levels that halve tau at fixed h."""
+    return [heat_run_error(n, K * 2**lvl, T) for lvl in range(levels)]

@@ -12,31 +12,34 @@ import numpy as np
 FIELD_NAMES = ("zero", "sin-product", "bump", "bilinear")
 
 
-def make_field(name, amplitude=1.0, kx=1, ky=1, x0=0.5, y0=0.5, width=0.15):
-    """Spatial field by registry name, as a callable (x, y) -> values.
+def make_field(name, amplitude=1.0):
+    """Spatial field by registry name and amplitude A, as a callable (x, y) -> values.
 
     zero         0
-    sin-product  A sin(kx pi x) sin(ky pi y)          (vanishes on the boundary)
-    bump         A exp(-((x-x0)^2 + (y-y0)^2)/width^2)
-    bilinear     A x (1-x) y (1-y)                    (vanishes on the boundary)
+    sin-product  A sin(pi x) sin(pi y)                        (vanishes on the boundary)
+    bump         A exp(-((x-1/2)^2 + (y-1/2)^2)/0.15^2)       (centred in the square)
+    bilinear     A x (1-x) y (1-y)                            (vanishes on the boundary)
     """
     if name == "zero":
         return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     if name == "sin-product":
-        return lambda x, y: amplitude * np.sin(kx * np.pi * x) * np.sin(ky * np.pi * y)
+        return lambda x, y: amplitude * np.sin(np.pi * x) * np.sin(np.pi * y)
     if name == "bump":
-        w2 = width * width
-        return lambda x, y: amplitude * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / w2)
+        w2 = 0.15 * 0.15
+        return lambda x, y: amplitude * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / w2)
     if name == "bilinear":
         return lambda x, y: amplitude * x * (1.0 - x) * y * (1.0 - y)
     raise ValueError(f"unknown field {name!r}; expected one of {FIELD_NAMES}")
 
 
-def make_source(name, decay=0.0, **params):
-    """Time-dependent source f(x, y, t) = field(x, y) * exp(-decay t)."""
+def make_source(name, decay=0.0, amplitude=1.0):
+    """Time-dependent source f(x, y, t) = make_field(name, amplitude)(x, y) * exp(-decay t).
+
+    The zero field gives None: the run has no source.
+    """
     if name == "zero":
         return None
-    spatial = make_field(name, **params)
+    spatial = make_field(name, amplitude)
     if decay == 0.0:
         return lambda x, y, t: spatial(x, y)
     return lambda x, y, t: spatial(x, y) * np.exp(-decay * t)

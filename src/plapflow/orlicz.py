@@ -188,7 +188,8 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _vnorm(a):
+def vnorm(a):
+    """Euclidean norm of plane vectors along the last axis, e.g. |grad u| per cell."""
     return np.sqrt(_dot(a, a))
 
 
@@ -207,7 +208,7 @@ def _op_S(p, eps, a, r2):
 def op_A(nf, alpha, a):
     """Vector operator of the alpha-shifted density, A_alpha(0) = 0."""
     a = np.asarray(a, dtype=float)
-    return _op_A(nf.p, nf.delta + alpha, a, _vnorm(a))
+    return _op_A(nf.p, nf.delta + alpha, a, vnorm(a))
 
 
 def op_S_eps(p, eps, a):
@@ -245,7 +246,7 @@ def diffusion_weight(nf, eps, kind, t):
 
 def _uniform_eps_bound(p, delta, eps, a, ra):
     """|A_eps(a) - A_0(a)| <= (1 - kappa0) phi'(eps); returns (lhs, rhs, holds)."""
-    lhs = _vnorm(_op_A(p, delta + eps, a, ra) - _op_A(p, delta, a, ra))
+    lhs = vnorm(_op_A(p, delta + eps, a, ra) - _op_A(p, delta, a, ra))
     rhs = (2.0 - p) * _additive_weight(p, delta, eps) * eps
     return lhs, rhs, lhs <= rhs + _ineq_scale(lhs, rhs)
 
@@ -264,7 +265,7 @@ def _lagged_weight(p, shift, a, ra, rb, s):
     (lhs, bound_unit, ratio), the ratio 0 where |b| = 0 or the bound is 0."""
     wb = _additive_weight(p, shift, rb)
     # (w_a - w_b) a as A(a) - w_b a, finite even where the weight at |a| = 0 is not
-    lhs = _vnorm(_op_A(p, shift, a, ra) - wb[..., None] * a)
+    lhs = vnorm(_op_A(p, shift, a, ra) - wb[..., None] * a)
     bound_unit = wb * s
     good = (rb > 0.0) & (bound_unit > 0.0)
     ratio = np.where(good, lhs / np.where(good, bound_unit, 1.0), 0.0)
@@ -282,7 +283,7 @@ def _monotone_forms(p, shift, a, ra, b, rb, s):
 
 def _s_eps_quotient(p, eps, a, ra, b, rb, s):
     """|S_eps(a) - S_eps(b)| / (|a-b| (eps^2+|a|^2+|b|^2)^((p-2)/2)); 0 where a = b."""
-    num = _vnorm(_op_S(p, eps, a, ra * ra) - _op_S(p, eps, b, rb * rb))
+    num = vnorm(_op_S(p, eps, a, ra * ra) - _op_S(p, eps, b, rb * rb))
     den = s * _quadratic_weight(p, eps, ra * ra + rb * rb)
     return np.where(s > 0.0, num / den, 0.0)
 
@@ -291,7 +292,7 @@ def check_uniform_eps_bound(nf, a, eps):
     """|A_eps(a) - A_0(a)| against (1 - kappa0) phi'(eps)."""
     _check_scalar("eps", eps, minimum=0.0, strict=True)
     a = np.asarray(a, dtype=float)
-    lhs, rhs, holds = _uniform_eps_bound(nf.p, nf.delta, eps, a, _vnorm(a))
+    lhs, rhs, holds = _uniform_eps_bound(nf.p, nf.delta, eps, a, vnorm(a))
     return float(lhs), float(rhs), bool(holds)
 
 
@@ -303,14 +304,14 @@ def check_orlicz_stability(nf, a, b, eps):
     """
     _check_scalar("eps", eps, minimum=0.0)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    ra, rb = _vnorm(a), _vnorm(b)
+    ra, rb = vnorm(a), vnorm(b)
     if nf.delta + eps + ra == 0.0:
         # Degenerate weight at a = 0 with no shift: both sides diverge unless
         # b = 0; the inequality holds in the limit.
         if rb == 0.0:
             return 0.0, 0.0, True
         return np.inf, np.inf, True
-    lhs, rhs, holds = _orlicz_stability(nf.p, nf.delta + eps, a, ra, b, rb, _vnorm(a - b))
+    lhs, rhs, holds = _orlicz_stability(nf.p, nf.delta + eps, a, ra, b, rb, vnorm(a - b))
     return float(lhs), float(rhs), bool(holds)
 
 
@@ -323,10 +324,10 @@ def check_lagged_weight_estimate(nf, a, b, eps):
     """
     _check_scalar("eps", eps, minimum=0.0)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    rb = _vnorm(b)
+    rb = vnorm(b)
     if rb == 0.0:
         raise ValueError("b must be nonzero")
-    out = _lagged_weight(nf.p, nf.delta + eps, a, _vnorm(a), rb, _vnorm(a - b))
+    out = _lagged_weight(nf.p, nf.delta + eps, a, vnorm(a), rb, vnorm(a - b))
     return tuple(float(x) for x in out)
 
 
@@ -338,10 +339,10 @@ def check_monotonicity_equivalence(nf, a, b, alpha):
     """
     _check_scalar("alpha", alpha, minimum=0.0)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    s = _vnorm(a - b)
+    s = vnorm(a - b)
     if s == 0.0:
         raise ValueError("degenerate pair: a must differ from b")
-    forms = _monotone_forms(nf.p, nf.delta + alpha, a, _vnorm(a), b, _vnorm(b), s)
+    forms = _monotone_forms(nf.p, nf.delta + alpha, a, vnorm(a), b, vnorm(b), s)
     return tuple(float(x) for x in forms)
 
 
@@ -349,6 +350,8 @@ def check_monotonicity_equivalence(nf, a, b, alpha):
 # Randomized certification
 # ---------------------------------------------------------------------------
 
+# The grid certify_lemmas samples, the one the frozen constants above were
+# measured on; every p in it is a key of EQUI_SANDWICH_BOUNDS.
 P_GRID = (1.2, 1.5, 1.8, 2.0)
 DELTA_GRID = (0.0, 0.1)
 
@@ -365,14 +368,13 @@ class CheckResult:
         return self.violations == 0
 
 
-def _sample_vectors(rng, n, radius):
-    r = rng.uniform(0.0, radius, size=n)
+def _sample_vectors(rng, n):
+    r = rng.uniform(0.0, 10.0, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-def certify_lemmas(samples=1_000_000, seed=42, p_grid=P_GRID, delta_grid=DELTA_GRID,
-                   eps_range=(1e-6, 1.0), radius=10.0, alpha_max=5.0):
+def certify_lemmas(samples=1_000_000, seed=42):
     """Sample every certified inequality and report violation counts.
 
     All checks are vectorized; a violation is an inequality broken beyond the
@@ -381,13 +383,13 @@ def certify_lemmas(samples=1_000_000, seed=42, p_grid=P_GRID, delta_grid=DELTA_G
     """
     rng = np.random.default_rng(seed)
     n = int(samples)
-    p = rng.choice(np.asarray(p_grid, dtype=float), size=n)
-    delta = rng.choice(np.asarray(delta_grid, dtype=float), size=n)
-    eps = rng.uniform(eps_range[0], eps_range[1], size=n)
-    alpha = rng.uniform(0.0, alpha_max, size=n)
-    a = _sample_vectors(rng, n, radius)
-    b = _sample_vectors(rng, n, radius)
-    ra, rb, s = _vnorm(a), _vnorm(b), _vnorm(a - b)
+    p = rng.choice(np.asarray(P_GRID), size=n)
+    delta = rng.choice(np.asarray(DELTA_GRID), size=n)
+    eps = rng.uniform(1e-6, 1.0, size=n)
+    alpha = rng.uniform(0.0, 5.0, size=n)
+    a = _sample_vectors(rng, n)
+    b = _sample_vectors(rng, n)
+    ra, rb, s = vnorm(a), vnorm(b), vnorm(a - b)
     ok = s > 0.0  # excludes the measure-zero coincidence a == b
     shift = delta + eps
 
@@ -453,9 +455,8 @@ def certify_lemmas(samples=1_000_000, seed=42, p_grid=P_GRID, delta_grid=DELTA_G
         for pv in np.unique(p).tolist():
             qs = q[p == pv]
             stats[f"p={pv}"] = (float(np.min(qs)), float(np.max(qs)))
-            bounds = EQUI_SANDWICH_BOUNDS.get(pv)
-            if bounds is not None:
-                viol += int(np.count_nonzero((qs < bounds[0]) | (qs > bounds[1])))
+            lo, hi = EQUI_SANDWICH_BOUNDS[pv]
+            viol += int(np.count_nonzero((qs < lo) | (qs > hi)))
         sandwich = CheckResult("shifted-density-sandwich", n, viol, stats)
 
         # --- quadratic-norm operator difference quotient (regression) -------

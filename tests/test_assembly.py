@@ -15,21 +15,44 @@ from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
 import oracles
 
 
-def reference_triangle():
-    return TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                   np.array([[0, 1, 2]]))
+def uniform_stencil(m, h, centre, edge, axis_only):
+    """Matrix on the interior nodes of a unit_square_mesh of width h with value
+    centre on the diagonal and edge between mesh neighbours, found from the
+    coordinates: the axis neighbours, plus the lower-left/upper-right diagonal
+    ones unless axis_only."""
+    x = m.nodes[m.interior]
+    d = np.round((x[None, :, :] - x[:, None, :]) / h).astype(int)
+    axis = np.abs(d).sum(axis=2) == 1
+    diagonal = (d[..., 0] == d[..., 1]) & (np.abs(d[..., 0]) == 1)
+    neighbour = axis if axis_only else axis | diagonal
+    return centre * np.eye(len(x)) + edge * neighbour
 
 
 class TestMassMatrix:
     def test_reference_element(self):
-        m = reference_triangle()
-        M = mass_matrix(m, full=True).toarray()
-        expect = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
-        np.testing.assert_allclose(M, expect, rtol=1e-14)
+        # every cell of unit_square_mesh(n) is the reference triangle scaled by
+        # h, with block (h^2/24) [[2,1,1],[1,2,1],[1,1,2]]: a node lies in 6
+        # cells and an edge in 2
+        m = unit_square_mesh(4)
+        h = 0.25
+        expect = uniform_stencil(m, h, h * h / 2.0, h * h / 12.0, axis_only=False)
+        np.testing.assert_allclose(mass_matrix(m).toarray(), expect, rtol=0, atol=1e-15)
 
     def test_row_sums_are_domain_measure(self):
-        M = mass_matrix(unit_square_mesh(4), full=True)
-        assert M.sum() == pytest.approx(1.0, rel=1e-13)
+        # M 1 pairs each hat with the sum of the interior hats, which is 1 on
+        # the support of a hat with no boundary neighbour: there the row sum
+        # is the hat integral, i.e. the load of f = 1
+        m = jittered_unit_square(6, 2)
+        M = mass_matrix(m)
+        rim = np.unique(m.cells[m.boundary_node[m.cells].any(axis=1)])
+        inner = ~np.isin(m.interior, rim)
+        assert np.count_nonzero(inner) == 9
+        hat_integrals = load_vector(m, lambda x, y, t: np.ones_like(x))
+        np.testing.assert_allclose(np.asarray(M.sum(axis=1)).ravel()[inner],
+                                   hat_integrals[inner], rtol=1e-13)
+        # and 1^T M 1 is ||sum of interior hats||^2, by the degree-5 rule
+        ones = FemFunction(m, np.ones(m.n_interior))
+        assert M.sum() == pytest.approx(l2_error(ones, lambda x, y: 0.0 * x) ** 2, rel=1e-13)
 
     def test_spd(self, mesh4):
         M = mass_matrix(mesh4).toarray()
@@ -38,19 +61,20 @@ class TestMassMatrix:
         np.linalg.cholesky(M)
 
     def test_against_dense_oracle(self, mesh4):
-        M = mass_matrix(mesh4, full=True).toarray()
+        M = mass_matrix(mesh4).toarray()
         ref = oracles.dense_mass(mesh4.nodes, mesh4.cells)
-        np.testing.assert_allclose(M, ref, atol=1e-15)
+        np.testing.assert_allclose(M, ref[np.ix_(mesh4.interior, mesh4.interior)], atol=1e-15)
 
 
 class TestWeightedStiffness:
-    def test_reference_element_p2(self):
-        m = reference_triangle()
-        w = FemFunction.zeros(m)
-        K = weighted_stiffness(m, w, NFunctionPD(2.0), 0.3, QUADRATIC_NORM,
-                               full=True).toarray()
-        expect = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        np.testing.assert_allclose(K, expect, rtol=1e-14)
+    def test_reference_element_p2(self, rng):
+        # reference block (1/2) [[2,-1,-1],[-1,1,0],[-1,0,1]], right angle at
+        # node 0, on every cell of unit_square_mesh(n): the 5-point Laplacian
+        m = unit_square_mesh(4)
+        w = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
+        K = weighted_stiffness(m, w, NFunctionPD(2.0), 0.3, QUADRATIC_NORM).toarray()
+        expect = uniform_stencil(m, 0.25, 4.0, -1.0, axis_only=True)
+        np.testing.assert_allclose(K, expect, rtol=0, atol=1e-14)
 
     def test_p2_independent_of_weight_argument(self, mesh4, rng):
         nf = NFunctionPD(2.0)
@@ -144,9 +168,14 @@ class TestLoadVector:
         f = load_vector(mesh4, lambda x, y, t: np.zeros_like(x))
         np.testing.assert_array_equal(f, np.zeros(mesh4.n_interior))
 
-    def test_partition_of_unity(self, mesh4):
-        f = load_vector(mesh4, lambda x, y, t: np.ones_like(x), full=True)
-        assert np.sum(f) == pytest.approx(1.0, rel=1e-13)
+    def test_partition_of_unity(self):
+        # the loads of f = 1 sum to the integral of the sum of the interior
+        # hats, a P1 function integrated exactly by its cell means
+        m = jittered_unit_square(5, 4)
+        f = load_vector(m, lambda x, y, t: np.ones_like(x))
+        hats = FemFunction(m, np.ones(m.n_interior)).full_values()
+        expect = np.sum(m.areas * hats[m.cells].mean(axis=1))
+        assert np.sum(f) == pytest.approx(expect, rel=1e-13)
 
     def test_interior_entry_is_support_third(self):
         # exact hat integral: int psi_i = (support area) / 3
@@ -254,23 +283,22 @@ def jittered_unit_square(n, seed, amount=0.1):
 
 class TestSharedPattern:
     @staticmethod
-    def all_matrices(m, w, full):
+    def all_matrices(m, w):
         nf = NFunctionPD(1.5)
         coeff = LowerOrderCoeff.shifted_power(2.5, 0.5)
         qvals = np.random.default_rng(7).uniform(-1, 1, (m.n_cells, 3))
-        return [mass_matrix(m, full), stiffness_matrix(m, full),
-                weighted_stiffness(m, w, nf, 0.2, QUADRATIC_NORM, full),
-                jacobian_stiffness(m, w, nf, 0.2, ADDITIVE_SHIFT, full),
-                assembly.midpoint_mass(m, qvals, full),
-                weighted_mass(m, w, coeff, full)]
+        return [mass_matrix(m), stiffness_matrix(m),
+                weighted_stiffness(m, w, nf, 0.2, QUADRATIC_NORM),
+                jacobian_stiffness(m, w, nf, 0.2, ADDITIVE_SHIFT),
+                assembly.midpoint_mass(m, qvals),
+                weighted_mass(m, w, coeff)]
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_one_sorted_pattern(self, full, rng):
+    def test_one_sorted_pattern(self, rng):
         m = jittered_unit_square(5, 3)
         w = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
-        mats = self.all_matrices(m, w, full)
+        mats = self.all_matrices(m, w)
         first = mats[0]
-        n = m.n_nodes if full else m.n_interior
+        n = m.n_interior
         assert first.shape == (n, n)
         for mat in mats[1:]:
             np.testing.assert_array_equal(mat.indptr, first.indptr)
@@ -312,8 +340,6 @@ class TestSharedPattern:
                                 (stiffness_matrix, oracles.dense_stiffness)):
             ref = dense(m.nodes, m.cells)
             scale = np.max(np.abs(ref))
-            np.testing.assert_allclose(assemble(m, full=True).toarray(), ref,
-                                       rtol=0, atol=1e-14 * scale)
             np.testing.assert_allclose(assemble(m).toarray(), ref[free],
                                        rtol=0, atol=1e-14 * scale)
 

@@ -13,6 +13,8 @@ from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, S_EPS_LIPSCHITZ_MAX
 from plapflow.schemes import SchemeConfig, Trajectory, run_evolution
 
+import oracles
+
 
 def make_cfg(mesh, **kw):
     base = dict(mesh=mesh, nf=NFunctionPD(1.5), eps=0.1, K=5, T=0.05,
@@ -87,6 +89,33 @@ class TestDiscrepancy:
         rec = discrepancy_terms(steady, 1)
         assert rec.F_dual_norm == pytest.approx(0.0, abs=1e-13)
         assert rec.cell_bound_holds
+
+    def test_dual_norm_of_lag_field_recomputed(self, mesh8, rng):
+        # max over interior hats of |<F, grad phi_i>| / ||phi_i||_{1,2}, with
+        # F = S_eps(grad u^k) - w(grad u^{k-1}) grad u^k recomputed cell by
+        # cell and the hat norms from the dense oracle matrices
+        cfg = make_cfg(mesh8, eps=0.2)
+        traj = run_evolution(random_u(mesh8, rng), cfg)
+        rec = discrepancy_terms(traj, 2)
+        p, eps = cfg.nf.p, cfg.eps
+        g_cur = assembly.gradients(traj.iterates[2])
+        g_lag = assembly.gradients(traj.iterates[1])
+        nodes, cells = mesh8.nodes, mesh8.cells
+        pair = np.zeros(mesh8.n_nodes)
+        for tri, g, lag in zip(cells, g_cur, g_lag):
+            f = g * ((g @ g + eps * eps) ** ((p - 2.0) / 2.0)
+                     - (lag @ lag + eps * eps) ** ((p - 2.0) / 2.0))
+            (x0, y0), (x1, y1), (x2, y2) = nodes[tri]
+            det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+            hat_grads = np.array([[y1 - y2, x2 - x1], [y2 - y0, x0 - x2],
+                                  [y0 - y1, x1 - x0]]) / det
+            pair[tri] += 0.5 * abs(det) * hat_grads @ f
+        hat_norm_sq = np.diag(oracles.dense_mass(nodes, cells)
+                              + oracles.dense_stiffness(nodes, cells))
+        free = mesh8.interior
+        expect = np.max(np.abs(pair[free]) / np.sqrt(hat_norm_sq[free]))
+        assert expect > 1e-3
+        assert rec.F_dual_norm == pytest.approx(expect, rel=1e-12)
 
     def test_cell_bound_scalar_oracle(self, mesh8, rng):
         # per-cell |E| = |S_0(g) - S_eps(g)| <= (2-p) eps^(p-1), recomputed
@@ -242,6 +271,29 @@ def test_failed_level_names_level_step_and_parameters():
         assert "Kacanov iteration did not reach" in lv.error
 
 
+def test_level_0_semi_run_is_the_first_control_run(monkeypatch):
+    # level 0 and control m = 0 share mesh, eps, K and u0: one run serves both,
+    # also when level 0's implicit run fails
+    calls = []
+
+    def counting_run_evolution(u0, cfg):
+        calls.append(cfg.scheme)
+        return run_evolution(u0, cfg)
+
+    monkeypatch.setattr(diagnostics, "run_evolution", counting_run_evolution)
+    initial = fields.make_field("sin-product")
+    for max_iter in (60, 1):
+        base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4,
+                            T=0.2, kind=QUADRATIC_NORM, max_iter=max_iter)
+        calls.clear()
+        rep = run_study(StudyConfig(base=base, initial=initial, levels=3, control_levels=4))
+        assert len(calls) == 2 * 3 + 4 - 1
+        assert calls.count("implicit") == 3
+        alone = discrepancy_total(run_evolution(interpolate_nodal(initial, base.mesh), base))
+        assert rep.control_totals[0] == alone
+        assert (rep.levels[0].error is None) == (max_iter == 60)
+
+
 class TestHeatManufactured:
     def test_exact_solution_satisfies_initial_condition(self):
         x = np.array([0.3, 0.5])
@@ -257,14 +309,10 @@ class TestHeatManufactured:
         assert err == pytest.approx(0.0601, abs=0.007)
 
     def test_error_decreases_with_tau(self):
-        errs = heat_manufactured_error(n=16, K=4, T=0.05, levels=2, vary="tau")
+        errs = heat_manufactured_error(n=16, K=4, T=0.05, levels=2)
         assert errs[1] < errs[0]
 
     def test_implicit_matches_semi_for_heat(self):
         a = heat_run_error(8, 10, 0.05, scheme="semi-implicit")
         b = heat_run_error(8, 10, 0.05, scheme="implicit")
         assert a == pytest.approx(b, rel=1e-9)
-
-    def test_vary_validated(self):
-        with pytest.raises(ValueError):
-            heat_manufactured_error(vary="sideways")

@@ -153,7 +153,7 @@ class TestKacanovIdentity:
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), K=5, T=0.05)
         u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
         semi = run_evolution(u0, cfg)
-        impl = run_evolution(u0, cfg.with_scheme("implicit"))
+        impl = run_evolution(u0, replace(cfg, scheme="implicit"))
         for a, b in zip(semi.iterates, impl.iterates):
             np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12)
 
