@@ -91,6 +91,76 @@ def _assemble(mesh, element_blocks):
     return mat
 
 
+# Parts of at most this many dofs are not bisected further.
+_ND_LEAF = 32
+
+
+def _dissect(xy, nodes, row, col, group, order):
+    """Append a nested-dissection order of nodes to the list order.
+
+    row, col hold both directions of every pattern edge inside nodes; group
+    is scratch space of one label per dof.  The part is cut at the
+    coordinate median along its longer extent; the separator is the set of
+    lower-half nodes with a neighbour in the upper half.  The lower half
+    without it and the upper half are ordered first, the separator last.
+    """
+    if nodes.size <= _ND_LEAF:
+        order.append(nodes)
+        return
+    pts = xy[nodes]
+    c = pts[:, np.argmax(np.ptp(pts, axis=0))]
+    med = np.partition(c, (c.size - 1) // 2)[(c.size - 1) // 2]
+    lower = c <= med
+    if lower.all():
+        lower = c < med
+    if not lower.any():
+        order.append(nodes)
+        return
+    group[nodes] = np.where(lower, 0, 1)
+    cut = (group[row] == 0) & (group[col] == 1)
+    group[row[cut]] = 2
+    label, g_row, g_col = group[nodes], group[row], group[col]
+    halves = [(nodes[label == g], (g_row == g) & (g_col == g)) for g in (0, 1)]
+    for part, inside in halves:
+        _dissect(xy, part, row[inside], col[inside], group, order)
+    order.append(nodes[label == 2])
+
+
+def nested_dissection(mesh):
+    """Fill-reducing ordering of the interior dofs and the CSC pattern of P A P^T.
+
+    Returns (perm, indptr, indices, gather), cached in mesh._cache: perm[k]
+    is the dof in position k, and for every matrix A on _pattern(mesh) the
+    permuted matrix B[k, l] = A[perm[k], perm[l]] is
+    csc_matrix((A.data[gather], indices, indptr)).  Every matrix on the mesh
+    shares one pattern, so the ordering is computed once per mesh instead of
+    once per factorization.  The permuted pattern is built from _pattern
+    with integer arrays, without sparse fancy indexing, which would hold
+    copies of whole matrices.
+    """
+    key = "nested_dissection"
+    if key not in mesh._cache:
+        indptr_a, indices_a, _ = _pattern(mesh)
+        n = indptr_a.size - 1
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr_a))
+        off = row != indices_a
+        order = []
+        _dissect(mesh.nodes[mesh.interior], np.arange(n), row[off], indices_a[off],
+                 np.empty(n, dtype=np.int8), order)
+        perm = np.concatenate(order)
+        inv = np.empty(n, dtype=np.int32)
+        inv[perm] = np.arange(n, dtype=np.int32)
+        new_col = inv[indices_a]
+        gather = np.argsort(new_col.astype(np.int64) * n + inv[row]).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(new_col, minlength=n), out=indptr[1:])
+        indices = inv[row[gather]]
+        for shared in (perm, indptr, indices, gather):
+            shared.flags.writeable = False
+        mesh._cache[key] = (perm, indptr, indices, gather)
+    return mesh._cache[key]
+
+
 def _stiffness_blocks(mesh):
     """Unweighted element stiffness blocks area * grad phi_i . grad phi_j, (M, 3, 3)."""
     key = "stiffness_blocks"

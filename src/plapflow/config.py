@@ -52,7 +52,8 @@ kind = zero                   ; zero | power | shifted-power
 ; c = 0.1
 
 [solver]
-; "cholesky" is SuperLU's sparse LU with COLAMD ordering and partial pivoting
+; "cholesky" is SuperLU LU with partial pivoting on a nested-dissection
+; ordering cached per mesh
 linear = cholesky             ; cholesky | cg
 cg-tol = 1e-12
 cg-max-iter = 5000

@@ -288,6 +288,9 @@ class StudyConfig:
             raise ValueError(f"unknown coupling {self.coupling!r}")
         if self.levels < 2:
             raise ValueError("a study needs at least two levels")
+        if self.control_levels < 2:
+            raise ValueError("the negative control needs at least two control levels, "
+                             f"got {self.control_levels}")
         if self.base.K < 1:
             raise ValueError("the base configuration must take at least one step")
 

@@ -126,19 +126,34 @@ class NFunctionPD:
 
 
 def _phi_closed(p, delta, t):
-    # int_0^t (delta+s)^(p-2) s ds, elementwise for array p/delta/t.  Written
-    # with expm1/log1p so the difference stays accurate for t << delta:
+    # int_0^t (delta+s)^(p-2) s ds, elementwise for array p/delta/t: t^p/p
+    # where delta = 0, and where delta > 0 the expm1/log1p form, which stays
+    # accurate for t << delta:
     # delta^p [expm1(p u)/p - expm1((p-1) u)/(p-1)] with u = log1p(t/delta).
-    d = np.asarray(delta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    d_b, t_b, p_b = np.broadcast_arrays(d, t, p)
+    # Each ufunc runs only on the samples of its branch (where=) and writes
+    # into one of three buffers, so a call holds three arrays of the
+    # broadcast shape; out doubles as scratch for p - 1 until the last step.
+    d, t, p = np.broadcast_arrays(np.asarray(delta, dtype=float),
+                                  np.asarray(t, dtype=float),
+                                  np.asarray(p, dtype=float))
+    shift = d > 0.0
+    plain = ~shift
+    out, u, w = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.log1p(t_b / np.where(d_b > 0.0, d_b, 1.0))
-        shifted = d_b**p_b * (np.expm1(p_b * u) / p_b
-                              - np.expm1((p_b - 1.0) * u) / (p_b - 1.0))
-        plain = t_b**p_b / p_b
-    out = np.where(d_b > 0.0, shifted, plain)
+        np.power(t, p, out=out, where=plain)
+        np.divide(out, p, out=out, where=plain)
+        np.divide(t, d, out=u, where=shift)
+        np.log1p(u, out=u, where=shift)
+        np.multiply(p, u, out=w, where=shift)
+        np.expm1(w, out=w, where=shift)
+        np.divide(w, p, out=w, where=shift)
+        np.subtract(p, 1.0, out=out, where=shift)
+        np.multiply(out, u, out=u, where=shift)
+        np.expm1(u, out=u, where=shift)
+        np.divide(u, out, out=u, where=shift)
+        np.subtract(w, u, out=w, where=shift)
+        np.power(d, p, out=u, where=shift)
+        np.multiply(u, w, out=out, where=shift)
     if out.ndim == 0:
         return float(out)
     return out

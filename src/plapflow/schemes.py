@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, lower_order
@@ -125,19 +126,23 @@ class Trajectory:
 
 
 def _solve_spd(A, b, cfg):
-    """Solve A x = b with the configured linear solver.
+    """Solve A x = b with the configured linear solver; A lies on the mesh's pattern.
 
-    "cholesky" is not a Cholesky factorization: it is SuperLU's sparse LU
-    (``splu``) with COLAMD column ordering and partial pivoting.  "cg" is
-    unpreconditioned conjugate gradients.
+    "cholesky" is not a Cholesky factorization: it is SuperLU LU with partial
+    pivoting on a nested-dissection ordering cached per mesh
+    (``assembly.nested_dissection``), so ``splu`` computes no ordering of
+    its own.  "cg" is unpreconditioned conjugate gradients.
     """
     if cfg.linear_solver == CG:
         x, info = spla.cg(A, b, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iter)
         if info != 0:
             raise SolverError(f"CG failed to converge (info={info})")
         return x
+    perm, indptr, indices, gather = assembly.nested_dissection(cfg.mesh)
+    B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
+    B.has_canonical_format = True
     try:
-        return spla.splu(A.tocsc()).solve(b)
+        lu = spla.splu(B, permc_spec="NATURAL")
     except RuntimeError as exc:
         if cfg.coeff.c7 > 0.0:
             warnings.warn(
@@ -145,6 +150,9 @@ def _solve_spd(A, b, cfg):
                 "negative somewhere; M/tau + M_d may be indefinite for this "
                 "step size (conditional solvability)", stacklevel=2)
         raise SolverError(f"direct factorization failed: {exc}") from exc
+    x = np.empty_like(b)
+    x[perm] = lu.solve(b[perm])
+    return x
 
 
 def _system_matrix(v, cfg):

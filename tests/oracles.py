@@ -118,3 +118,8 @@ def refine_red(nodes, cells):
     mids = np.asarray(midpoint_edges, dtype=np.int64)
     new_nodes = np.vstack([nodes, 0.5 * (nodes[mids[:, 0]] + nodes[mids[:, 1]])])
     return new_nodes, np.asarray(new_cells, dtype=np.int64), mids
+
+
+def symmetric_permutation(A, perm):
+    """P A P^T by scipy fancy indexing: entry (k, l) is A[perm[k], perm[l]]."""
+    return A[perm][:, perm]

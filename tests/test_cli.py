@@ -188,6 +188,15 @@ class TestConfigErrors:
             load_run_config(cfg)
         assert str(info.value).count("[source]") == 1
 
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_control_levels_below_two_name_study_once(self, tmp_path, levels):
+        text = STUDY.replace("control-levels = 4", f"control-levels = {levels}")
+        cfg = write_config(tmp_path, text, out=tmp_path / "out", coupling="default")
+        message = f"[study] the negative control needs at least two control levels, got {levels}"
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$") as info:
+            load_run_config(cfg, want_study=True)
+        assert str(info.value).count("[study]") == 1
+
 
 class TestExportMesh:
     def test_writes_vtk(self, tmp_path):

@@ -257,6 +257,15 @@ class TestStudy:
             StudyConfig(base=base, initial=fields.make_field("zero"),
                         coupling="sideways")
 
+    @pytest.mark.parametrize("control_levels", [0, 1])
+    def test_negative_control_needs_two_levels(self, control_levels):
+        # with fewer than two control totals the negative control trivially fails
+        base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2,
+                            kind=QUADRATIC_NORM)
+        with pytest.raises(ValueError, match="at least two control levels"):
+            StudyConfig(base=base, initial=fields.make_field("sin-product"),
+                        control_levels=control_levels)
+
 
 def test_failed_level_names_level_step_and_parameters():
     # one Kacanov sweep cannot reach tol-res, so every implicit run fails

@@ -1,0 +1,152 @@
+"""The cached nested-dissection ordering and the direct solve built on it."""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
+
+from plapflow import assembly, lower_order, schemes
+from plapflow.lower_order import LowerOrderCoeff
+from plapflow.mesh import FemFunction, TriMesh, refine_red, unit_square_mesh
+from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
+from plapflow.schemes import SchemeConfig, SolverError
+
+import oracles
+
+LOWER = LowerOrderCoeff.shifted_power(2.5, 0.5)
+
+
+def jittered(n, refinements, seed):
+    """unit_square_mesh(n) with interior nodes moved by up to h/10, then red-refined."""
+    m = unit_square_mesh(n)
+    nodes = m.nodes.copy()
+    nodes[m.interior] += np.random.default_rng(seed).uniform(-0.1, 0.1, (m.n_interior, 2)) / n
+    m = TriMesh(nodes, m.cells)
+    for _ in range(refinements):
+        m = refine_red(m)
+    return m
+
+
+def make_cfg(mesh, **kw):
+    base = dict(mesh=mesh, nf=NFunctionPD(1.5), eps=0.1, K=10, T=0.1, kind=QUADRATIC_NORM)
+    base.update(kw)
+    return SchemeConfig(**base)
+
+
+def newton_matrix(v, cfg):
+    """The matrix of one Newton step at v, as implicit_step assembles it."""
+    mesh = cfg.mesh
+    J = assembly.jacobian_stiffness(mesh, v, cfg.nf, cfg.eps, cfg.kind)
+    J.data += assembly.mass_matrix(mesh).data / cfg.tau
+    gp = lower_order.g_prime_eval(cfg.coeff, assembly.values_at_midpoints(v))
+    J.data += assembly.midpoint_mass(mesh, gp).data
+    return J
+
+
+def matrices(mesh, seed):
+    """Mass, A(v) with a lower-order term, Newton's matrix and an unsymmetric
+    matrix (random data) on the mesh's pattern."""
+    rng = np.random.default_rng(seed)
+    v = FemFunction(mesh, rng.uniform(-1, 1, mesh.n_interior))
+    semi = make_cfg(mesh, coeff=LOWER)
+    newton = make_cfg(mesh, scheme="implicit", nf=NFunctionPD(1.5, 0.1), kind=ADDITIVE_SHIFT,
+                      nonlinear="newton", coeff=LOWER)
+    unsymmetric = assembly.mass_matrix(mesh).copy()
+    unsymmetric.data = rng.uniform(1, 2, unsymmetric.nnz)
+    return [assembly.mass_matrix(mesh), schemes._system_matrix(v, semi),
+            newton_matrix(v, newton), unsymmetric]
+
+
+def check_permuted_pattern(mesh, seed):
+    perm, indptr, indices, gather = assembly.nested_dissection(mesh)
+    n = mesh.n_interior
+    for A in matrices(mesh, seed):
+        B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
+        ref = oracles.symmetric_permutation(A, perm)
+        np.testing.assert_array_equal(B.toarray(), ref.toarray())
+        assert B.nnz == A.nnz
+    # strictly increasing rows in every column: the canonical format splu is told of
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    later = np.flatnonzero(cols[1:] == cols[:-1])
+    assert np.all(indices[later + 1] > indices[later])
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("mesh", [unit_square_mesh(n) for n in (1, 2, 3, 8, 20)]
+                             + [jittered(3, 2, 4)], ids=lambda m: f"{m.n_interior}dofs")
+    def test_permutation_cached_per_mesh(self, mesh):
+        first = assembly.nested_dissection(mesh)
+        perm = first[0]
+        np.testing.assert_array_equal(np.sort(perm), np.arange(mesh.n_interior))
+        second = assembly.nested_dissection(mesh)
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_separator_is_ordered_last(self):
+        # on the 63 x 63 interior grid of n = 64 the first cut is the middle
+        # column x = 1/2, which must occupy the last 63 positions
+        m = unit_square_mesh(64)
+        perm = assembly.nested_dissection(m)[0]
+        x = m.nodes[m.interior][perm, 0]
+        np.testing.assert_array_equal(x[-63:], 0.5)
+        assert np.all(x[:-63] != 0.5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_gathered_matrix_is_the_permuted_matrix(self, n, seed):
+        check_permuted_pattern(unit_square_mesh(n), seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 4), refinements=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_gathered_matrix_is_the_permuted_matrix_on_jittered_meshes(self, n, refinements,
+                                                                       seed):
+        check_permuted_pattern(jittered(n, refinements, seed), seed)
+
+    def test_less_fill_than_colamd(self):
+        m = unit_square_mesh(64)
+        cfg = make_cfg(m)
+        A = schemes._system_matrix(FemFunction(m, np.ones(m.n_interior)), cfg)
+        perm, indptr, indices, gather = assembly.nested_dissection(m)
+        nd = spla.splu(sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape),
+                       permc_spec="NATURAL")
+        colamd = spla.splu(A.tocsc())
+        assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("mesh", [unit_square_mesh(2), unit_square_mesh(9), jittered(4, 1, 8)],
+                             ids=lambda m: f"{m.n_interior}dofs")
+    def test_matches_spsolve(self, mesh):
+        cfg = make_cfg(mesh)
+        b = np.random.default_rng(3).standard_normal(mesh.n_interior)
+        for A in matrices(mesh, 5):
+            x = schemes._solve_spd(A, b, cfg)
+            ref = spla.spsolve(A.tocsc(), b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @staticmethod
+    def singular(mesh):
+        """A(v) with row and column 5 zeroed: exactly singular, same pattern."""
+        A = schemes._system_matrix(FemFunction.zeros(mesh), make_cfg(mesh))
+        rows = np.repeat(np.arange(mesh.n_interior), np.diff(A.indptr))
+        A.data[(rows == 5) | (A.indices == 5)] = 0.0
+        return A
+
+    def test_singular_matrix_raises(self):
+        m = unit_square_mesh(6)
+        b = np.ones(m.n_interior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="^direct factorization failed"):
+                schemes._solve_spd(self.singular(m), b, make_cfg(m))
+
+    def test_singular_matrix_warns_of_conditional_solvability(self):
+        m = unit_square_mesh(6)
+        b = np.ones(m.n_interior)
+        cfg = make_cfg(m, coeff=LOWER)
+        assert cfg.coeff.c7 > 0.0
+        with pytest.warns(UserWarning, match="conditional solvability"):
+            with pytest.raises(SolverError, match="^direct factorization failed"):
+                schemes._solve_spd(self.singular(m), b, cfg)
