@@ -57,6 +57,8 @@ kind = zero                   ; zero | power | shifted-power
 linear = cholesky             ; cholesky | cg
 cg-tol = 1e-12
 cg-max-iter = 5000
+; kacanov is Anderson-accelerated at depth 3; its first sweep is the
+; semi-implicit step
 nonlinear = kacanov           ; kacanov | newton
 tol-res = 1e-10
 max-iter = 60

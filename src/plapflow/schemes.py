@@ -8,9 +8,11 @@ with diffusion weight and lower-order coefficient frozen at a state v,
 the right-hand side of step k, b = M u^{k-1}/tau + F(t_k), and the residual
 A(v) v - b of the implicit step equation.  The semi-implicit step solves
 A(u^{k-1}) u^k = b once.  The implicit step drives A(v) v - b to zero with
-either the lagged-weight fixed point (Kacanov), whose sweeps solve
-A(v_j) v_{j+1} = b, or a damped Newton method.  The first Kacanov sweep from
-v_0 = u^{k-1} is therefore the semi-implicit step.
+either the lagged-weight fixed point (Kacanov) or a damped Newton method.
+Kacanov is Anderson-accelerated at depth ANDERSON_DEPTH = 3: sweep j solves
+A(v_j) g_j = b and mixes g_j with the differences of the last three sweeps.
+The first sweep from v_0 = u^{k-1} has no history, so it is exactly the
+semi-implicit step.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ LINEAR_SOLVERS = (CHOLESKY, CG)
 KACANOV = "kacanov"
 NEWTON = "newton"
 NONLINEAR_SOLVERS = (KACANOV, NEWTON)
+
+# Number of past sweep differences mixed into each Kacanov iterate.
+ANDERSON_DEPTH = 3
+# Relative size below which a difference counts as dependent on newer ones.
+_DEPENDENT = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -184,6 +191,71 @@ def _defect(v, b, cfg):
     return _system_matrix(v, cfg) @ v.coeffs - b
 
 
+class _AndersonMixer:
+    """Anderson mixing of depth ANDERSON_DEPTH for a fixed-point map v -> G(v).
+
+    Called once per sweep with the sweep's iterate v_j and its image
+    g_j = G(v_j), it returns the next iterate
+
+        v_{j+1} = g_j - sum_i gamma_i dG_i,   gamma = argmin ||f_j - sum_i gamma_i dF_i||,
+
+    where f = g - v is the update, and dF_i, dG_i are the differences of f and
+    of g between consecutive sweeps, the last ANDERSON_DEPTH of them (Walker
+    and Ni, SINUM 2011).  The first call has no history and returns g_0 itself.
+
+    The differences sit in preallocated ring buffers, one per row.  The least
+    squares problem is solved by modified Gram-Schmidt over the rows, newest
+    first, with no LAPACK call: np.linalg.lstsq raised the peak memory of a
+    whole implicit run measurably.  A row of dF whose part orthogonal to the
+    newer kept rows is at most _DEPENDENT times the larger of its norm and its
+    dG row's norm is numerically dependent and gets coefficient 0.  So does a
+    zero row, and a row that is rounding noise left by a repeated update
+    while the iterates still move: fitting it would give a huge coefficient.
+    """
+
+    def __init__(self):
+        self.count = 0  # differences recorded so far
+        self.prev = None  # (f, g) of the previous sweep
+        self.dF = self.dG = self.Q = None
+
+    def __call__(self, v, g):
+        f = g - v
+        prev, self.prev = self.prev, (f, g)
+        if prev is None:
+            return g
+        if self.dF is None:
+            self.dF, self.dG, self.Q = (np.empty((ANDERSON_DEPTH, f.size)) for _ in range(3))
+        newest = self.count % ANDERSON_DEPTH
+        np.subtract(f, prev[0], out=self.dF[newest])
+        np.subtract(g, prev[1], out=self.dG[newest])
+        self.count += 1
+        rows = [(newest - i) % ANDERSON_DEPTH for i in range(min(self.count, ANDERSON_DEPTH))]
+
+        # dF[rows[kept]] = Q[:m]^T R, Q with orthonormal rows, R upper triangular
+        R = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
+        kept = []
+        for row in rows:
+            m = len(kept)
+            q = self.Q[m]
+            q[:] = self.dF[row]
+            scale = max(np.linalg.norm(q), np.linalg.norm(self.dG[row]))
+            for i in range(m):
+                R[i, m] = self.Q[i] @ q
+                q -= R[i, m] * self.Q[i]
+            R[m, m] = float(np.linalg.norm(q))
+            if R[m, m] > _DEPENDENT * scale:
+                q /= R[m, m]
+                kept.append(row)
+        m = len(kept)
+        gamma = self.Q[:m] @ f
+        for i in reversed(range(m)):
+            gamma[i] = (gamma[i] - R[i, i + 1:m] @ gamma[i + 1:]) / R[i, i]
+        out = g.copy()
+        for coef, row in zip(gamma, kept):
+            out -= coef * self.dG[row]
+        return out
+
+
 def _semi_step(u_prev, cfg, k):
     """The semi-implicit step with its linear-solve residual."""
     if cfg.eps <= 0.0:
@@ -200,7 +272,15 @@ def semi_implicit_step(u_prev, cfg, k):
 
 
 def implicit_step(u_prev, cfg, k):
-    """One nonlinear step with weight and coefficient at the new iterate."""
+    """One nonlinear step with weight and coefficient at the new iterate.
+
+    Both solvers stop once ||A(v) v - b|| <= tol_res (1 + ||F_k||).  Kacanov
+    is Anderson-accelerated at depth ANDERSON_DEPTH = 3 (_AndersonMixer):
+    every sweep factors A(v_j) once, solves A(v_j) g_j = b and takes the mixed
+    iterate as v_{j+1}.  Its first sweep is the semi-implicit step.  Newton
+    solves with the tangent of A(v) v and halves its step until the residual
+    falls; its errors carry the residuals and every line search.
+    """
     mesh = cfg.mesh
     b, load = _step_rhs(u_prev, cfg, k)
     tol = cfg.tol_res * (1.0 + float(np.linalg.norm(load)))
@@ -208,18 +288,21 @@ def implicit_step(u_prev, cfg, k):
     v = u_prev
     history = []
     if cfg.nonlinear == KACANOV:
+        mix = _AndersonMixer()
         for j in range(1, cfg.max_iter + 1):
-            v = FemFunction(mesh, _solve_spd(_system_matrix(v, cfg), b, cfg))
+            g = _solve_spd(_system_matrix(v, cfg), b, cfg)
+            v = FemFunction(mesh, mix(v.coeffs, g))
             res = float(np.linalg.norm(_defect(v, b, cfg)))
             history.append(res)
             if res <= tol:
                 return v, StepStats(j, res)
         raise SolverError(
-            f"Kacanov iteration did not reach {tol:.3e} in {cfg.max_iter} "
-            f"iterations; residual history {history}")
+            f"Anderson-accelerated (depth {ANDERSON_DEPTH}) Kacanov iteration did not "
+            f"reach {tol:.3e} in {cfg.max_iter} iterations; residual history {history}")
 
     res_vec = _defect(v, b, cfg)
     res = float(np.linalg.norm(res_vec))
+    searches = []
     for j in range(1, cfg.max_iter + 1):
         if res <= tol:
             return v, StepStats(j - 1, res)
@@ -230,23 +313,34 @@ def implicit_step(u_prev, cfg, k):
             J.data += assembly.midpoint_mass(mesh, gp).data
         delta = _solve_spd(J, -res_vec, cfg)
         step = 1.0
+        trials = []
+        searches.append(trials)
         for _ in range(30):
             trial = FemFunction(mesh, v.coeffs + step * delta)
             trial_vec = _defect(trial, b, cfg)
             trial_res = float(np.linalg.norm(trial_vec))
+            trials.append((step, trial_res))
             if trial_res <= (1.0 - 1e-4 * step) * res:
                 break
             step *= 0.5
         else:
             raise SolverError(
-                f"Newton line search failed at residual {res:.3e}; history {history}")
+                f"Newton line search failed at residual {res:.3e}; residual history "
+                f"{history}; {_line_searches(searches)}")
         v, res_vec, res = trial, trial_vec, trial_res
         history.append(res)
     if res <= tol:
         return v, StepStats(cfg.max_iter, res)
     raise SolverError(
         f"Newton did not reach {tol:.3e} in {cfg.max_iter} iterations; "
-        f"residual history {history}")
+        f"residual history {history}; {_line_searches(searches)}")
+
+
+def _line_searches(searches):
+    """Newton's line-search history: per iteration, the step lengths and trial residuals."""
+    per_iteration = (", ".join(f"{step:g}: {res:.3e}" for step, res in trials)
+                     for trials in searches)
+    return f"line search per iteration (step: trial residual) [{'], ['.join(per_iteration)}]"
 
 
 def first_kacanov_equals_semi_implicit(u_prev, cfg):

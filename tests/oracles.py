@@ -123,3 +123,42 @@ def refine_red(nodes, cells):
 def symmetric_permutation(A, perm):
     """P A P^T by scipy fancy indexing: entry (k, l) is A[perm[k], perm[l]]."""
     return A[perm][:, perm]
+
+
+def nested_dissection_order(xy, row, col, leaf=32):
+    """Nested-dissection order of the dofs at coordinates xy, one part per recursive call.
+
+    row, col hold both directions of every off-diagonal pattern edge.  A part
+    of more than leaf dofs is cut at the lower median of its coordinates along
+    its longer extent (x on a tie); the separator is the set of lower-half
+    dofs with a neighbour in the upper half.  Order: lower half without the
+    separator, upper half, separator.  Returns perm, perm[k] the dof in
+    position k.
+    """
+    group = np.empty(len(xy), dtype=np.int8)
+    order = []
+
+    def dissect(nodes, row, col):
+        if nodes.size <= leaf:
+            order.append(nodes)
+            return
+        pts = xy[nodes]
+        c = pts[:, np.argmax(np.ptp(pts, axis=0))]
+        med = np.sort(c)[(c.size - 1) // 2]
+        lower = c <= med
+        if lower.all():
+            lower = c < med
+        if not lower.any():
+            order.append(nodes)
+            return
+        group[nodes] = np.where(lower, 0, 1)
+        cut = (group[row] == 0) & (group[col] == 1)
+        group[row[cut]] = 2
+        label, g_row, g_col = group[nodes], group[row], group[col]
+        for g in (0, 1):
+            inside = (g_row == g) & (g_col == g)
+            dissect(nodes[label == g], row[inside], col[inside])
+        order.append(nodes[label == 2])
+
+    dissect(np.arange(len(xy)), np.asarray(row), np.asarray(col))
+    return np.concatenate(order)

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from plapflow import assembly, diagnostics, fields
+from plapflow.config import example_config, load_run_config
 from plapflow.diagnostics import (StudyConfig, cell_bound_satisfied,
                                   check_energy_ledgers, discrepancy_terms,
                                   discrepancy_total, heat_exact,
@@ -265,6 +266,21 @@ class TestStudy:
         with pytest.raises(ValueError, match="at least two control levels"):
             StudyConfig(base=base, initial=fields.make_field("sin-product"),
                         control_levels=control_levels)
+
+
+def test_example_study_at_p_1_2_passes(tmp_path):
+    # the example config with only p changed, under the default solver; plain
+    # Kacanov failed all-levels-ran and the three decrease assertions here
+    text = example_config()
+    assert "\np = 1.5\n" in text
+    path = tmp_path / "p12.ini"
+    path.write_text(text.replace("\np = 1.5\n", "\np = 1.2\n"))
+    setup = load_run_config(str(path), want_study=True)
+    assert setup.study.base.nf.p == 1.2 and setup.study.base.nonlinear == "kacanov"
+    rep = run_study(setup.study)
+    assert len(rep.assertions) == 8
+    assert all(lv.error is None for lv in rep.levels)
+    assert all(rep.assertions.values()), rep.assertions
 
 
 def test_failed_level_names_level_step_and_parameters():

@@ -84,6 +84,18 @@ class TestNestedDissection:
         second = assembly.nested_dissection(mesh)
         assert all(a is b for a, b in zip(first, second))
 
+    @pytest.mark.parametrize("mesh", [unit_square_mesh(n) for n in (1, 2, 3, 8, 20, 64)]
+                             + [jittered(3, 2, 4)], ids=lambda m: f"{m.n_interior}dofs")
+    def test_level_by_level_bisection_matches_recursive_oracle(self, mesh):
+        indptr, indices, _ = assembly._pattern(mesh)
+        row = np.repeat(np.arange(mesh.n_interior, dtype=np.int32), np.diff(indptr))
+        off = row != indices
+        perm = oracles.nested_dissection_order(mesh.nodes[mesh.interior], row[off], indices[off],
+                                               leaf=assembly._ND_LEAF)
+        ours = assembly.nested_dissection(mesh)[0]
+        assert ours.dtype == perm.dtype
+        np.testing.assert_array_equal(ours, perm)
+
     def test_separator_is_ordered_last(self):
         # on the 63 x 63 interior grid of n = 64 the first cut is the middle
         # column x = 1/2, which must occupy the last 63 positions

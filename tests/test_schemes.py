@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from plapflow import assembly, fields
+from plapflow import assembly, fields, schemes
 from plapflow.lower_order import LowerOrderCoeff
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
@@ -125,6 +127,129 @@ class TestImplicitStep:
         u_prev = FemFunction(mesh4, rng.uniform(-1, 1, mesh4.n_interior))
         with pytest.raises(SolverError, match="history"):
             implicit_step(u_prev, cfg, 1)
+
+    def test_accelerated_kacanov_matches_newton(self, mesh8, rng):
+        # additive shift with a lower-order term: both stop at the same residual
+        # tolerance, and this step is well enough conditioned that they agree to it
+        cfg = make_cfg(mesh8, scheme="implicit", nf=NFunctionPD(1.5, 0.1), kind=ADDITIVE_SHIFT,
+                       eps=0.05, coeff=LowerOrderCoeff.shifted_power(2.5, 0.5),
+                       source=fields.make_source("bump", decay=1.0))
+        u_prev = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
+        uk, sk = implicit_step(u_prev, cfg, 1)
+        un, sn = implicit_step(u_prev, replace(cfg, nonlinear="newton"), 1)
+        b, load = schemes._step_rhs(u_prev, cfg, 1)
+        tol = cfg.tol_res * (1.0 + np.linalg.norm(load))
+        assert sk.iterations > 1
+        assert max(sk.residual, sn.residual) <= tol
+        assert np.linalg.norm(schemes._defect(uk, b, cfg)) <= tol
+        assert np.max(np.abs(uk.coeffs - un.coeffs)) <= tol
+
+    def test_newton_failure_reports_line_search(self, mesh8):
+        # tol-res below rounding: the residual stalls near 1e-15 and the line
+        # search has to halve its step until it gives up
+        cfg = make_cfg(mesh8, scheme="implicit", nonlinear="newton", tol_res=1e-30)
+        u_prev = interpolate_nodal(fields.make_field("sin-product"), mesh8)
+        with pytest.raises(SolverError) as info:
+            implicit_step(u_prev, cfg, 1)
+        message = str(info.value)
+        assert "residual history" in message
+        assert "line search per iteration (step: trial residual) [1: " in message
+        assert ", 0.5: " in message
+
+    def test_newton_iteration_limit_reports_line_search(self, mesh8):
+        cfg = make_cfg(mesh8, scheme="implicit", nonlinear="newton", max_iter=2, tol_res=1e-15)
+        u_prev = interpolate_nodal(fields.make_field("sin-product"), mesh8)
+        with pytest.raises(SolverError, match=r"^Newton did not reach .* line search per "
+                                              r"iteration \(step: trial residual\) "
+                                              r"\[1: [0-9.e+-]+\], \[1: [0-9.e+-]+\]$"):
+            implicit_step(u_prev, cfg, 1)
+
+    def test_kacanov_failure_names_the_acceleration(self, mesh4, rng):
+        cfg = make_cfg(mesh4, scheme="implicit", eps=0.01, max_iter=2, tol_res=1e-15)
+        u_prev = FemFunction(mesh4, rng.uniform(-1, 1, mesh4.n_interior))
+        with pytest.raises(SolverError, match="^Anderson-accelerated \\(depth 3\\) Kacanov "):
+            implicit_step(u_prev, cfg, 1)
+
+
+class TestAndersonMixing:
+    @staticmethod
+    def mix_all(pairs):
+        """Feed (v_j, g_j) pairs to one mixer, with every warning an error."""
+        mix = schemes._AndersonMixer()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            return [mix(v, g) for v, g in pairs]
+
+    def test_first_call_is_the_plain_sweep(self, rng):
+        v, g = rng.standard_normal((2, 7))
+        assert self.mix_all([(v, g)])[0] is g
+
+    def test_zero_history_gives_the_plain_sweep(self):
+        # a step started at its own fixed point: every update and difference is 0
+        zero = np.zeros(5)
+        outs = self.mix_all([(zero, zero)] * 6)
+        for out in outs:
+            np.testing.assert_array_equal(out, 0.0)
+
+    def test_repeated_updates_get_coefficient_zero(self, rng):
+        # the same update g - v in every sweep: every dF column is 0, dG is not
+        d = rng.standard_normal(6)
+        vs = rng.standard_normal((5, 6))
+        outs = self.mix_all([(v, v + d) for v in vs])
+        for v, out in zip(vs, outs):
+            np.testing.assert_array_equal(out, v + d)
+
+    def test_dependent_columns_are_dropped(self, rng):
+        # updates alternate between a and b, so every dF column is +-(b - a):
+        # only the newest enters the fit, and the result is depth-1 Anderson
+        a, b = rng.standard_normal((2, 6))
+        vs = rng.standard_normal((6, 6))
+        fs = [a, b] * 3
+        outs = self.mix_all([(v, v + f) for v, f in zip(vs, fs)])
+        for j in range(1, 6):
+            g, g_prev = vs[j] + fs[j], vs[j - 1] + fs[j - 1]
+            dF = fs[j] - fs[j - 1]
+            gamma = (dF @ fs[j]) / (dF @ dF)
+            np.testing.assert_allclose(outs[j], g - gamma * (g - g_prev), rtol=1e-12, atol=1e-12)
+            assert np.all(np.isfinite(outs[j]))
+
+    def test_matches_least_squares_on_independent_history(self, rng):
+        n = 9
+        vs, gs = rng.standard_normal((2, 6, n))
+        outs = self.mix_all(list(zip(vs, gs)))
+        fs = gs - vs
+        for j in range(1, 6):
+            cols = range(j, max(j - schemes.ANDERSON_DEPTH, 0), -1)
+            dF = np.stack([fs[i] - fs[i - 1] for i in cols], axis=1)
+            dG = np.stack([gs[i] - gs[i - 1] for i in cols], axis=1)
+            gamma = np.linalg.lstsq(dF, fs[j], rcond=None)[0]
+            np.testing.assert_allclose(outs[j], gs[j] - dG @ gamma, rtol=1e-10, atol=1e-12)
+
+    def test_fixed_point_step_stays_finite(self, mesh4):
+        # u_prev = 0 without a source is the step's own fixed point; a tolerance
+        # that is never met runs sweeps on an all-zero history
+        cfg = make_cfg(mesh4, scheme="implicit", max_iter=4, tol_res=-1.0)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"residual history \[0\.0, 0\.0, 0\.0, 0\.0\]"):
+                implicit_step(FemFunction.zeros(mesh4), cfg, 1)
+
+
+GRID_P = (1.1, 1.2, 1.5, 1.8, 2.0)
+GRID_EPS = (1e-1, 1e-2, 1e-3)
+
+
+@pytest.mark.parametrize("kind", [QUADRATIC_NORM, ADDITIVE_SHIFT])
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("eps", GRID_EPS)
+def test_default_solver_converges_over_the_grid(mesh8, kind, p, eps):
+    # plain Kacanov failed 5 of these 30 cases (p = 1.1 at eps 1e-2 and 1e-3
+    # for both regularizations, quadratic-norm p = 1.2 at eps 1e-3)
+    cfg = make_cfg(mesh8, scheme="implicit", nf=NFunctionPD(p), eps=eps, kind=kind, K=5, T=0.05)
+    assert cfg.nonlinear == "kacanov" and cfg.max_iter == 60
+    u0 = interpolate_nodal(fields.make_field("sin-product"), mesh8)
+    traj = run_evolution(u0, cfg)
+    assert all(st.residual <= cfg.tol_res for st in traj.stats)
 
 
 class TestKacanovIdentity:
