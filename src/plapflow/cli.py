@@ -1,7 +1,8 @@
 """Command-line front end: run, study, check-lemmas, export-mesh.
 
-Exit codes: 0 success, 1 configuration/solver failure, 2 a certified
-inequality or study assertion failed.  All file outputs are deterministic
+Exit codes: 0 success; 1 a configuration or solver failure, or a violated
+lemma in check-lemmas; 2 a violated energy ledger or study assertion, or a
+command line that argparse rejects.  All file outputs are deterministic
 for a fixed config and seed (CSV with LF endings and '.' decimals, JSON
 with sorted keys, floats written with full round-trip precision).
 """
@@ -136,6 +137,17 @@ def cmd_study(args):
     return 0 if report.passed else 2
 
 
+def _sample_count(text):
+    """argparse type of --samples: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"samples must be >= 1, got {value}")
+    return value
+
+
 def cmd_check_lemmas(args):
     results = orlicz.certify_lemmas(samples=args.samples, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -195,7 +207,7 @@ def main(argv=None):
 
     p_chk = sub.add_parser("check-lemmas",
                            help="randomized certification of the operator inequalities")
-    p_chk.add_argument("--samples", type=int, default=1_000_000)
+    p_chk.add_argument("--samples", type=_sample_count, default=1_000_000)
     p_chk.add_argument("--seed", type=int, default=42)
     p_chk.add_argument("--json", help="also write the table as JSON")
     p_chk.set_defaults(func=cmd_check_lemmas)

@@ -65,17 +65,26 @@ class LedgerReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def _lagged_dissipation(traj):
-    """Cell gradients and diffusion weights of u^0..u^K, and the lagged
-    dissipations D_k = int w^{k-1} |grad d u^k|^2 for k = 1..K."""
+def _gradient_pairs(traj):
+    """(g^{k-1}, w^{k-1}), (g^k, w^k) for k = 1..K: the cell gradients of
+    u^{k-1} and u^k and their diffusion weights, two iterates live at a time."""
     cfg = traj.config
-    grads = [assembly.gradients(u) for u in traj.iterates]
-    weights = [diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g)) for g in grads]
-    diss = np.empty(traj.K)
-    for k in range(1, traj.K + 1):
-        gd = (grads[k] - grads[k - 1]) / cfg.tau
-        diss[k - 1] = float(np.sum(cfg.mesh.areas * weights[k - 1] * np.sum(gd * gd, axis=1)))
-    return grads, weights, diss
+
+    def at(u):
+        g = assembly.gradients(u)
+        return g, diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
+
+    prev = at(traj.iterates[0])
+    for u in traj.iterates[1:]:
+        cur = at(u)
+        yield prev, cur
+        prev = cur
+
+
+def _lagged_term(cfg, prev, cur):
+    """D_k = int w^{k-1} |grad d u^k|^2 from the pair ((g^{k-1}, w^{k-1}), (g^k, w^k))."""
+    gd = (cur[0] - prev[0]) / cfg.tau
+    return float(np.sum(cfg.mesh.areas * prev[1] * np.sum(gd * gd, axis=1)))
 
 
 def _ledger_entry(name, lhs, rhs):
@@ -97,22 +106,23 @@ def check_energy_ledgers(traj):
     pure_flow = cfg.source is None and cfg.coeff.is_zero
 
     us = traj.iterates
-    grads, weights, diss_dtau = _lagged_dissipation(traj)
     energies = np.array([assembly.energy(u, cfg.nf, cfg.eps, cfg.kind) for u in us])
     mass = assembly.mass_matrix(mesh)
     l2_sq = np.array([float(u.coeffs @ (mass @ u.coeffs)) for u in us])
 
     dtau_l2_sq = np.empty(K)
+    diss_dtau = np.empty(K)
     diss_u_lag = np.empty(K)
     diss_u_cur = np.empty(K)
     fq_sq = np.zeros(K)
     du_sq = np.zeros(K)
-    for k in range(1, K + 1):
+    for k, (prev, cur) in enumerate(_gradient_pairs(traj), start=1):
         d = (us[k].coeffs - us[k - 1].coeffs) / tau
         dtau_l2_sq[k - 1] = float(d @ (mass @ d))
-        gk2 = np.sum(grads[k] * grads[k], axis=1)
-        diss_u_lag[k - 1] = float(np.sum(areas * weights[k - 1] * gk2))
-        diss_u_cur[k - 1] = float(np.sum(areas * weights[k] * gk2))
+        diss_dtau[k - 1] = _lagged_term(cfg, prev, cur)
+        gk2 = np.sum(cur[0] * cur[0], axis=1)
+        diss_u_lag[k - 1] = float(np.sum(areas * prev[1] * gk2))
+        diss_u_cur[k - 1] = float(np.sum(areas * cur[1] * gk2))
         if cfg.source is not None:
             fq_sq[k - 1] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
         if not cfg.coeff.is_zero:
@@ -222,8 +232,9 @@ def discrepancy_terms(traj, k):
 
 def lagged_dissipation_sum(traj):
     """tau^2 sum_k int w^{k-1} |grad d u^k|^2, the quantity the energy bound controls."""
-    tau = traj.config.tau
-    return tau * tau * float(sum(_lagged_dissipation(traj)[2]))
+    cfg = traj.config
+    diss = sum(_lagged_term(cfg, prev, cur) for prev, cur in _gradient_pairs(traj))
+    return cfg.tau * cfg.tau * diss
 
 
 def discrepancy_total(traj):

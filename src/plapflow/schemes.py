@@ -279,7 +279,8 @@ def implicit_step(u_prev, cfg, k):
     every sweep factors A(v_j) once, solves A(v_j) g_j = b and takes the mixed
     iterate as v_{j+1}.  Its first sweep is the semi-implicit step.  Newton
     solves with the tangent of A(v) v and halves its step until the residual
-    falls; its errors carry the residuals and every line search.
+    falls, and fails once 30 steps or a step of rounding size did not lower
+    it; its errors carry the residuals and every line search.
     """
     mesh = cfg.mesh
     b, load = _step_rhs(u_prev, cfg, k)
@@ -312,6 +313,9 @@ def implicit_step(u_prev, cfg, k):
             gp = lower_order.g_prime_eval(cfg.coeff, assembly.values_at_midpoints(v))
             J.data += assembly.midpoint_mass(mesh, gp).data
         delta = _solve_spd(J, -res_vec, cfg)
+        # a step that moves v by no more than its rounding ends the search
+        delta_norm = float(np.linalg.norm(delta))
+        rounding = 2.0**-52 * float(np.linalg.norm(v.coeffs))
         step = 1.0
         trials = []
         searches.append(trials)
@@ -320,10 +324,11 @@ def implicit_step(u_prev, cfg, k):
             trial_vec = _defect(trial, b, cfg)
             trial_res = float(np.linalg.norm(trial_vec))
             trials.append((step, trial_res))
-            if trial_res <= (1.0 - 1e-4 * step) * res:
+            accepted = trial_res <= (1.0 - 1e-4 * step) * res
+            if accepted or step * delta_norm <= rounding:
                 break
             step *= 0.5
-        else:
+        if not accepted:
             raise SolverError(
                 f"Newton line search failed at residual {res:.3e}; residual history "
                 f"{history}; {_line_searches(searches)}")

@@ -1,11 +1,19 @@
 """Independent reference implementations used as test oracles.
 
-Nothing here shares code with the package: assembly is dense with explicit
-Python loops and analytic element formulas, systems are solved with
-numpy.linalg.solve.  Deliberately slow and simple.
+The finite element oracles share no code with the package: assembly is dense
+with explicit Python loops and analytic element formulas, systems are solved
+with numpy.linalg.solve.  Deliberately slow and simple.
+
+The lemma certification and energy ledger oracles are the package's earlier
+versions on its own kernels: every check on arrays of all samples at once,
+and the gradients and weights of all iterates held at once.  They pin that
+the memory-lean versions change no bit.
 """
 
 import numpy as np
+
+from plapflow import assembly, diagnostics, lower_order, orlicz
+from plapflow.orlicz import CheckResult
 
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
 GAUSS5_X = np.array([-0.906179845938664, -0.538469310105683, 0.0,
@@ -162,3 +170,183 @@ def nested_dissection_order(xy, row, col, leaf=32):
 
     dissect(np.arange(len(xy)), np.asarray(row), np.asarray(col))
     return np.concatenate(order)
+
+
+def _sample_vectors(rng, n):
+    r = rng.uniform(0.0, 10.0, size=n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def certify_lemmas(samples, seed):
+    """orlicz.certify_lemmas with every check on arrays of all samples at once.
+
+    Same draws, kernels and frozen bounds as the package; the statistics are
+    whole-array reductions instead of folds over blocks.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(samples)
+    p = rng.choice(np.asarray(orlicz.P_GRID), size=n)
+    delta = rng.choice(np.asarray(orlicz.DELTA_GRID), size=n)
+    eps = rng.uniform(1e-6, 1.0, size=n)
+    alpha = rng.uniform(0.0, 5.0, size=n)
+    a = _sample_vectors(rng, n)
+    b = _sample_vectors(rng, n)
+    ra, rb, s = orlicz.vnorm(a), orlicz.vnorm(b), orlicz.vnorm(a - b)
+    ok = s > 0.0  # excludes the measure-zero coincidence a == b
+    shift = delta + eps
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # --- monotonicity of A_alpha and the equivalence of its three forms -
+        inner, shifted_val, quotient = orlicz._monotone_forms(p, delta + alpha, a, ra, b, rb, s)
+        monotonicity = CheckResult("monotonicity", n, int(np.count_nonzero(ok & (inner <= 0.0))),
+                                   {"min_inner": float(np.min(inner[ok]))})
+        viol, stats = 0, {}
+        for key, num, den in (("inner-over-shifted", inner, shifted_val),
+                              ("inner-over-quotient", inner, quotient),
+                              ("shifted-over-quotient", shifted_val, quotient)):
+            q = np.where(ok, num / np.where(ok, den, 1.0), 1.0)
+            lo, hi = orlicz.MONOTONE_RATIO_BOUNDS[key]
+            viol += int(np.count_nonzero((q < lo) | (q > hi)))
+            stats[key] = (float(np.min(q[ok])), float(np.max(q[ok])))
+        equivalence = CheckResult("monotonicity-equivalence", n, viol, stats)
+        del inner, shifted_val, quotient
+
+        # --- uniform eps-bound |A_eps - A_0| <= (1-kappa0) phi'(eps) --------
+        lhs, rhs, holds = orlicz._uniform_eps_bound(p, delta, eps, a, ra)
+        uniform = CheckResult("uniform-eps-bound", n, int(np.count_nonzero(~holds)),
+                              {"max_excess": float(np.max(lhs - rhs))})
+
+        # --- Orlicz stability ------------------------------------------------
+        lhs, rhs, holds = orlicz._orlicz_stability(p, shift, a, ra, b, rb, s)
+        stability = CheckResult("orlicz-stability", n, int(np.count_nonzero(~holds)),
+                                {"min_margin": float(np.min(lhs - rhs))})
+        del lhs, rhs, holds
+
+        # --- kappa bracket (exact in closed form, 1e-12 relative) -----------
+        r = np.where(ra > 0.0, ra, 1.0)  # avoid r = 0 (phi'' undefined there)
+        pp = orlicz._additive_weight(p, delta, r) * r
+        rpp2 = r * (delta + r) ** (p - 3.0) * ((p - 1.0) * r + delta)
+        tol = 1e-12 * np.maximum(1.0, pp)
+        viol = int(np.count_nonzero((rpp2 < (p - 1.0) * pp - tol) | (rpp2 > pp + tol)))
+        bracket = CheckResult("kappa-bracket", n, viol,
+                              {"max_ratio": float(np.max(rpp2 / pp)),
+                               "min_ratio": float(np.min(rpp2 / pp))})
+        del r, pp, rpp2, tol
+
+        # --- (C2): phi'(r)/r nonincreasing ----------------------------------
+        # w1 may be inf at |a| or |b| = delta = 0, still ordered
+        w1 = orlicz._additive_weight(p, delta, np.minimum(ra, rb))
+        w2 = orlicz._additive_weight(p, delta, np.maximum(ra, rb))
+        viol = int(np.count_nonzero((ra != rb) & (w1 < w2 - 1e-12 * np.maximum(1.0, w2))))
+        nonincreasing = CheckResult("weight-nonincreasing", n, viol, {})
+        del w1, w2
+
+        # --- lagged weight ratio (regression against the frozen sup) --------
+        ratio = orlicz._lagged_weight(p, shift, a, ra, rb, s)[2]
+        lagged = CheckResult("lagged-weight-ratio", n,
+                             int(np.count_nonzero(ratio > orlicz.LAGGED_WEIGHT_RATIO_MAX)),
+                             {"max_ratio": float(np.max(ratio)),
+                              "frozen_bound": orlicz.LAGGED_WEIGHT_RATIO_MAX})
+
+        # --- sandwich for the shifted density -------------------------------
+        q = ((orlicz._phi_closed(p, shift, ra) + eps**p + delta**p)
+             / (ra**p + eps**p + delta**p))
+        viol, stats = 0, {}
+        for pv in np.unique(p).tolist():
+            qs = q[p == pv]
+            stats[f"p={pv}"] = (float(np.min(qs)), float(np.max(qs)))
+            lo, hi = orlicz.EQUI_SANDWICH_BOUNDS[pv]
+            viol += int(np.count_nonzero((qs < lo) | (qs > hi)))
+        sandwich = CheckResult("shifted-density-sandwich", n, viol, stats)
+
+        # --- quadratic-norm operator difference quotient (regression) -------
+        q = orlicz._s_eps_quotient(p, eps, a, ra, b, rb, s)
+        s_eps = CheckResult("s-eps-difference-quotient", n,
+                            int(np.count_nonzero(q > orlicz.S_EPS_LIPSCHITZ_MAX)),
+                            {"max_ratio": float(np.max(q)),
+                             "frozen_bound": orlicz.S_EPS_LIPSCHITZ_MAX})
+
+    return [monotonicity, uniform, stability, bracket, nonincreasing, lagged,
+            equivalence, sandwich, s_eps]
+
+
+def _lagged_dissipation(traj):
+    """Cell gradients and diffusion weights of u^0..u^K, and the lagged
+    dissipations D_k = int w^{k-1} |grad d u^k|^2 for k = 1..K."""
+    cfg = traj.config
+    grads = [assembly.gradients(u) for u in traj.iterates]
+    weights = [orlicz.diffusion_weight(cfg.nf, cfg.eps, cfg.kind, orlicz.vnorm(g))
+               for g in grads]
+    diss = np.empty(traj.K)
+    for k in range(1, traj.K + 1):
+        gd = (grads[k] - grads[k - 1]) / cfg.tau
+        diss[k - 1] = float(np.sum(cfg.mesh.areas * weights[k - 1] * np.sum(gd * gd, axis=1)))
+    return grads, weights, diss
+
+
+def check_energy_ledgers(traj):
+    """diagnostics.check_energy_ledgers with the gradients and weights of all
+    K+1 iterates held at once; per k the arithmetic is the package's."""
+    cfg = traj.config
+    K = traj.K
+    if K == 0:
+        return diagnostics.LedgerReport([])
+    tau = cfg.tau
+    mesh = cfg.mesh
+    areas = mesh.areas
+    pure_flow = cfg.source is None and cfg.coeff.is_zero
+
+    us = traj.iterates
+    grads, weights, diss_dtau = _lagged_dissipation(traj)
+    energies = np.array([assembly.energy(u, cfg.nf, cfg.eps, cfg.kind) for u in us])
+    mass = assembly.mass_matrix(mesh)
+    l2_sq = np.array([float(u.coeffs @ (mass @ u.coeffs)) for u in us])
+
+    dtau_l2_sq = np.empty(K)
+    diss_u_lag = np.empty(K)
+    diss_u_cur = np.empty(K)
+    fq_sq = np.zeros(K)
+    du_sq = np.zeros(K)
+    for k in range(1, K + 1):
+        d = (us[k].coeffs - us[k - 1].coeffs) / tau
+        dtau_l2_sq[k - 1] = float(d @ (mass @ d))
+        gk2 = np.sum(grads[k] * grads[k], axis=1)
+        diss_u_lag[k - 1] = float(np.sum(areas * weights[k - 1] * gk2))
+        diss_u_cur[k - 1] = float(np.sum(areas * weights[k] * gk2))
+        if cfg.source is not None:
+            fq_sq[k - 1] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
+        if not cfg.coeff.is_zero:
+            dv = lower_order.d_eval(cfg.coeff, assembly.values_at_midpoints(us[k - 1]))
+            uv = assembly.values_at_midpoints(us[k])
+            du_sq[k - 1] = float(np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv))
+
+    entries = []
+    cum_dtau = np.cumsum(dtau_l2_sq)
+    cum_diss = np.cumsum(diss_dtau)
+    cum_l2 = np.cumsum(l2_sq[1:])
+    cum_f = np.cumsum(fq_sq)
+    cum_du = np.cumsum(du_sq)
+
+    if cfg.scheme == lower_order.SEMI_IMPLICIT:
+        if pure_flow:
+            lhs = energies[1:] + tau * cum_dtau + 0.5 * tau * tau * cum_diss
+            rhs = np.full(K, energies[0])
+            entries.append(diagnostics._ledger_entry("energy-stability", lhs, rhs))
+        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(diss_u_lag)
+        rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
+        entries.append(diagnostics._ledger_entry("apriori", lhs, rhs))
+        lhs = energies[1:] + 0.5 * tau * cum_dtau + 0.5 * tau * tau * cum_diss
+        rhs = energies[0] + tau * cum_f + tau * cum_du
+        entries.append(diagnostics._ledger_entry("ener-bound", lhs, rhs))
+    else:
+        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(diss_u_cur)
+        rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
+        entries.append(diagnostics._ledger_entry("apriori-implicit", lhs, rhs))
+    return diagnostics.LedgerReport(entries)
+
+
+def lagged_dissipation_sum(traj):
+    """diagnostics.lagged_dissipation_sum over all iterates' gradients at once."""
+    tau = traj.config.tau
+    return tau * tau * float(sum(_lagged_dissipation(traj)[2]))

@@ -141,6 +141,17 @@ class TestCheckLemmas:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check-lemmas", "--samples", count])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"plapflow check-lemmas: error: argument --samples: samples must be >= 1, got {count}")
+
+
 class TestCheckLemmasCanFail:
     def test_impossible_bounds_fail_exactly_their_checks(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(orlicz, "LAGGED_WEIGHT_RATIO_MAX", -1.0)

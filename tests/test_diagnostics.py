@@ -51,6 +51,15 @@ class TestLedgers:
         assert [e.name for e in rep.entries] == ["apriori", "ener-bound"]
         assert rep.passed
 
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
+    def test_walking_two_iterates_at_a_time_changes_no_bit(self, mesh8, rng, scheme):
+        cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
+                       coeff=LowerOrderCoeff.power(2.5),
+                       source=fields.make_source("bump", amplitude=2.0))
+        traj = run_evolution(random_u(mesh8, rng), cfg)
+        assert check_energy_ledgers(traj).to_dict() == oracles.check_energy_ledgers(traj).to_dict()
+        assert lagged_dissipation_sum(traj) == oracles.lagged_dissipation_sum(traj)
+
     def test_implicit_ledger(self, mesh8, rng):
         cfg = make_cfg(mesh8, scheme="implicit",
                        source=fields.make_source("bump"))

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+
+import oracles
 
 from plapflow import orlicz
 from plapflow.orlicz import (NFunctionPD, certify_lemmas, check_lagged_weight_estimate,
@@ -311,6 +315,70 @@ def test_certification_is_deterministic():
     for ra, rb in zip(a, b):
         assert ra.name == rb.name and ra.violations == rb.violations
         assert ra.stats == rb.stats
+
+
+BLOCK = orlicz.LEMMA_BLOCK
+
+
+def _table(results):
+    return [(r.name, r.samples, r.violations, r.stats) for r in results]
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_blocked_certification_equals_the_whole_array_oracle(samples, seed):
+    assert _table(certify_lemmas(samples, seed)) == _table(oracles.certify_lemmas(samples, seed))
+
+
+@pytest.mark.parametrize("samples", [BLOCK + 1, 3 * BLOCK + 7])
+def test_blocked_certification_counts_every_sample(samples, monkeypatch):
+    # under impossible bounds every sample violates, so a skipped one shows
+    monkeypatch.setattr(orlicz, "LAGGED_WEIGHT_RATIO_MAX", -1.0)
+    monkeypatch.setattr(orlicz, "S_EPS_LIPSCHITZ_MAX", -1.0)
+    for key in orlicz.MONOTONE_RATIO_BOUNDS:
+        monkeypatch.setitem(orlicz.MONOTONE_RATIO_BOUNDS, key, (2.0, 1.0))
+    for pv in orlicz.EQUI_SANDWICH_BOUNDS:
+        monkeypatch.setitem(orlicz.EQUI_SANDWICH_BOUNDS, pv, (2.0, 1.0))
+    results = certify_lemmas(samples, 5)
+    assert _table(results) == _table(oracles.certify_lemmas(samples, 5))
+    violations = {r.name: r.violations for r in results}
+    assert violations["lagged-weight-ratio"] == samples
+    assert violations["s-eps-difference-quotient"] == samples
+    assert violations["shifted-density-sandwich"] == samples
+    assert violations["monotonicity-equivalence"] == 3 * samples
+
+
+def test_certification_rejects_fewer_than_one_sample():
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            certify_lemmas(samples)
+
+
+def test_fold_propagates_nan_as_whole_array_extremes_do():
+    fold = orlicz._Fold()
+    for block in ([1.0, 2.0], [], [np.nan, 0.5], [3.0]):
+        fold.span("x", np.asarray(block))
+    assert np.isnan(fold.low["x"]) and np.isnan(fold.high["x"])
+    fold = orlicz._Fold()
+    for block in ([1.0, 2.0], [], [3.0]):
+        fold.span("x", np.asarray(block))
+    assert (fold.low["x"], fold.high["x"]) == (1.0, 3.0)
+
+
+def test_certification_memory_grows_by_its_inputs_alone():
+    # All eight float64 inputs are drawn up front (64 B a sample); every
+    # other array is block-sized, so doubling the samples adds only the inputs.
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            certify_lemmas(samples, seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    certify_lemmas(10, seed=7)  # lazy set-up outside the traced calls
+    growth = traced_peak(8 * BLOCK) - traced_peak(4 * BLOCK)
+    assert growth <= 72 * 4 * BLOCK
 
 
 _coord = st.floats(-1e3, 1e3, allow_nan=False)

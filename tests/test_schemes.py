@@ -156,6 +156,18 @@ class TestImplicitStep:
         assert "line search per iteration (step: trial residual) [1: " in message
         assert ", 0.5: " in message
 
+    def test_newton_line_search_stops_at_the_rounding_floor(self, mesh8):
+        # below rounding a halved step no longer moves v: the last search ends
+        # after a few trials instead of running all 30
+        cfg = make_cfg(mesh8, scheme="implicit", nonlinear="newton", tol_res=1e-30)
+        u_prev = interpolate_nodal(fields.make_field("sin-product"), mesh8)
+        with pytest.raises(SolverError, match="^Newton line search failed at residual ") as info:
+            implicit_step(u_prev, cfg, 1)
+        message = str(info.value)
+        assert "residual history [" in message
+        last_search = message.rsplit("[", 1)[1]
+        assert 1 <= last_search.count(":") <= 5
+
     def test_newton_iteration_limit_reports_line_search(self, mesh8):
         cfg = make_cfg(mesh8, scheme="implicit", nonlinear="newton", max_iter=2, tol_res=1e-15)
         u_prev = interpolate_nodal(fields.make_field("sin-product"), mesh8)
