@@ -137,15 +137,17 @@ def cmd_study(args):
     return 0 if report.passed else 2
 
 
-def _sample_count(text):
-    """argparse type of --samples: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"samples must be >= 1, got {value}")
-    return value
+def _int_at_least(name, low):
+    """argparse type: an integer >= low, named in the error message."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def cmd_check_lemmas(args):
@@ -207,8 +209,8 @@ def main(argv=None):
 
     p_chk = sub.add_parser("check-lemmas",
                            help="randomized certification of the operator inequalities")
-    p_chk.add_argument("--samples", type=_sample_count, default=1_000_000)
-    p_chk.add_argument("--seed", type=int, default=42)
+    p_chk.add_argument("--samples", type=_int_at_least("samples", 1), default=1_000_000)
+    p_chk.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
     p_chk.add_argument("--json", help="also write the table as JSON")
     p_chk.set_defaults(func=cmd_check_lemmas)
 

@@ -2,7 +2,8 @@
 
 A config file is the reproducibility artifact: everything a run needs sits
 in one file, and identical files (plus seed) give identical outputs.  Values
-are validated here with section/key identification before any computation.
+are validated here with section/key identification before any computation,
+and a section or key the reader does not know is an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from . import fields
 from .lower_order import LowerOrderCoeff
 from .mesh import refine_red, unit_square_mesh
 from .orlicz import NFunctionPD, QUADRATIC_NORM
-from .schemes import SchemeConfig
+from .schemes import KACANOV, NONLINEAR_SOLVERS, SchemeConfig
 from .diagnostics import StudyConfig
 
 
@@ -52,11 +53,7 @@ kind = zero                   ; zero | power | shifted-power
 ; c = 0.1
 
 [solver]
-; "cholesky" is SuperLU LU with partial pivoting on a nested-dissection
-; ordering cached per mesh
-linear = cholesky             ; cholesky | cg
-cg-tol = 1e-12
-cg-max-iter = 5000
+; linear solves: SuperLU LU on a nested-dissection ordering cached per mesh
 ; kacanov is Anderson-accelerated at depth 3; its first sweep is the
 ; semi-implicit step
 nonlinear = kacanov           ; kacanov | newton
@@ -78,19 +75,46 @@ def example_config():
     return _EXAMPLE
 
 
+# Every section and key the reader accepts, with the type of its value.
+KEYS = {
+    "run": {"scheme": str, "regularization": str, "p": float, "delta": float,
+            "eps": float, "n": int, "refine": int, "K": int, "T": float, "seed": int},
+    "initial": {"field": str, "amplitude": float},
+    "source": {"field": str, "amplitude": float, "decay": float},
+    "lower-order": {"kind": str, "r": float, "c": float},
+    "solver": {"nonlinear": str, "tol-res": float, "max-iter": int},
+    "output": {"directory": str, "prefix": str},
+    "study": {"levels": int, "coupling": str, "control-levels": int},
+}
+
+
+def _check_known(parser):
+    """Reject a section or key that KEYS does not list, so a typo fails loudly."""
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        known = {parser.optionxform(key) for key in KEYS[name]}
+        for key in parser[name]:
+            if key not in known:
+                raise ConfigError(f"[{name}] unknown key {key!r}")
+
+
 class _Section:
     def __init__(self, parser, name):
         self._name = name
         self._sec = parser[name] if parser.has_section(name) else {}
 
-    def get(self, key, cast, default=None):
+    def get(self, key, default=None):
+        """The value of key, cast to its type in KEYS; required if default is None."""
         if key not in self._sec:
             if default is None:
                 raise ConfigError(f"[{self._name}] missing required key {key!r}")
             return default
         raw = self._sec[key]
         try:
-            return cast(raw)
+            return KEYS[self._name][key](raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{self._name}] {key} = {raw!r}: {exc}") from exc
 
@@ -134,15 +158,16 @@ def _parse_file(path):
 def load_run_config(path, want_study=False):
     """Read and validate a config file; raises ConfigError with field context."""
     parser = _parse_file(path)
+    _check_known(parser)
     run = _Section(parser, "run")
 
     with _invalid_in("run"):
-        nf = NFunctionPD(run.get("p", float), run.get("delta", float, 0.0))
+        nf = NFunctionPD(run.get("p"), run.get("delta", 0.0))
 
-    n = run.get("n", int, 4)
+    n = run.get("n", 4)
     if n < 1:
         raise ConfigError("[run] n must be >= 1")
-    refine = run.get("refine", int, 0)
+    refine = run.get("refine", 0)
     if refine < 0:
         raise ConfigError("[run] refine must be >= 0")
     mesh = unit_square_mesh(n)
@@ -150,45 +175,52 @@ def load_run_config(path, want_study=False):
         mesh = refine_red(mesh)
 
     lo = _Section(parser, "lower-order")
-    lo_kind = lo.get("kind", str, "zero").strip()
+    lo_kind = lo.get("kind", "zero")
     with _invalid_in("lower-order"):
         if lo_kind == "zero":
             coeff = LowerOrderCoeff.zero()
         elif lo_kind == "power":
-            coeff = LowerOrderCoeff.power(lo.get("r", float))
+            coeff = LowerOrderCoeff.power(lo.get("r"))
         elif lo_kind == "shifted-power":
-            coeff = LowerOrderCoeff.shifted_power(lo.get("r", float), lo.get("c", float))
+            coeff = LowerOrderCoeff.shifted_power(lo.get("r"), lo.get("c"))
         else:
             raise ConfigError(f"[lower-order] kind = {lo_kind!r} is not in the registry")
 
     src = _Section(parser, "source")
     with _invalid_in("source"):
-        source = fields.make_source(src.get("field", str, "zero").strip(),
-                                    decay=src.get("decay", float, 0.0),
-                                    amplitude=src.get("amplitude", float, 1.0))
+        source = fields.make_source(src.get("field", "zero"),
+                                    decay=src.get("decay", 0.0),
+                                    amplitude=src.get("amplitude", 1.0))
 
     ini = _Section(parser, "initial")
     with _invalid_in("initial"):
-        initial = fields.make_field(ini.get("field", str, "sin-product").strip(),
-                                    amplitude=ini.get("amplitude", float, 1.0))
+        initial = fields.make_field(ini.get("field", "sin-product"),
+                                    amplitude=ini.get("amplitude", 1.0))
 
     sol = _Section(parser, "solver")
+    nonlinear = sol.get("nonlinear", KACANOV)
+    if nonlinear not in NONLINEAR_SOLVERS:
+        raise ConfigError(f"[solver] unknown nonlinear solver {nonlinear!r}")
+    tol_res = sol.get("tol-res", 1e-10)
+    if not tol_res > 0.0:
+        raise ConfigError(f"[solver] tol-res must be > 0, got {tol_res}")
+    max_iter = sol.get("max-iter", 60)
+    if max_iter < 1:
+        raise ConfigError(f"[solver] max-iter must be >= 1, got {max_iter}")
+
     with _invalid_in("run"):
         scheme_config = SchemeConfig(
             mesh=mesh, nf=nf,
-            eps=run.get("eps", float),
-            K=run.get("K", int),
-            T=run.get("T", float),
-            scheme=run.get("scheme", str, "semi-implicit").strip(),
-            kind=run.get("regularization", str, QUADRATIC_NORM).strip(),
+            eps=run.get("eps"),
+            K=run.get("K"),
+            T=run.get("T"),
+            scheme=run.get("scheme", "semi-implicit"),
+            kind=run.get("regularization", QUADRATIC_NORM),
             coeff=coeff,
             source=source,
-            linear_solver=sol.get("linear", str, "cholesky").strip(),
-            cg_tol=sol.get("cg-tol", float, 1e-12),
-            cg_max_iter=sol.get("cg-max-iter", int, 5000),
-            nonlinear=sol.get("nonlinear", str, "kacanov").strip(),
-            tol_res=sol.get("tol-res", float, 1e-10),
-            max_iter=sol.get("max-iter", int, 60),
+            nonlinear=nonlinear,
+            tol_res=tol_res,
+            max_iter=max_iter,
         )
 
     study = None
@@ -198,9 +230,9 @@ def load_run_config(path, want_study=False):
             study = StudyConfig(
                 base=scheme_config,
                 initial=initial,
-                levels=st.get("levels", int, 4),
-                coupling=st.get("coupling", str, "default").strip(),
-                control_levels=st.get("control-levels", int, 6),
+                levels=st.get("levels", 4),
+                coupling=st.get("coupling", "default"),
+                control_levels=st.get("control-levels", 6),
             )
 
     out = _Section(parser, "output")
@@ -208,9 +240,9 @@ def load_run_config(path, want_study=False):
     return RunSetup(
         scheme_config=scheme_config,
         initial=initial,
-        seed=run.get("seed", int, 0),
-        out_dir=out.get("directory", str, "out"),
-        prefix=out.get("prefix", str, "run"),
+        seed=run.get("seed", 0),
+        out_dir=out.get("directory", "out"),
+        prefix=out.get("prefix", "run"),
         study=study,
         raw=raw,
     )

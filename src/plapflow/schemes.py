@@ -29,10 +29,6 @@ from .lower_order import IMPLICIT, SEMI_IMPLICIT, SCHEMES, LowerOrderCoeff
 from .mesh import FemFunction, TriMesh
 from .orlicz import NFunctionPD, QUADRATIC_NORM, REGULARIZATION_KINDS
 
-CHOLESKY = "cholesky"
-CG = "cg"
-LINEAR_SOLVERS = (CHOLESKY, CG)
-
 KACANOV = "kacanov"
 NEWTON = "newton"
 NONLINEAR_SOLVERS = (KACANOV, NEWTON)
@@ -64,9 +60,6 @@ class SchemeConfig:
     kind: str = QUADRATIC_NORM
     coeff: LowerOrderCoeff = field(default_factory=LowerOrderCoeff.zero)
     source: object = None  # callable f(x, y, t) or None
-    linear_solver: str = CHOLESKY
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 5000
     nonlinear: str = KACANOV
     tol_res: float = 1e-10
     max_iter: int = 60
@@ -76,8 +69,6 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.kind not in REGULARIZATION_KINDS:
             raise ValueError(f"unknown regularization kind {self.kind!r}")
-        if self.linear_solver not in LINEAR_SOLVERS:
-            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
         if self.nonlinear not in NONLINEAR_SOLVERS:
             raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
         if self.K < 0 or int(self.K) != self.K:
@@ -133,18 +124,12 @@ class Trajectory:
 
 
 def _solve_spd(A, b, cfg):
-    """Solve A x = b with the configured linear solver; A lies on the mesh's pattern.
+    """Solve A x = b for A on the mesh's pattern by SuperLU LU with partial pivoting.
 
-    "cholesky" is not a Cholesky factorization: it is SuperLU LU with partial
-    pivoting on a nested-dissection ordering cached per mesh
-    (``assembly.nested_dissection``), so ``splu`` computes no ordering of
-    its own.  "cg" is unpreconditioned conjugate gradients.
+    The unknowns are permuted to the nested-dissection ordering that
+    ``assembly.nested_dissection`` caches per mesh, so ``splu`` computes no
+    ordering of its own.
     """
-    if cfg.linear_solver == CG:
-        x, info = spla.cg(A, b, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iter)
-        if info != 0:
-            raise SolverError(f"CG failed to converge (info={info})")
-        return x
     perm, indptr, indices, gather = assembly.nested_dissection(cfg.mesh)
     B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
     B.has_canonical_format = True

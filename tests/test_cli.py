@@ -1,12 +1,14 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from plapflow import orlicz
 from plapflow.cli import main
-from plapflow.config import ConfigError, load_run_config
+from plapflow.config import KEYS, ConfigError, example_config, load_run_config
+from plapflow.schemes import AdmissibilityWarning
 
 MINIMAL = """\
 [run]
@@ -151,6 +153,15 @@ class TestCheckLemmas:
         assert captured.err.splitlines()[-1] == (
             f"plapflow check-lemmas: error: argument --samples: samples must be >= 1, got {count}")
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check-lemmas", "--seed", "-1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "plapflow check-lemmas: error: argument --seed: seed must be >= 0, got -1")
+
 
 class TestCheckLemmasCanFail:
     def test_impossible_bounds_fail_exactly_their_checks(self, tmp_path, monkeypatch, capsys):
@@ -208,6 +219,43 @@ class TestConfigErrors:
             load_run_config(cfg, want_study=True)
         assert str(info.value).count("[study]") == 1
 
+    @pytest.mark.parametrize("extra,message", [
+        ("[solver]\nlinear = cg", "[solver] unknown key 'linear'"),
+        ("[solver]\ntol_res = 1e-3", "[solver] unknown key 'tol_res'"),
+        ("[solvr]\nnonlinear = newton", "unknown section [solvr]"),
+        ("[DEFAULT]\nnonlinear = newton", "unknown section [DEFAULT]"),
+        ("[solver]\nnonlinear = foo", "[solver] unknown nonlinear solver 'foo'"),
+        ("[solver]\ntol-res = -1", "[solver] tol-res must be > 0, got -1.0"),
+        ("[solver]\ntol-res = nan", "[solver] tol-res must be > 0, got nan"),
+        ("[solver]\nmax-iter = 0", "[solver] max-iter must be >= 1, got 0"),
+    ])
+    def test_solver_errors_name_the_section_once(self, tmp_path, extra, message):
+        cfg = write_config(tmp_path, MINIMAL + "\n" + extra + "\n", out=tmp_path / "out")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$") as info:
+            load_run_config(cfg)
+        assert str(info.value).count(extra.splitlines()[0]) == 1
+
+    @pytest.mark.parametrize("extra", ["tol-res = inf", "max-iter = 1"])
+    def test_solver_bounds_admit_their_edges(self, tmp_path, extra):
+        cfg = write_config(tmp_path, MINIMAL + "\n[solver]\n" + extra + "\n",
+                           out=tmp_path / "out")
+        load_run_config(cfg)
+
+    def test_removed_linear_key_stops_the_run(self, tmp_path, capsys):
+        text = MINIMAL + "\n[solver]\nlinear = cholesky\n"
+        cfg = write_config(tmp_path, text, out=tmp_path / "out")
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err == "config error: [solver] unknown key 'linear'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_admissibility_warning_is_issued_once(self, tmp_path):
+        cfg = write_config(tmp_path, LOWER_ORDER, out=tmp_path / "out",
+                           lower="kind = power\nr = 3.5")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_run_config(cfg, want_study=True)
+        assert [w.category for w in caught] == [AdmissibilityWarning]
+
 
 class TestExportMesh:
     def test_writes_vtk(self, tmp_path):
@@ -216,6 +264,17 @@ class TestExportMesh:
         text = (tmp_path / "out" / "run_mesh.vtk").read_text()
         assert text.startswith("# vtk DataFile")
         assert "POINT_DATA 25" in text
+
+
+def test_example_config_lists_exactly_the_known_keys():
+    keys, section = {}, None
+    for line in example_config().splitlines():
+        if header := re.fullmatch(r"\[(.+)\]", line):
+            section = header[1]
+            keys[section] = set()
+        elif key := re.match(r";?\s*([\w-]+)\s*=", line):  # "; r = 2.5" counts
+            keys[section].add(key[1])
+    assert keys == {name: set(table) for name, table in KEYS.items()}
 
 
 def test_example_config_parses(tmp_path, capsys):

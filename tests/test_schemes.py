@@ -85,13 +85,6 @@ class TestSemiImplicitStep:
         ref = np.linalg.solve(m / cfg.tau + k, m @ u_prev.coeffs / cfg.tau)
         np.testing.assert_allclose(out.coeffs, ref, atol=1e-10)
 
-    def test_cg_matches_direct(self, mesh4):
-        cfg = make_cfg(mesh4)
-        u_prev = interpolate_nodal(fields.make_field("sin-product"), mesh4)
-        direct = semi_implicit_step(u_prev, cfg, 1)
-        viacg = semi_implicit_step(u_prev, replace(cfg, linear_solver="cg"), 1)
-        np.testing.assert_allclose(viacg.coeffs, direct.coeffs, atol=1e-10)
-
 
 class TestImplicitStep:
     def test_zero_fixed_point_one_iteration(self, mesh4):
