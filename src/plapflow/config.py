@@ -1,7 +1,7 @@
 """INI-style configuration files for runs and studies.
 
 A config file is the reproducibility artifact: everything a run needs sits
-in one file, and identical files (plus seed) give identical outputs.  Values
+in one file, and identical files give identical outputs.  Values
 are validated here with section/key identification before any computation,
 and a section or key the reader does not know is an error.
 """
@@ -53,7 +53,9 @@ kind = zero                   ; zero | power | shifted-power
 ; c = 0.1
 
 [solver]
-; linear solves: SuperLU LU on a nested-dissection ordering cached per mesh
+; linear solves: SuperLU LU on a nested-dissection ordering cached per mesh;
+; from 289 unknowns on, CG preconditioned with the last LU, refactoring when
+; CG needs more than 8 iterations or fails
 ; kacanov is Anderson-accelerated at depth 3; its first sweep is the
 ; semi-implicit step
 nonlinear = kacanov           ; kacanov | newton

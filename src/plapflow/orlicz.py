@@ -511,14 +511,17 @@ def certify_lemmas(samples=1_000_000, seed=42):
         adds nothing to that subset's statistic;
       - the sandwich reports every p drawn in any block, in increasing order.
     The result equals, bit for bit, that of one block of all samples, and
-    memory grows by the eight float64 inputs alone, 64 B per sample.
+    memory grows by the inputs alone, 50 B per sample: p and delta are kept
+    as int8 indices into P_GRID and DELTA_GRID (the same draws as choosing
+    the values) and looked up per block, the other six are float64.
     """
     n = int(samples)
     if n < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    p = rng.choice(np.asarray(P_GRID), size=n)
-    delta = rng.choice(np.asarray(DELTA_GRID), size=n)
+    p_grid, delta_grid = np.asarray(P_GRID), np.asarray(DELTA_GRID)
+    p_index = rng.choice(len(p_grid), size=n).astype(np.int8)
+    delta_index = rng.choice(len(delta_grid), size=n).astype(np.int8)
     eps = rng.uniform(1e-6, 1.0, size=n)
     alpha = rng.uniform(0.0, 5.0, size=n)
     ar, atheta = _sample_vectors(rng, n)
@@ -528,8 +531,9 @@ def certify_lemmas(samples=1_000_000, seed=42):
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, n, LEMMA_BLOCK):
             blk = slice(start, start + LEMMA_BLOCK)
-            _certify_block(fold, p[blk], delta[blk], eps[blk], alpha[blk],
-                           _vectors(ar[blk], atheta[blk]), _vectors(br[blk], btheta[blk]))
+            _certify_block(fold, p_grid[p_index[blk]], delta_grid[delta_index[blk]],
+                           eps[blk], alpha[blk], _vectors(ar[blk], atheta[blk]),
+                           _vectors(br[blk], btheta[blk]))
 
     sandwich = "shifted-density-sandwich"
     low = {key: float(x) for key, x in fold.low.items()}

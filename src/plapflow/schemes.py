@@ -13,6 +13,13 @@ Kacanov is Anderson-accelerated at depth ANDERSON_DEPTH = 3: sweep j solves
 A(v_j) g_j = b and mixes g_j with the differences of the last three sweeps.
 The first sweep from v_0 = u^{k-1} has no history, so it is exactly the
 semi-implicit step.
+
+Every linear solve of one run -- each semi-implicit step, each Kacanov sweep
+and each Newton tangent -- goes through one _SpdSolver.  Below REUSE_DOFS
+unknowns it factors every system.  From REUSE_DOFS on it keeps the last
+factor and solves the next system by conjugate gradients preconditioned with
+it; a solve that needs more than REUSE_CG_ITERS iterations retires the
+factor, and a solve that fails refactors at once.
 """
 
 from __future__ import annotations
@@ -37,6 +44,19 @@ NONLINEAR_SOLVERS = (KACANOV, NEWTON)
 ANDERSON_DEPTH = 3
 # Relative size below which a difference counts as dependent on newer ones.
 _DEPENDENT = 1e-10
+
+# Systems with at least this many unknowns reuse the last factor as a CG
+# preconditioner.  Below it factoring every system was as fast or faster:
+# 10-step runs on unit_square_mesh(n) broke even at 256 unknowns (n = 17) for
+# the semi-implicit scheme and gained from 289 (n = 18) for both schemes.
+REUSE_DOFS = 289
+# A preconditioned solve that took more iterations than this retires the factor.
+REUSE_CG_ITERS = 8
+# CG stops at ||b - A x|| <= _CG_RTOL ||b||.  A solve still short of that
+# after _CG_MAXITER iterations, which cost more than a factorization, is
+# abandoned and its system factored.
+_CG_RTOL = 1e-12
+_CG_MAXITER = 4 * REUSE_CG_ITERS
 
 
 class SolverError(RuntimeError):
@@ -123,28 +143,67 @@ class Trajectory:
         return len(self.iterates) - 1
 
 
-def _solve_spd(A, b, cfg):
-    """Solve A x = b for A on the mesh's pattern by SuperLU LU with partial pivoting.
+class _SpdSolver:
+    """Solves the linear systems of one run, A x = b for A on the mesh's pattern.
 
     The unknowns are permuted to the nested-dissection ordering that
-    ``assembly.nested_dissection`` caches per mesh, so ``splu`` computes no
-    ordering of its own.
+    ``assembly.nested_dissection`` caches per mesh, so ``splu`` (SuperLU LU
+    with partial pivoting) computes no ordering of its own.  Systems below
+    REUSE_DOFS unknowns are factored on every call.  From REUSE_DOFS on the
+    last factor is kept: the next system is solved by ``cg`` preconditioned
+    with it, started at x0 = LU^-1 b and stopped at ||b - A x|| <= 1e-12 ||b||.
+    A solve that took more than REUSE_CG_ITERS iterations keeps its answer
+    but retires the factor, so the next call factors; a solve that did not
+    converge in _CG_MAXITER iterations factors its own system.  Both choices
+    depend on sizes and iteration counts only, so the answers are
+    deterministic.  The factor lives as long as the object: one run.
     """
-    perm, indptr, indices, gather = assembly.nested_dissection(cfg.mesh)
-    B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
-    B.has_canonical_format = True
-    try:
-        lu = spla.splu(B, permc_spec="NATURAL")
-    except RuntimeError as exc:
-        if cfg.coeff.c7 > 0.0:
-            warnings.warn(
-                "factorization failed and the lower-order coefficient is "
-                "negative somewhere; M/tau + M_d may be indefinite for this "
-                "step size (conditional solvability)", stacklevel=2)
-        raise SolverError(f"direct factorization failed: {exc}") from exc
-    x = np.empty_like(b)
-    x[perm] = lu.solve(b[perm])
-    return x
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.reuse = cfg.mesh.n_interior >= REUSE_DOFS
+        self.lu = None  # the factor kept for reuse, in the permuted ordering
+
+    def __call__(self, A, b):
+        perm, indptr, indices, gather = assembly.nested_dissection(self.cfg.mesh)
+        B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
+        B.has_canonical_format = True
+        y = None if self.lu is None else self._preconditioned_cg(B, b[perm])
+        if y is None:
+            lu = self._factor(B)
+            y = lu.solve(b[perm])
+            if self.reuse:
+                self.lu = lu
+        x = np.empty_like(b)
+        x[perm] = y
+        return x
+
+    def _factor(self, B):
+        try:
+            return spla.splu(B, permc_spec="NATURAL")
+        except RuntimeError as exc:
+            if self.cfg.coeff.c7 > 0.0:
+                warnings.warn(
+                    "factorization failed and the lower-order coefficient is "
+                    "negative somewhere; M/tau + M_d may be indefinite for this "
+                    "step size (conditional solvability)", stacklevel=3)
+            raise SolverError(f"direct factorization failed: {exc}") from exc
+
+    def _preconditioned_cg(self, B, rhs):
+        """CG on B y = rhs with the kept factor; None, with the factor retired, on failure."""
+        lu = self.lu
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        precond = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=B.dtype)
+        y, info = spla.cg(B, rhs, x0=lu.solve(rhs), rtol=_CG_RTOL, atol=0.0,
+                          maxiter=_CG_MAXITER, M=precond, callback=count)
+        if info != 0 or iterations > REUSE_CG_ITERS:
+            self.lu = None
+        return y if info == 0 else None
 
 
 def _system_matrix(v, cfg):
@@ -241,13 +300,18 @@ class _AndersonMixer:
         return out
 
 
-def _semi_step(u_prev, cfg, k):
-    """The semi-implicit step with its linear-solve residual."""
+def _semi_step(u_prev, cfg, k, solve=None):
+    """The semi-implicit step with its linear-solve residual.
+
+    solve is the run's _SpdSolver; None gives a fresh one, which factors.
+    """
     if cfg.eps <= 0.0:
         raise ValueError("semi-implicit step requires eps > 0")
+    if solve is None:
+        solve = _SpdSolver(cfg)
     A = _system_matrix(u_prev, cfg)
     b, _ = _step_rhs(u_prev, cfg, k)
-    u = FemFunction(cfg.mesh, _solve_spd(A, b, cfg))
+    u = FemFunction(cfg.mesh, solve(A, b))
     return u, StepStats(1, float(np.linalg.norm(A @ u.coeffs - b)))
 
 
@@ -256,18 +320,26 @@ def semi_implicit_step(u_prev, cfg, k):
     return _semi_step(u_prev, cfg, k)[0]
 
 
-def implicit_step(u_prev, cfg, k):
+def implicit_step(u_prev, cfg, k, solve=None):
     """One nonlinear step with weight and coefficient at the new iterate.
 
     Both solvers stop once ||A(v) v - b|| <= tol_res (1 + ||F_k||).  Kacanov
     is Anderson-accelerated at depth ANDERSON_DEPTH = 3 (_AndersonMixer):
-    every sweep factors A(v_j) once, solves A(v_j) g_j = b and takes the mixed
-    iterate as v_{j+1}.  Its first sweep is the semi-implicit step.  Newton
-    solves with the tangent of A(v) v and halves its step until the residual
-    falls, and fails once 30 steps or a step of rounding size did not lower
-    it; its errors carry the residuals and every line search.
+    every sweep solves A(v_j) g_j = b and takes the mixed iterate as v_{j+1}.
+    Its first sweep is the semi-implicit step.  Newton solves with the
+    tangent of A(v) v and halves its step until the residual falls, and fails
+    once 30 steps or a step of rounding size did not lower it; its errors
+    carry the residuals and every line search.
+
+    Every linear system goes through solve, the run's _SpdSolver (None gives
+    a fresh one).  Below REUSE_DOFS unknowns it factors each system; from
+    REUSE_DOFS on it factors only when the kept factor of an earlier sweep
+    or step stops paying, and solves the other systems by CG preconditioned
+    with that factor.
     """
     mesh = cfg.mesh
+    if solve is None:
+        solve = _SpdSolver(cfg)
     b, load = _step_rhs(u_prev, cfg, k)
     tol = cfg.tol_res * (1.0 + float(np.linalg.norm(load)))
 
@@ -276,7 +348,7 @@ def implicit_step(u_prev, cfg, k):
     if cfg.nonlinear == KACANOV:
         mix = _AndersonMixer()
         for j in range(1, cfg.max_iter + 1):
-            g = _solve_spd(_system_matrix(v, cfg), b, cfg)
+            g = solve(_system_matrix(v, cfg), b)
             v = FemFunction(mesh, mix(v.coeffs, g))
             res = float(np.linalg.norm(_defect(v, b, cfg)))
             history.append(res)
@@ -297,7 +369,7 @@ def implicit_step(u_prev, cfg, k):
         if not cfg.coeff.is_zero:
             gp = lower_order.g_prime_eval(cfg.coeff, assembly.values_at_midpoints(v))
             J.data += assembly.midpoint_mass(mesh, gp).data
-        delta = _solve_spd(J, -res_vec, cfg)
+        delta = solve(J, -res_vec)
         # a step that moves v by no more than its rounding ends the search
         delta_norm = float(np.linalg.norm(delta))
         rounding = 2.0**-52 * float(np.linalg.norm(v.coeffs))
@@ -352,15 +424,20 @@ def first_kacanov_equals_semi_implicit(u_prev, cfg):
 
 
 def run_evolution(u0, cfg):
-    """Apply the configured step for k = 1..K from the initial iterate u0."""
+    """Apply the configured step for k = 1..K from the initial iterate u0.
+
+    All linear solves of the run share one _SpdSolver, so a factor kept for
+    reuse carries over from step to step.
+    """
     if u0.mesh is not cfg.mesh:
         raise ValueError("initial data lives on a different mesh than the config")
     step = _semi_step if cfg.scheme == SEMI_IMPLICIT else implicit_step
+    solve = _SpdSolver(cfg)
     iterates = [u0]
     stats = []
     for k in range(1, cfg.K + 1):
         try:
-            u, st = step(iterates[-1], cfg, k)
+            u, st = step(iterates[-1], cfg, k, solve)
         except (SolverError, assembly.DegenerateWeightError) as exc:
             raise SolverError(f"{cfg.scheme} step {k} (t = {k * cfg.tau:g}; p = {cfg.nf.p:g}, "
                               f"eps = {cfg.eps:g}, tau = {cfg.tau:g}) failed: {exc}") from exc

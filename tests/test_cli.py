@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plapflow import orlicz
+from plapflow import orlicz, schemes
 from plapflow.cli import main
 from plapflow.config import KEYS, ConfigError, example_config, load_run_config
 from plapflow.schemes import AdmissibilityWarning
@@ -24,6 +24,34 @@ seed = 42
 
 [initial]
 field = sin-product
+
+[output]
+directory = {out}
+prefix = run
+"""
+
+# the implicit run of the benchmark at n = 24: 529 unknowns, above REUSE_DOFS
+IMPLICIT = """\
+[run]
+scheme = implicit
+regularization = additive-shift
+p = 1.5
+eps = 0.05
+n = 24
+K = 3
+T = 0.03
+
+[initial]
+field = sin-product
+
+[source]
+field = bump
+decay = 1
+
+[lower-order]
+kind = shifted-power
+r = 2.5
+c = 0.5
 
 [output]
 directory = {out}
@@ -104,6 +132,25 @@ class TestRunCommand:
         a = (tmp_path / "a" / "run_trajectory.csv").read_bytes()
         b = (tmp_path / "b" / "run_trajectory.csv").read_bytes()
         assert a == b
+
+    def test_runs_that_reuse_factors_are_byte_identical(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, IMPLICIT, out=tmp_path / "out")
+        assert load_run_config(cfg).scheme_config.mesh.n_interior >= schemes.REUSE_DOFS
+        cg_calls = []
+        cg = schemes.spla.cg
+
+        def counted_cg(*args, **kwargs):
+            cg_calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(schemes.spla, "cg", counted_cg)
+        outputs = []
+        for _ in range(2):
+            assert main(["run", cfg]) == 0
+            outputs.append([(tmp_path / "out" / f"run_{name}").read_bytes()
+                            for name in ("trajectory.csv", "report.json")])
+        assert cg_calls
+        assert outputs[0] == outputs[1]
 
 
 class TestStudyCommand:

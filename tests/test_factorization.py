@@ -1,5 +1,7 @@
-"""The cached nested-dissection ordering and the direct solve built on it."""
+"""The cached nested-dissection ordering and the linear solver built on it:
+direct solves, and the reuse of a factor as a CG preconditioner."""
 
+import types
 import warnings
 
 import numpy as np
@@ -134,7 +136,7 @@ class TestSolveSpd:
         cfg = make_cfg(mesh)
         b = np.random.default_rng(3).standard_normal(mesh.n_interior)
         for A in matrices(mesh, 5):
-            x = schemes._solve_spd(A, b, cfg)
+            x = schemes._SpdSolver(cfg)(A, b)
             ref = spla.spsolve(A.tocsc(), b)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -152,7 +154,7 @@ class TestSolveSpd:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="^direct factorization failed"):
-                schemes._solve_spd(self.singular(m), b, make_cfg(m))
+                schemes._SpdSolver(make_cfg(m))(self.singular(m), b)
 
     def test_singular_matrix_warns_of_conditional_solvability(self):
         m = unit_square_mesh(6)
@@ -161,4 +163,97 @@ class TestSolveSpd:
         assert cfg.coeff.c7 > 0.0
         with pytest.warns(UserWarning, match="conditional solvability"):
             with pytest.raises(SolverError, match="^direct factorization failed"):
-                schemes._solve_spd(self.singular(m), b, cfg)
+                schemes._SpdSolver(cfg)(self.singular(m), b)
+
+
+class Counted:
+    """schemes.spla with splu and cg wrapped to count their calls, as perfbench wraps them."""
+
+    def __init__(self, monkeypatch):
+        self.splu = self.cg = 0
+        proxy = types.SimpleNamespace(**vars(spla))
+
+        def splu(*args, **kwargs):
+            self.splu += 1
+            return spla.splu(*args, **kwargs)
+
+        def cg(*args, **kwargs):
+            self.cg += 1
+            return spla.cg(*args, **kwargs)
+
+        proxy.splu, proxy.cg = splu, cg
+        monkeypatch.setattr(schemes, "spla", proxy)
+
+
+def evolve(u0, cfg, monkeypatch, reuse_dofs):
+    """run_evolution with REUSE_DOFS set, and the solver calls it made."""
+    monkeypatch.setattr(schemes, "REUSE_DOFS", reuse_dofs)
+    calls = Counted(monkeypatch)
+    return schemes.run_evolution(u0, cfg), calls
+
+
+class TestFactorReuse:
+    """REUSE_DOFS = 0 sends the small systems here through the reuse path."""
+
+    CASES = {
+        "semi-implicit": dict(coeff=LOWER),
+        "kacanov": dict(scheme="implicit", nf=NFunctionPD(1.5, 0.1), kind=ADDITIVE_SHIFT,
+                        eps=0.05, coeff=LOWER),
+        "newton": dict(scheme="implicit", nf=NFunctionPD(1.5, 0.1), kind=ADDITIVE_SHIFT,
+                       eps=0.05, coeff=LOWER, nonlinear="newton"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_iterates_match_factoring_every_solve(self, mesh8, monkeypatch, case):
+        cfg = make_cfg(mesh8, K=5, T=0.05, **self.CASES[case])
+        u0 = FemFunction(mesh8, np.random.default_rng(2).uniform(-1, 1, mesh8.n_interior))
+        fresh, fresh_calls = evolve(u0, cfg, monkeypatch, mesh8.n_interior + 1)
+        reused, calls = evolve(u0, cfg, monkeypatch, 0)
+        assert fresh_calls.cg == 0
+        assert [st.iterations for st in reused.stats] == [st.iterations for st in fresh.stats]
+        for a, b in zip(reused.iterates[1:], fresh.iterates[1:]):
+            diff = assembly.norm_L2(FemFunction(mesh8, a.coeffs - b.coeffs))
+            assert diff <= 1e-12 * assembly.norm_L2(b)
+        solves = sum(st.iterations for st in reused.stats)
+        assert fresh_calls.splu == solves
+        assert 0 < calls.splu < solves and calls.cg > 0
+
+    def test_a_long_solve_retires_the_factor(self, mesh8, monkeypatch):
+        # with a cap of 0 every CG solve retires the factor, so factoring and
+        # CG alternate
+        monkeypatch.setattr(schemes, "REUSE_CG_ITERS", 0)
+        cfg = make_cfg(mesh8, K=6, T=0.06)
+        u0 = FemFunction(mesh8, np.random.default_rng(4).uniform(-1, 1, mesh8.n_interior))
+        _, calls = evolve(u0, cfg, monkeypatch, 0)
+        assert (calls.splu, calls.cg) == (3, 3)
+
+    def test_failed_cg_refactors(self, mesh8, monkeypatch):
+        monkeypatch.setattr(schemes, "REUSE_DOFS", 0)
+        monkeypatch.setattr(schemes, "_CG_MAXITER", 1)
+        calls = Counted(monkeypatch)
+        cfg = make_cfg(mesh8, coeff=LOWER)
+        solve = schemes._SpdSolver(cfg)
+        rng = np.random.default_rng(6)
+        b = rng.standard_normal(mesh8.n_interior)
+        A0, A1 = (schemes._system_matrix(FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior)),
+                                         cfg) for _ in range(2))
+        solve(A0, b)
+        x = solve(A1, b)
+        # one CG iteration does not reach 1e-12 on a different matrix
+        assert (calls.splu, calls.cg) == (2, 1)
+        ref = spla.spsolve(A1.tocsc(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_matrix_on_a_reused_factor_raises(self, monkeypatch):
+        monkeypatch.setattr(schemes, "REUSE_DOFS", 0)
+        calls = Counted(monkeypatch)
+        m = unit_square_mesh(6)
+        cfg = make_cfg(m, coeff=LOWER)
+        assert cfg.coeff.c7 > 0.0
+        solve = schemes._SpdSolver(cfg)
+        b = np.ones(m.n_interior)
+        solve(schemes._system_matrix(FemFunction.zeros(m), cfg), b)
+        with pytest.warns(UserWarning, match="conditional solvability"):
+            with pytest.raises(SolverError, match="^direct factorization failed"):
+                solve(TestSolveSpd.singular(m), b)
+        assert (calls.splu, calls.cg) == (2, 1)

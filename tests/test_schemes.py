@@ -247,7 +247,7 @@ GRID_EPS = (1e-1, 1e-2, 1e-3)
 @pytest.mark.parametrize("kind", [QUADRATIC_NORM, ADDITIVE_SHIFT])
 @pytest.mark.parametrize("p", GRID_P)
 @pytest.mark.parametrize("eps", GRID_EPS)
-def test_default_solver_converges_over_the_grid(mesh8, kind, p, eps):
+def test_default_solver_converges_over_the_grid(mesh8, monkeypatch, kind, p, eps):
     # plain Kacanov failed 5 of these 30 cases (p = 1.1 at eps 1e-2 and 1e-3
     # for both regularizations, quadratic-norm p = 1.2 at eps 1e-3)
     cfg = make_cfg(mesh8, scheme="implicit", nf=NFunctionPD(p), eps=eps, kind=kind, K=5, T=0.05)
@@ -255,6 +255,11 @@ def test_default_solver_converges_over_the_grid(mesh8, kind, p, eps):
     u0 = interpolate_nodal(fields.make_field("sin-product"), mesh8)
     traj = run_evolution(u0, cfg)
     assert all(st.residual <= cfg.tol_res for st in traj.stats)
+    # reusing factors, as systems of REUSE_DOFS unknowns or more do, takes the same sweeps
+    monkeypatch.setattr(schemes, "REUSE_DOFS", 0)
+    reused = run_evolution(u0, cfg)
+    assert [st.iterations for st in reused.stats] == [st.iterations for st in traj.stats]
+    assert all(st.residual <= cfg.tol_res for st in reused.stats)
 
 
 class TestKacanovIdentity:
