@@ -4,6 +4,25 @@ P1 gradients are constant per cell, so every gradient-based integral below is
 exact.  Mass-type integrals with nonlinear coefficients use the 3-point
 edge-midpoint rule, which is exact for quadratic integrands; the error
 quadrature uses the 7-point degree-5 rule.
+
+The kernels that run once per nonlinear sweep are sparse matrix-vector
+products with operators built once per mesh and kept in ``mesh._cache``, so a
+call does arithmetic only.  Interior coefficients are extended by one trailing
+zero, which the boundary vertices of a cell read:
+
+- G, 2M x (N_int + 1): cell gradients, ``(G @ [u, 0]).reshape(M, 2)``; its
+  data are ``mesh.hat_gradients()``'s storage;
+- P, 3M x (N_int + 1): values at the edge midpoints, ``(P @ [u, 0])``;
+- S, (nnz + 1) x M: the weighted stiffness data ``S @ omega``, one column of
+  cached element stiffness blocks per cell;
+- Q, (nnz + 1) x 3M: the midpoint-rule mass data ``Q @ qvals``.
+
+S and Q are CSC matrices whose row indices are the slots of ``_pattern``, so
+their products sum into the shared CSR pattern in cell order, exactly as
+``_assemble`` does for any other stack of element blocks.  Transposed, G pairs
+a cellwise constant field with the hat gradients and P gives the load vector.
+P is only built on meshes whose run has a source or a lower-order term, and Q
+on those with a lower-order term.
 """
 
 from __future__ import annotations
@@ -18,13 +37,9 @@ from .orlicz import (QUADRATIC_NORM, REGULARIZATION_KINDS, DegenerateWeightError
                      diffusion_weight, vnorm)
 
 
-# Values of the three local hats at the three edge midpoints (rows: midpoints
-# of edges 01, 12, 20).
-_PSI_MID = np.array([[0.5, 0.5, 0.0],
-                     [0.0, 0.5, 0.5],
-                     [0.5, 0.0, 0.5]])
-# Row q holds the 3x3 block psi_i psi_j at midpoint q, flattened.
-_PSI_MID_OUTER = np.einsum("qi,qj->qij", _PSI_MID, _PSI_MID).reshape(3, 9)
+# Local vertices at the ends of edges 01, 12, 20; the edge midpoints are
+# numbered in this order.
+_EDGE_ENDS = np.array([[0, 1], [1, 2], [2, 0]])
 
 # Degree-5 rule: barycentric coordinates and weights (normalized to 1).
 _S15 = np.sqrt(15.0)
@@ -47,7 +62,10 @@ def _pattern(mesh):
     sorted column indices and no duplicates.  Returns (indptr, indices, slot):
     entry (m, i, j) of an (M, 3, 3) stack of element blocks adds into data
     slot slot[9 m + 3 i + j]; entries in a boundary row or column all go to
-    the one "trash" slot past the end.
+    the one "trash" slot nnz past the end.  slot is, unchanged and uncopied,
+    the row index array of every CSC operator that sums element blocks (S of
+    weighted_stiffness, and _assemble's); Q of midpoint_mass gathers its row
+    indices from it.
 
     The slots are found one local (i, j) position at a time, so the set-up
     holds no temporary of the size of all 9 M local entries: on large meshes
@@ -81,14 +99,38 @@ def _pattern(mesh):
     return mesh._cache[key]
 
 
-def _assemble(mesh, element_blocks):
-    """Sum (M, 3, 3) element blocks into a CSR matrix on the mesh's shared pattern."""
-    indptr, indices, slot = _pattern(mesh)
-    nnz = indices.size
-    data = np.bincount(slot, weights=element_blocks.reshape(-1), minlength=nnz + 1)[:nnz]
-    mat = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+def _block_sum_operator(mesh, element_blocks):
+    """The (nnz + 1) x M CSC operator whose column m adds cell m's block into its slots.
+
+    Its row indices are _pattern's slot array itself and its data the (M, 3,
+    3) blocks, flattened without a copy where they are contiguous.  Its
+    product with a vector of cell weights omega is the data, trash slot last,
+    of the matrix with element blocks omega_m * block_m: the sums run over the
+    cells in order, and in each cell over its 9 entries in order.
+    """
+    _, indices, slot = _pattern(mesh)
+    m = mesh.n_cells
+    indptr = np.arange(0, 9 * m + 1, 9, dtype=np.int32)
+    return sp.csc_matrix((element_blocks.reshape(-1), slot, indptr),
+                         shape=(indices.size + 1, m))
+
+
+def _on_pattern(mesh, data):
+    """CSR matrix on the mesh's shared pattern whose data are data[:nnz]."""
+    indptr, indices, _ = _pattern(mesh)
+    mat = sp.csr_matrix((data[:indices.size], indices, indptr), shape=(indptr.size - 1,) * 2)
     mat.has_canonical_format = True
     return mat
+
+
+def _assemble(mesh, element_blocks):
+    """Sum (M, 3, 3) element blocks into a CSR matrix on the mesh's shared pattern.
+
+    The one summation of element blocks: the block-sum operator applied to
+    unit cell weights, which scale no entry, so the sum is the one that
+    weighted_stiffness's cached operator S forms with the weights omega.
+    """
+    return _on_pattern(mesh, _block_sum_operator(mesh, element_blocks) @ np.ones(mesh.n_cells))
 
 
 # Parts of at most this many dofs are not bisected further.
@@ -190,12 +232,16 @@ def nested_dissection(mesh):
 
 
 def _stiffness_blocks(mesh):
-    """Unweighted element stiffness blocks area * grad phi_i . grad phi_j, (M, 3, 3)."""
+    """Unweighted element stiffness blocks area * grad phi_i . grad phi_j, (M, 3, 3).
+
+    They are the data of weighted_stiffness's operator S, which holds no copy.
+    """
     key = "stiffness_blocks"
     if key not in mesh._cache:
         grads = mesh.hat_gradients()
         blocks = np.einsum("mid,mjd->mij", grads, grads)
         blocks *= mesh.areas[:, None, None]
+        blocks.flags.writeable = False
         mesh._cache[key] = blocks
     return mesh._cache[key]
 
@@ -218,11 +264,51 @@ def stiffness_matrix(mesh):
     return mesh._cache[key]
 
 
+def _cell_dofs(mesh):
+    """Interior numbers of every cell's vertices, (M, 3); boundary vertices get N_int."""
+    number = np.full(mesh.n_nodes, mesh.n_interior, dtype=np.int32)
+    number[mesh.interior] = np.arange(mesh.n_interior, dtype=np.int32)
+    return number[mesh.cells]
+
+
+def _extended(u):
+    """Interior coefficients of u and the trailing zero that boundary vertices read."""
+    return np.append(u.coeffs, 0.0)
+
+
+def _gradient_operator(mesh):
+    """G, the 2M x (N_int + 1) CSR operator of the cell gradients.
+
+    Row 2 m + d holds component d of the gradients of cell m's three hats,
+    in the columns of its vertices.  Its data are the hat_gradients storage.
+    """
+    key = "gradient_operator"
+    if key not in mesh._cache:
+        m = mesh.n_cells
+        storage = mesh.hat_gradients().transpose(0, 2, 1)  # (M, 2, 3), C-contiguous
+        cols = np.repeat(_cell_dofs(mesh)[:, None, :], 2, axis=1)
+        indptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
+        mesh._cache[key] = sp.csr_matrix((storage.reshape(-1), cols.reshape(-1), indptr),
+                                         shape=(2 * m, mesh.n_interior + 1))
+    return mesh._cache[key]
+
+
 def gradients(u):
     """Per-cell constant gradient of a nodal function, (M, 2)."""
-    full = u.full_values()
-    grads = u.mesh.hat_gradients()
-    return np.einsum("mi,mid->md", full[u.mesh.cells], grads)
+    return (_gradient_operator(u.mesh) @ _extended(u)).reshape(-1, 2)
+
+
+def gradient_pairing(mesh, field):
+    """int F . grad phi_i over the interior hats phi_i, for a cellwise constant F (M, 2)."""
+    return (_gradient_operator(mesh).T @ (mesh.areas[:, None] * field).reshape(-1))[:-1]
+
+
+def _stiffness_operator(mesh):
+    """S, the block-sum operator of the unweighted element stiffness blocks."""
+    key = "stiffness_operator"
+    if key not in mesh._cache:
+        mesh._cache[key] = _block_sum_operator(mesh, _stiffness_blocks(mesh))
+    return mesh._cache[key]
 
 
 def weighted_stiffness(mesh, w, nf, eps, kind):
@@ -231,7 +317,7 @@ def weighted_stiffness(mesh, w, nf, eps, kind):
     Exact for P1: the weight is constant on every cell.
     """
     omega = diffusion_weight(nf, eps, kind, vnorm(gradients(w)))
-    return _assemble(mesh, omega[:, None, None] * _stiffness_blocks(mesh))
+    return _on_pattern(mesh, _stiffness_operator(mesh) @ omega)
 
 
 def jacobian_stiffness(mesh, w, nf, eps, kind):
@@ -251,10 +337,11 @@ def jacobian_stiffness(mesh, w, nf, eps, kind):
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where(t > 0.0, (nf.p - 2.0) * omega / ((nf.delta + eps + t) * t), 0.0)
+    # area grad phi_i . tensor grad phi_j = omega (stiffness block) + area coef s_i s_j
     grads = mesh.hat_gradients()
-    gg = np.einsum("md,me->mde", g, g)
-    tensor = omega[:, None, None] * np.eye(2) + coef[:, None, None] * gg
-    blocks = mesh.areas[:, None, None] * np.einsum("mid,mde,mje->mij", grads, tensor, grads)
+    s = grads[:, :, 0] * g[:, 0, None] + grads[:, :, 1] * g[:, 1, None]  # grad phi_i . g
+    blocks = omega[:, None, None] * _stiffness_blocks(mesh)
+    blocks += (mesh.areas * coef)[:, None, None] * (s[:, :, None] * s[:, None, :])
     return _assemble(mesh, blocks)
 
 
@@ -263,20 +350,54 @@ def midpoint_coords(mesh):
     key = "midpoint_coords"
     if key not in mesh._cache:
         v = mesh.nodes[mesh.cells]
-        mesh._cache[key] = np.einsum("qi,mid->mqd", _PSI_MID, v)
+        mesh._cache[key] = 0.5 * (v[:, _EDGE_ENDS[:, 0]] + v[:, _EDGE_ENDS[:, 1]])
+    return mesh._cache[key]
+
+
+def _midpoint_operator(mesh):
+    """P, the 3M x (N_int + 1) CSR operator of the values at the edge midpoints.
+
+    Row 3 m + q holds 1/2 in the columns of the two ends of cell m's edge q.
+    """
+    key = "midpoint_operator"
+    if key not in mesh._cache:
+        m = mesh.n_cells
+        cols = _cell_dofs(mesh)[:, _EDGE_ENDS]  # (M, 3, 2)
+        indptr = np.arange(0, 6 * m + 1, 2, dtype=np.int32)
+        mesh._cache[key] = sp.csr_matrix((np.full(6 * m, 0.5), cols.reshape(-1), indptr),
+                                         shape=(3 * m, mesh.n_interior + 1))
     return mesh._cache[key]
 
 
 def values_at_midpoints(u):
     """Values of a nodal function at the edge midpoints, (M, 3)."""
-    full = u.full_values()
-    return np.einsum("qi,mi->mq", _PSI_MID, full[u.mesh.cells])
+    return (_midpoint_operator(u.mesh) @ _extended(u)).reshape(-1, 3)
+
+
+def _midpoint_mass_operator(mesh):
+    """Q, the (nnz + 1) x 3M CSC operator of the midpoint-rule mass data.
+
+    At the midpoint of edge (a, b) the hats psi_a and psi_b are 1/2 and the
+    third is 0, so column 3 m + q adds area_m / 12 times its coefficient into
+    the slots of the block entries (a, a), (a, b), (b, a), (b, b) of cell m.
+    """
+    key = "midpoint_mass_operator"
+    if key not in mesh._cache:
+        _, indices, slot = _pattern(mesh)
+        m = mesh.n_cells
+        blocks = slot.reshape(m, 3, 3)
+        a, b = _EDGE_ENDS[:, 0], _EDGE_ENDS[:, 1]
+        rows = np.stack([blocks[:, a, a], blocks[:, a, b], blocks[:, b, a], blocks[:, b, b]],
+                        axis=-1)  # (M, 3, 4)
+        indptr = np.arange(0, 12 * m + 1, 4, dtype=np.int32)
+        mesh._cache[key] = sp.csc_matrix((np.repeat(mesh.areas / 12.0, 12), rows.reshape(-1),
+                                          indptr), shape=(indices.size + 1, 3 * m))
+    return mesh._cache[key]
 
 
 def midpoint_mass(mesh, qvals):
     """Mass-type matrix with coefficient values qvals (M, 3) at the edge midpoints."""
-    blocks = (mesh.areas / 3.0)[:, None] * (qvals @ _PSI_MID_OUTER)
-    return _assemble(mesh, blocks)
+    return _on_pattern(mesh, _midpoint_mass_operator(mesh) @ qvals.reshape(-1))
 
 
 def weighted_mass(mesh, w, coeff):
@@ -291,9 +412,7 @@ def load_vector(mesh, f, t=0.0):
     xq = midpoint_coords(mesh)
     fq = np.asarray(f(xq[..., 0], xq[..., 1], t), dtype=float)
     fq = np.broadcast_to(fq, xq.shape[:2])
-    contrib = (mesh.areas / 3.0)[:, None] * np.einsum("mq,qi->mi", fq, _PSI_MID)
-    vec = np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
-    return vec[mesh.interior]
+    return (_midpoint_operator(mesh).T @ ((mesh.areas / 3.0)[:, None] * fq).reshape(-1))[:-1]
 
 
 def quadrature_norm_sq(mesh, f, t=0.0):

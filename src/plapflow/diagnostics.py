@@ -211,13 +211,10 @@ def discrepancy_terms(traj, k):
     bound_cell = (2.0 - p) * eps ** (p - 1.0)
 
     # dual estimate of F against the unit W^{1,2} ball of the P1 basis
-    grads = mesh.hat_gradients()
-    pair = np.einsum("md,mid,m->mi", f_field, grads, area)
-    vec = np.bincount(mesh.cells.ravel(), weights=pair.ravel(), minlength=mesh.n_nodes)
+    pair = assembly.gradient_pairing(mesh, f_field)
     denom = np.sqrt(assembly.mass_matrix(mesh).diagonal()
                     + assembly.stiffness_matrix(mesh).diagonal())
-    free = mesh.interior
-    f_dual = float(np.max(np.abs(vec[free]) / denom)) if free.size else 0.0
+    f_dual = float(np.max(np.abs(pair) / denom)) if pair.size else 0.0
 
     return DiscrepancyRecord(
         k=k,

@@ -84,20 +84,28 @@ class TriMesh:
         return float(np.max(np.sqrt(np.sum(d * d, axis=1))))
 
     def hat_gradients(self):
-        """Per-cell constant gradients of the three local hats, (M, 3, 2)."""
+        """Per-cell constant gradients of the three local hats, (M, 3, 2).
+
+        The cache holds them component-major, as one C-contiguous (M, 2, 3)
+        array whose entry (m, d, i) is component d of the gradient of hat i on
+        cell m; what is returned is a transposed view of it.  In that layout
+        the storage is, flattened, the data of the cell-gradient operator G of
+        assembly.gradients (row 2 m + d holds the three entries (m, d, :)), so
+        the operator adds no copy of it.
+        """
         key = "hat_gradients"
         if key not in self._cache:
             v = self.nodes[self.cells]  # (M, 3, 2)
-            grads = np.empty_like(v)
-            two_a = (2.0 * self.areas)[:, None]
+            grads = np.empty((self.n_cells, 2, 3))
             for i in range(3):
                 b = v[:, (i + 1) % 3]
                 c = v[:, (i + 2) % 3]
-                grads[:, i, 0] = (b[:, 1] - c[:, 1])
-                grads[:, i, 1] = (c[:, 0] - b[:, 0])
-            grads /= two_a[..., None]
+                grads[:, 0, i] = (b[:, 1] - c[:, 1])
+                grads[:, 1, i] = (c[:, 0] - b[:, 0])
+            grads /= (2.0 * self.areas)[:, None, None]
+            grads.flags.writeable = False  # the gradient operator holds it
             self._cache[key] = grads
-        return self._cache[key]
+        return self._cache[key].transpose(0, 2, 1)
 
     def shape_regularity(self):
         """Max ratio of circumradius to inradius over all cells."""

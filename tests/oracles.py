@@ -4,6 +4,9 @@ The finite element oracles share no code with the package: assembly is dense
 with explicit Python loops and analytic element formulas, systems are solved
 with numpy.linalg.solve.  Deliberately slow and simple.
 
+The einsum/bincount kernels at the end sum exactly as the package's cached
+sparse operators do, and pin that those change no bit.
+
 The lemma certification and energy ledger oracles are the package's earlier
 versions on its own kernels: every check on arrays of all samples at once,
 and the gradients and weights of all iterates held at once.  They pin that
@@ -27,22 +30,29 @@ def dense_mass(nodes, cells):
     M = np.zeros((n, n))
     base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     for tri in cells:
-        p0, p1, p2 = nodes[tri[0]], nodes[tri[1]], nodes[tri[2]]
-        area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1])
-                         - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+        area = _cell_area(nodes, tri)
         for i in range(3):
             for j in range(3):
                 M[tri[i], tri[j]] += area * base[i, j]
     return M
 
 
+def _cell_area(nodes, tri):
+    p0, p1, p2 = nodes[tri[0]], nodes[tri[1]], nodes[tri[2]]
+    return 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+
+
 def dense_stiffness(nodes, cells):
+    return dense_tensor_stiffness(nodes, cells, np.broadcast_to(np.eye(2), (len(cells), 2, 2)))
+
+
+def dense_tensor_stiffness(nodes, cells, tensors):
+    """Dense sum of area * grad phi_i . T_m grad phi_j with a 2 x 2 tensor T_m per cell."""
     n = len(nodes)
     K = np.zeros((n, n))
-    for tri in cells:
+    for tri, tensor in zip(cells, tensors):
         p0, p1, p2 = nodes[tri[0]], nodes[tri[1]], nodes[tri[2]]
-        area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1])
-                         - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+        area = _cell_area(nodes, tri)
         grads = np.array([
             [p1[1] - p2[1], p2[0] - p1[0]],
             [p2[1] - p0[1], p0[0] - p2[0]],
@@ -50,7 +60,7 @@ def dense_stiffness(nodes, cells):
         ]) / (2.0 * area)
         for i in range(3):
             for j in range(3):
-                K[tri[i], tri[j]] += area * grads[i] @ grads[j]
+                K[tri[i], tri[j]] += area * grads[i] @ tensor @ grads[j]
     return K
 
 
@@ -350,3 +360,95 @@ def lagged_dissipation_sum(traj):
     """diagnostics.lagged_dissipation_sum over all iterates' gradients at once."""
     tau = traj.config.tau
     return tau * tau * float(sum(_lagged_dissipation(traj)[2]))
+
+
+# --- finite element kernels, one cell at a time ------------------------------
+
+def cell_gradients(nodes, cells, full):
+    """Gradient of the P1 interpolant of the nodal values full on every cell, (M, 2):
+    the g with g . (p_i - p_0) = u_i - u_0 for i = 1, 2, by a 2 x 2 solve."""
+    out = np.empty((len(cells), 2))
+    for m, tri in enumerate(cells):
+        p0, p1, p2 = (np.asarray(nodes[v], dtype=float) for v in tri)
+        u0, u1, u2 = (full[v] for v in tri)
+        out[m] = np.linalg.solve(np.array([p1 - p0, p2 - p0]), np.array([u1 - u0, u2 - u0]))
+    return out
+
+
+# local vertices at the ends of each cell's edges 01, 12, 20
+EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def midpoint_values(cells, full):
+    """Values of the P1 interpolant at the midpoints of every cell's edges 01, 12, 20, (M, 3)."""
+    out = np.empty((len(cells), 3))
+    for m, tri in enumerate(cells):
+        for q, (a, b) in enumerate(EDGES):
+            out[m, q] = 0.5 * (full[tri[a]] + full[tri[b]])
+    return out
+
+
+def tangent_tensors(p, delta, eps, quadratic, grads):
+    """omega(t) I + (omega'(t) / t) g g^T per cell, t = |g|, from the closed-form
+    derivative of the weight: (p-2) (t^2 + eps^2)^((p-4)/2) for the
+    quadratic norm, (p-2) (delta + eps + t)^(p-3) / t (0 at t = 0) for the
+    additive shift."""
+    out = np.empty((len(grads), 2, 2))
+    for m, g in enumerate(grads):
+        t = float(np.hypot(g[0], g[1]))
+        if quadratic:
+            omega = (t * t + eps * eps) ** ((p - 2.0) / 2.0)
+            coef = (p - 2.0) * (t * t + eps * eps) ** ((p - 4.0) / 2.0)
+        else:
+            omega = (delta + eps + t) ** (p - 2.0)
+            coef = (p - 2.0) * (delta + eps + t) ** (p - 3.0) / t if t > 0.0 else 0.0
+        out[m] = omega * np.eye(2) + coef * np.outer(g, g)
+    return out
+
+
+def dense_midpoint_mass(nodes, cells, qvals):
+    """Dense sum over cells and edge midpoints q of (area/3) qvals[m, q] psi_i psi_j."""
+    n = len(nodes)
+    M = np.zeros((n, n))
+    for tri, qs in zip(cells, qvals):
+        area = _cell_area(nodes, tri)
+        for (a, b), qv in zip(EDGES, qs):
+            for i in (a, b):
+                for j in (a, b):
+                    M[tri[i], tri[j]] += area / 3.0 * qv * 0.25
+    return M
+
+
+def load_vector(nodes, cells, f):
+    """Midpoint-rule load sum over cells and edges (a, b) of (area/3) f(midpoint) / 2
+    into both ends, on all nodes."""
+    vec = np.zeros(len(nodes))
+    for tri in cells:
+        area = _cell_area(nodes, tri)
+        for a, b in EDGES:
+            x, y = 0.5 * (nodes[tri[a]] + nodes[tri[b]])
+            val = float(f(x, y))
+            vec[tri[a]] += area / 3.0 * val * 0.5
+            vec[tri[b]] += area / 3.0 * val * 0.5
+    return vec
+
+
+# --- vectorized reference kernels --------------------------------------------
+# An einsum contraction and an np.bincount scatter over the pattern's slots.
+# The package's cached operators add the same products in the same cell
+# order, so the cell gradients, the weighted stiffness and every _assemble
+# result equal these to the bit.
+
+def bincount_assemble(mesh, element_blocks):
+    """Data of the matrix with (M, 3, 3) element blocks, summed by np.bincount over the slots."""
+    _, indices, slot = assembly._pattern(mesh)
+    return np.bincount(slot, weights=element_blocks.reshape(-1),
+                       minlength=indices.size + 1)[:indices.size]
+
+
+def einsum_gradients(u):
+    """Cell gradients as the contraction of the vertex values with the hat
+    gradients, copied into a contiguous vertex-major (M, 3, 2) array."""
+    full = u.full_values()
+    grads = np.ascontiguousarray(u.mesh.hat_gradients())
+    return np.einsum("mi,mid->md", full[u.mesh.cells], grads)

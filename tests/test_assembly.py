@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from plapflow import assembly, lower_order, schemes
@@ -10,7 +11,8 @@ from plapflow.assembly import (DegenerateWeightError, energy, gradients,
                                weighted_stiffness)
 from plapflow.lower_order import LowerOrderCoeff
 from plapflow.mesh import FemFunction, TriMesh, interpolate_nodal, prolong, refine_red, unit_square_mesh
-from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
+from plapflow.fields import make_field, make_source
+from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, diffusion_weight, vnorm
 
 import oracles
 
@@ -263,6 +265,23 @@ class TestEnergyAndNorms:
         v = prolong(u, child)
         assert seminorm_W1p(v, 1.5) == pytest.approx(seminorm_W1p(u, 1.5), rel=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           p=st.floats(1.0, 2.0, exclude_min=True),
+           eps=st.one_of(st.just(0.0), st.floats(1e-3, 0.9)),
+           kind=st.sampled_from([ADDITIVE_SHIFT, QUADRATIC_NORM]))
+    def test_prolongation_preserves_norms_and_energy(self, n, seed, p, eps, kind):
+        # the prolonged function is the same P1 function, and every child cell
+        # keeps its parent's gradient, so these exact integrals cannot change;
+        # eps ranges over the supported 0 and [1e-3, 1)
+        parent = jittered_unit_square(n, seed)
+        u = FemFunction(parent, np.random.default_rng(seed).uniform(-1, 1, parent.n_interior))
+        v = prolong(u, refine_red(parent))
+        nf = NFunctionPD(p)
+        assert norm_L2(v) == pytest.approx(norm_L2(u), rel=1e-12)
+        assert seminorm_W1p(v, p) == pytest.approx(seminorm_W1p(u, p), rel=1e-12)
+        assert energy(v, nf, eps, kind) == pytest.approx(energy(u, nf, eps, kind), rel=1e-12)
+
     def test_l2_error_of_interpolant(self):
         # degree-5 rule against a known integral: error of the zero function
         m = unit_square_mesh(3)
@@ -342,6 +361,129 @@ class TestSharedPattern:
             scale = np.max(np.abs(ref))
             np.testing.assert_allclose(assemble(m).toarray(), ref[free],
                                        rtol=0, atol=1e-14 * scale)
+
+
+def assert_close(got, ref, rel=1e-13):
+    """got == ref to rel times the largest entry of ref."""
+    ref = np.asarray(ref)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=rel * np.max(np.abs(ref), initial=0.0))
+
+
+def cache_bytes(mesh):
+    """Bytes of the distinct buffers held in mesh._cache, a shared buffer counted once."""
+    def arrays(obj):
+        if sp.issparse(obj):
+            yield from (obj.data, obj.indices, obj.indptr)
+        elif isinstance(obj, tuple):
+            for item in obj:
+                yield from arrays(item)
+        else:
+            yield obj
+
+    roots = {}
+    for arr in arrays(tuple(mesh._cache.values())):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        roots[id(arr)] = arr.nbytes
+    return sum(roots.values())
+
+
+class TestOperators:
+    """The per-sweep kernels are products with operators cached per mesh."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), refine=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           p=st.floats(1.1, 2.0), eps=st.floats(0.01, 0.9),
+           kind=st.sampled_from([ADDITIVE_SHIFT, QUADRATIC_NORM]))
+    def test_kernels_match_cellwise_oracles(self, n, refine, seed, p, eps, kind):
+        m = jittered_unit_square(n, seed)
+        if refine:
+            m = refine_red(m)
+        rng = np.random.default_rng(seed)
+        u = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
+        full = u.full_values()
+        free = np.ix_(m.interior, m.interior)
+        nf = NFunctionPD(p)
+        coeff = LowerOrderCoeff.shifted_power(2.5, 0.5)
+
+        grads = oracles.cell_gradients(m.nodes, m.cells, full)
+        assert_close(gradients(u), grads)
+        mids = oracles.midpoint_values(m.cells, full)
+        assert_close(assembly.values_at_midpoints(u), mids)
+
+        omega = diffusion_weight(nf, eps, kind, np.hypot(grads[:, 0], grads[:, 1]))
+        ref = oracles.dense_tensor_stiffness(m.nodes, m.cells, omega[:, None, None] * np.eye(2))
+        assert_close(weighted_stiffness(m, u, nf, eps, kind).toarray(), ref[free])
+        tensors = oracles.tangent_tensors(p, 0.0, eps, kind == QUADRATIC_NORM, grads)
+        ref = oracles.dense_tensor_stiffness(m.nodes, m.cells, tensors)
+        assert_close(jacobian_stiffness(m, u, nf, eps, kind).toarray(), ref[free])
+
+        ref = oracles.dense_midpoint_mass(m.nodes, m.cells, lower_order.d_eval(coeff, mids))
+        assert_close(weighted_mass(m, u, coeff).toarray(), ref[free])
+
+        def f(x, y, t=0.0):
+            return np.cos(3.0 * x) * (1.0 + y * y)
+
+        assert_close(load_vector(m, f), oracles.load_vector(m.nodes, m.cells, f)[m.interior])
+
+    @pytest.mark.parametrize("n, refine", [(6, 0), (3, 2)])
+    def test_sums_are_the_bincount_sums_to_the_bit(self, n, refine, rng):
+        # the operators add the same products in the same cell order
+        m = jittered_unit_square(n, 17)
+        for _ in range(refine):
+            m = refine_red(m)
+        u = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
+        g = gradients(u)
+        np.testing.assert_array_equal(g, oracles.einsum_gradients(u))
+        nf = NFunctionPD(1.5)
+        omega = diffusion_weight(nf, 0.1, ADDITIVE_SHIFT, vnorm(g))
+        blocks = omega[:, None, None] * assembly._stiffness_blocks(m)
+        np.testing.assert_array_equal(weighted_stiffness(m, u, nf, 0.1, ADDITIVE_SHIFT).data,
+                                      oracles.bincount_assemble(m, blocks))
+        blocks = rng.uniform(-1, 1, (m.n_cells, 3, 3))
+        np.testing.assert_array_equal(assembly._assemble(m, blocks).data,
+                                      oracles.bincount_assemble(m, blocks))
+
+    def test_dual_pairing_is_the_transposed_gradient(self, rng):
+        m = refine_red(jittered_unit_square(4, 9))
+        field = rng.uniform(-1, 1, (m.n_cells, 2))
+        hat = np.zeros(m.n_interior)
+        for i in (0, m.n_interior // 2, m.n_interior - 1):
+            hat[:] = 0.0
+            hat[i] = 1.0
+            expect = np.sum(m.areas * np.sum(field * gradients(FemFunction(m, hat)), axis=1))
+            assert assembly.gradient_pairing(m, field)[i] == pytest.approx(expect, rel=1e-13)
+
+    def test_operators_share_the_mesh_storage(self):
+        m = unit_square_mesh(64)
+        cfg = schemes.SchemeConfig(
+            mesh=m, nf=NFunctionPD(1.5), eps=0.05, K=10, T=0.1, scheme="implicit",
+            kind=ADDITIVE_SHIFT, coeff=LowerOrderCoeff.shifted_power(2.5, 0.5),
+            source=make_source("bump", decay=1.0))
+        u = interpolate_nodal(make_field("sin-product"), m)
+        b, _ = schemes._step_rhs(u, cfg, 1)  # one Kacanov sweep from u
+        g = schemes._SpdSolver(cfg)(schemes._system_matrix(u, cfg), b)
+        schemes._defect(FemFunction(m, g), b, cfg)
+
+        _, indices, slot = assembly._pattern(m)
+        stiffness = assembly._stiffness_operator(m)
+        assert np.shares_memory(stiffness.indices, slot)
+        assert np.shares_memory(stiffness.data, assembly._stiffness_blocks(m))
+        assert np.shares_memory(assembly._gradient_operator(m).data, m._cache["hat_gradients"])
+        # The ceiling is the sum of what the sweep must cache, at the arrays'
+        # dtypes.  Per cell (M = 8192): hat gradients 48 B, and G's column
+        # indices and row pointers 24 + 8; stiffness blocks 72; slot 36; S's
+        # column pointers 4; midpoint coordinates 48; P's data, indices and
+        # pointers 48 + 24 + 12; Q's 96 + 48 + 12: 480 B.  Per pattern entry
+        # (nnz = 27281): pattern column 4, mass data 8, the nested-dissection
+        # pattern 4 and gather 4: 20 B.  Per dof (3969): pattern row pointers
+        # 4, nested-dissection perm 8 and pointers 4: 16 B.  That is 4.54 MB.
+        # The 4 kB of slack cover the single entries past those counts (the
+        # trash slot, the last pointers) and are less than any cell-sized
+        # array (S's pointers are the smallest, 32 kB), so a second copy of
+        # slot, of the stiffness blocks or of the hat gradients fails the test.
+        ceiling = 480 * m.n_cells + 20 * indices.size + 16 * m.n_interior + 4096
+        assert cache_bytes(m) < ceiling
 
 
 def test_symmetry_is_exact(mesh8, rng):
