@@ -19,10 +19,13 @@ zero, which the boundary vertices of a cell read:
 
 S and Q are CSC matrices whose row indices are the slots of ``_pattern``, so
 their products sum into the shared CSR pattern in cell order, exactly as
-``_assemble`` does for any other stack of element blocks.  Transposed, G pairs
-a cellwise constant field with the hat gradients and P gives the load vector.
-P is only built on meshes whose run has a source or a lower-order term, and Q
-on those with a lower-order term.
+``_assemble`` does for any other stack of element blocks.  Transposed, P gives
+the load vector.  P is only built on meshes whose run has a source or a
+lower-order term, and Q on those with a lower-order term.
+
+The energy and the norms at the end are the per-iterate quantities of a
+trajectory; ``diagnostics`` evaluates them in one walk over its iterates, so
+each is computed once per iterate.
 """
 
 from __future__ import annotations
@@ -296,11 +299,6 @@ def _gradient_operator(mesh):
 def gradients(u):
     """Per-cell constant gradient of a nodal function, (M, 2)."""
     return (_gradient_operator(u.mesh) @ _extended(u)).reshape(-1, 2)
-
-
-def gradient_pairing(mesh, field):
-    """int F . grad phi_i over the interior hats phi_i, for a cellwise constant F (M, 2)."""
-    return (_gradient_operator(mesh).T @ (mesh.areas[:, None] * field).reshape(-1))[:-1]
 
 
 def _stiffness_operator(mesh):

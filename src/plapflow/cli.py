@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import assembly, diagnostics, orlicz
+from . import diagnostics, orlicz
 from .config import ConfigError, example_config, load_run_config
 from .mesh import export_csv, export_vtk, interpolate_nodal
 from .schemes import SolverError, run_evolution
@@ -41,33 +41,24 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _trajectory_csv(traj, path):
+def _trajectory_csv(traj, columns, path):
     cfg = traj.config
     lines = ["k,t_k,L2_norm,W1p_seminorm,energy_eps,dtau_L2,solver_iters,residual"]
-    for k, u in enumerate(traj.iterates):
+    for k in range(traj.K + 1):
         if k == 0:
             dtau, iters, res = 0.0, 0, 0.0
         else:
-            prev = traj.iterates[k - 1]
-            d = (u.coeffs - prev.coeffs) / cfg.tau
-            m = assembly.mass_matrix(cfg.mesh)
-            dtau = float(np.sqrt(d @ (m @ d)))
+            dtau = np.sqrt(columns.dtau_l2_sq[k - 1])
             iters, res = traj.stats[k - 1].iterations, traj.stats[k - 1].residual
         lines.append(",".join([
             str(k), _fmt(k * cfg.tau if traj.K else 0.0),
-            _fmt(assembly.norm_L2(u)),
-            _fmt(assembly.seminorm_W1p(u, cfg.nf.p)),
-            _fmt(assembly.energy(u, cfg.nf, cfg.eps, cfg.kind)),
-            _fmt(dtau), str(iters), _fmt(res)]))
+            _fmt(np.sqrt(columns.l2_sq[k])), _fmt(columns.seminorm[k]),
+            _fmt(columns.energy[k]), _fmt(dtau), str(iters), _fmt(res)]))
     _write_lines(path, lines)
 
 
 def cmd_run(args):
-    try:
-        setup = load_run_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    setup = load_run_config(args.config)
     cfg = setup.scheme_config
     u0 = interpolate_nodal(setup.initial, cfg.mesh)
     try:
@@ -77,17 +68,18 @@ def cmd_run(args):
         return 1
 
     ledgers = diagnostics.check_energy_ledgers(traj)
+    cols = ledgers.columns
     os.makedirs(setup.out_dir, exist_ok=True)
     base = os.path.join(setup.out_dir, setup.prefix)
-    _trajectory_csv(traj, base + "_trajectory.csv")
+    _trajectory_csv(traj, cols, base + "_trajectory.csv")
     report = {
         "schema": RUN_SCHEMA,
         "config": setup.raw,
         "seed": setup.seed,
         "outside_theory": cfg.outside_theory,
         "ledgers": ledgers.to_dict(),
-        "final_L2": assembly.norm_L2(traj.iterates[-1]),
-        "final_energy": assembly.energy(traj.iterates[-1], cfg.nf, cfg.eps, cfg.kind),
+        "final_L2": float(np.sqrt(cols.l2_sq[-1])),
+        "final_energy": float(cols.energy[-1]),
     }
     _write_json(base + "_report.json", report)
     if args.snapshots:
@@ -99,11 +91,7 @@ def cmd_run(args):
 
 
 def cmd_study(args):
-    try:
-        setup = load_run_config(args.config, want_study=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    setup = load_run_config(args.config, want_study=True)
     try:
         report = diagnostics.run_study(setup.study)
     except (SolverError, ValueError) as exc:
@@ -176,11 +164,7 @@ def cmd_check_lemmas(args):
 
 
 def cmd_export_mesh(args):
-    try:
-        setup = load_run_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    setup = load_run_config(args.config)
     mesh = setup.scheme_config.mesh
     u0 = interpolate_nodal(setup.initial, mesh)
     os.makedirs(setup.out_dir, exist_ok=True)
@@ -222,7 +206,11 @@ def main(argv=None):
     p_ex.set_defaults(func=lambda args: (print(example_config(), end=""), 0)[1])
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # only load_run_config raises it
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ mass-type terms use the same quadrature as the scheme):
   ener-bound         E[u^L] + (tau/2) sum ||d u^k||^2 + (tau^2/2) sum D_k
                      <= E[u^0] + tau sum ||f_k||^2 + tau sum (d(u^{k-1})^2, (u^k)^2)
 
-with D_k = int w^{k-1} |grad d u^k|^2 the lagged dissipation.
+with D_k = int w^{k-1} |grad d u^k|^2 the lagged dissipation.  Every sum
+above is over per-iterate and per-step quantities that one walk over the
+iterates computes (``_walk``).  The ledgers hand its columns back, and the
+run CSV and the study's norms and discrepancy totals read them instead of
+computing them again.
 
 The semi-implicit iterates also solve the unregularized implicit equation up
 to two residual fields per step: a regularization error bounded cellwise by
@@ -53,8 +57,26 @@ class LedgerEntry:
 
 
 @dataclass
+class TrajectoryColumns:
+    """What one walk over a trajectory's iterates computes: per iterate
+    (k = 0..K) and per step (k = 1..K).  The ledgers, the run CSV and the
+    study's norms and discrepancy total all read these."""
+
+    energy: np.ndarray      # E[u^k], by assembly.energy
+    l2_sq: np.ndarray       # ||u^k||^2 = u^k . M u^k
+    seminorm: np.ndarray    # |u^k|_{1,p}
+    dtau_l2_sq: np.ndarray  # ||d u^k||^2, d u^k = (u^k - u^{k-1}) / tau
+    diss_dtau: np.ndarray   # D_k = int w^{k-1} |grad d u^k|^2
+    diss_u_lag: np.ndarray  # int w^{k-1} |grad u^k|^2
+    diss_u_cur: np.ndarray  # int w^k |grad u^k|^2
+    f_sq: np.ndarray        # ||f(., k tau)||^2 by the load vector's midpoint rule
+    lower: np.ndarray       # (d(u^{k-1})^2, (u^k)^2)
+
+
+@dataclass
 class LedgerReport:
     entries: list
+    columns: TrajectoryColumns | None = None  # the walk the entries came from; not serialized
 
     @property
     def passed(self):
@@ -65,26 +87,41 @@ class LedgerReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def _gradient_pairs(traj):
-    """(g^{k-1}, w^{k-1}), (g^k, w^k) for k = 1..K: the cell gradients of
-    u^{k-1} and u^k and their diffusion weights, two iterates live at a time."""
+def _walk(traj):
+    """The columns of traj in one pass over its iterates, with the cell
+    gradients and diffusion weights of two iterates live at a time."""
     cfg = traj.config
-
-    def at(u):
+    K, mesh = traj.K, cfg.mesh
+    areas = mesh.areas
+    mass = assembly.mass_matrix(mesh)
+    cols = TrajectoryColumns(*(np.empty(K + 1) for _ in range(3)),
+                             *(np.zeros(K) for _ in range(6)))
+    us = traj.iterates
+    prev = None
+    for k, u in enumerate(us):
+        cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind)
+        cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
+        cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p)
         g = assembly.gradients(u)
-        return g, diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
-
-    prev = at(traj.iterates[0])
-    for u in traj.iterates[1:]:
-        cur = at(u)
-        yield prev, cur
-        prev = cur
-
-
-def _lagged_term(cfg, prev, cur):
-    """D_k = int w^{k-1} |grad d u^k|^2 from the pair ((g^{k-1}, w^{k-1}), (g^k, w^k))."""
-    gd = (cur[0] - prev[0]) / cfg.tau
-    return float(np.sum(cfg.mesh.areas * prev[1] * np.sum(gd * gd, axis=1)))
+        w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
+        if k:
+            i, tau = k - 1, cfg.tau
+            d = (u.coeffs - us[i].coeffs) / tau
+            cols.dtau_l2_sq[i] = d @ (mass @ d)
+            g_prev, w_prev = prev
+            gd = (g - g_prev) / tau
+            cols.diss_dtau[i] = np.sum(areas * w_prev * np.sum(gd * gd, axis=1))
+            g2 = np.sum(g * g, axis=1)
+            cols.diss_u_lag[i] = np.sum(areas * w_prev * g2)
+            cols.diss_u_cur[i] = np.sum(areas * w * g2)
+            if cfg.source is not None:
+                cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
+            if not cfg.coeff.is_zero:
+                dv = lower_order.d_eval(cfg.coeff, assembly.values_at_midpoints(us[i]))
+                uv = assembly.values_at_midpoints(u)
+                cols.lower[i] = np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv)
+        prev = g, w
+    return cols
 
 
 def _ledger_entry(name, lhs, rhs):
@@ -95,64 +132,42 @@ def _ledger_entry(name, lhs, rhs):
 
 
 def check_energy_ledgers(traj):
-    """Audit a trajectory against every applicable energy inequality."""
+    """Audit a trajectory against every applicable energy inequality.
+
+    The report also carries the columns of the walk that the entries were
+    built from."""
     cfg = traj.config
     K = traj.K
+    cols = _walk(traj)
     if K == 0:
-        return LedgerReport([])
+        return LedgerReport([], cols)
     tau = cfg.tau
-    mesh = cfg.mesh
-    areas = mesh.areas
     pure_flow = cfg.source is None and cfg.coeff.is_zero
-
-    us = traj.iterates
-    energies = np.array([assembly.energy(u, cfg.nf, cfg.eps, cfg.kind) for u in us])
-    mass = assembly.mass_matrix(mesh)
-    l2_sq = np.array([float(u.coeffs @ (mass @ u.coeffs)) for u in us])
-
-    dtau_l2_sq = np.empty(K)
-    diss_dtau = np.empty(K)
-    diss_u_lag = np.empty(K)
-    diss_u_cur = np.empty(K)
-    fq_sq = np.zeros(K)
-    du_sq = np.zeros(K)
-    for k, (prev, cur) in enumerate(_gradient_pairs(traj), start=1):
-        d = (us[k].coeffs - us[k - 1].coeffs) / tau
-        dtau_l2_sq[k - 1] = float(d @ (mass @ d))
-        diss_dtau[k - 1] = _lagged_term(cfg, prev, cur)
-        gk2 = np.sum(cur[0] * cur[0], axis=1)
-        diss_u_lag[k - 1] = float(np.sum(areas * prev[1] * gk2))
-        diss_u_cur[k - 1] = float(np.sum(areas * cur[1] * gk2))
-        if cfg.source is not None:
-            fq_sq[k - 1] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
-        if not cfg.coeff.is_zero:
-            dv = lower_order.d_eval(cfg.coeff, assembly.values_at_midpoints(us[k - 1]))
-            uv = assembly.values_at_midpoints(us[k])
-            du_sq[k - 1] = float(np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv))
+    energies, l2_sq = cols.energy, cols.l2_sq
 
     entries = []
-    cum_dtau = np.cumsum(dtau_l2_sq)
-    cum_diss = np.cumsum(diss_dtau)
+    cum_dtau = np.cumsum(cols.dtau_l2_sq)
+    cum_diss = np.cumsum(cols.diss_dtau)
     cum_l2 = np.cumsum(l2_sq[1:])
-    cum_f = np.cumsum(fq_sq)
-    cum_du = np.cumsum(du_sq)
+    cum_f = np.cumsum(cols.f_sq)
+    cum_du = np.cumsum(cols.lower)
 
     if cfg.scheme == SEMI_IMPLICIT:
         if pure_flow:
             lhs = energies[1:] + tau * cum_dtau + 0.5 * tau * tau * cum_diss
             rhs = np.full(K, energies[0])
             entries.append(_ledger_entry("energy-stability", lhs, rhs))
-        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(diss_u_lag)
+        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(cols.diss_u_lag)
         rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
         entries.append(_ledger_entry("apriori", lhs, rhs))
         lhs = energies[1:] + 0.5 * tau * cum_dtau + 0.5 * tau * tau * cum_diss
         rhs = energies[0] + tau * cum_f + tau * cum_du
         entries.append(_ledger_entry("ener-bound", lhs, rhs))
     else:
-        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(diss_u_cur)
+        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(cols.diss_u_cur)
         rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
         entries.append(_ledger_entry("apriori-implicit", lhs, rhs))
-    return LedgerReport(entries)
+    return LedgerReport(entries, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -166,72 +181,68 @@ class DiscrepancyRecord:
     E_max_cell: float
     E_bound_cell: float  # (2-p) eps^(p-1)
     E_bound_L1: float    # same, scaled by |Omega|
-    F_dual_norm: float
     alpha_eps: float
 
     @property
     def cell_bound_holds(self):
         return self.E_max_cell <= self.E_bound_cell + 1e-10 * max(1.0, self.E_bound_cell)
 
-    def to_dict(self):
-        return {"k": self.k, "E_norm_L1": self.E_norm_L1,
-                "E_max_cell": self.E_max_cell, "E_bound_cell": self.E_bound_cell,
-                "E_bound_L1": self.E_bound_L1, "F_dual_norm": self.F_dual_norm,
-                "alpha_eps": self.alpha_eps}
 
-
-def _require_semi_quadratic(traj):
-    cfg = traj.config
+def _require_semi_quadratic(cfg):
     if cfg.scheme != SEMI_IMPLICIT:
         raise ValueError("discrepancy terms are defined for semi-implicit trajectories")
     if cfg.kind != QUADRATIC_NORM:
         raise ValueError("discrepancy terms require the quadratic-norm regularization")
 
 
+def _regularization_residual(p, eps, g):
+    """|E| = |S_0(g) - S_eps(g)| per cell, at the cell gradients g of an iterate."""
+    return vnorm(op_S_eps(p, 0.0, g) - op_S_eps(p, eps, g))
+
+
 def discrepancy_terms(traj, k):
-    """Cellwise residual fields by which step k misses the unregularized
-    implicit equation, with their certified bounds."""
-    _require_semi_quadratic(traj)
+    """The cellwise regularization residual E^k = S_0(grad u^k) - S_eps(grad u^k)
+    by which step k misses the unregularized implicit equation, with its
+    certified bounds."""
+    cfg = traj.config
+    _require_semi_quadratic(cfg)
     if not 1 <= k <= traj.K:
         raise ValueError(f"step index k = {k} outside 1..{traj.K}")
-    cfg = traj.config
     p, eps = cfg.nf.p, cfg.eps
-    mesh = cfg.mesh
-    g_cur = assembly.gradients(traj.iterates[k])
-    g_lag = assembly.gradients(traj.iterates[k - 1])
-
-    s_eps = op_S_eps(p, eps, g_cur)
-    e_field = op_S_eps(p, 0.0, g_cur) - s_eps
-    w_lag = diffusion_weight(cfg.nf, eps, cfg.kind, vnorm(g_lag))
-    f_field = s_eps - w_lag[:, None] * g_cur
-
-    e_abs = vnorm(e_field)
-    area = mesh.areas
-    omega = float(np.sum(area))
+    area = cfg.mesh.areas
+    e_abs = _regularization_residual(p, eps, assembly.gradients(traj.iterates[k]))
     bound_cell = (2.0 - p) * eps ** (p - 1.0)
-
-    # dual estimate of F against the unit W^{1,2} ball of the P1 basis
-    pair = assembly.gradient_pairing(mesh, f_field)
-    denom = np.sqrt(assembly.mass_matrix(mesh).diagonal()
-                    + assembly.stiffness_matrix(mesh).diagonal())
-    f_dual = float(np.max(np.abs(pair) / denom)) if pair.size else 0.0
-
     return DiscrepancyRecord(
         k=k,
         E_norm_L1=float(np.sum(area * e_abs)),
         E_max_cell=float(np.max(e_abs)),
         E_bound_cell=bound_cell,
-        E_bound_L1=bound_cell * omega,
-        F_dual_norm=f_dual,
+        E_bound_L1=bound_cell * float(np.sum(area)),
         alpha_eps=float(np.sqrt(cfg.tau * eps ** (p - 2.0))),
     )
 
 
+def _dissipation_sum(tau, diss_dtau):
+    # summed one step after the other, as the steps were taken
+    return tau * tau * sum(diss_dtau.tolist())
+
+
 def lagged_dissipation_sum(traj):
     """tau^2 sum_k int w^{k-1} |grad d u^k|^2, the quantity the energy bound controls."""
-    cfg = traj.config
-    diss = sum(_lagged_term(cfg, prev, cur) for prev, cur in _gradient_pairs(traj))
-    return cfg.tau * cfg.tau * diss
+    return _dissipation_sum(traj.config.tau, _walk(traj).diss_dtau)
+
+
+def _discrepancy_total(cfg, diss_dtau):
+    """discrepancy_total of the semi-implicit run under cfg whose lagged
+    dissipations D_k are diss_dtau."""
+    _require_semi_quadratic(cfg)
+    p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
+    alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
+    diss = _dissipation_sum(tau, diss_dtau)
+    c = S_EPS_LIPSCHITZ_MAX
+    return ((2.0 - p) * eps ** (p - 1.0)
+            + c * c * alpha_eps * diss
+            + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
 
 
 def discrepancy_total(traj):
@@ -245,24 +256,20 @@ def discrepancy_total(traj):
     function normalization.  Along tau = o(eps^(2-p)) sequences it decays;
     with tau fixed it eventually grows.
     """
-    _require_semi_quadratic(traj)
-    cfg = traj.config
-    p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
-    alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
-    diss = lagged_dissipation_sum(traj)
-    c = S_EPS_LIPSCHITZ_MAX
-    return ((2.0 - p) * eps ** (p - 1.0)
-            + c * c * alpha_eps * diss
-            + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
+    return _discrepancy_total(traj.config, _walk(traj).diss_dtau)
 
 
 def cell_bound_satisfied(traj):
     """Max over steps of (max-cell |E^k|) / ((2-p) eps^(p-1)); must stay <= 1."""
+    cfg = traj.config
+    _require_semi_quadratic(cfg)
+    p, eps = cfg.nf.p, cfg.eps
+    bound = (2.0 - p) * eps ** (p - 1.0)
     worst = 0.0
-    for k in range(1, traj.K + 1):
-        rec = discrepancy_terms(traj, k)
-        if rec.E_bound_cell > 0.0:
-            worst = max(worst, rec.E_max_cell / rec.E_bound_cell)
+    if bound > 0.0:
+        for u in traj.iterates[1:]:
+            e_max = float(np.max(_regularization_residual(p, eps, assembly.gradients(u))))
+            worst = max(worst, e_max / bound)
     return worst
 
 
@@ -371,14 +378,6 @@ def _strictly_decreasing(xs):
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _trajectory_norms(traj):
-    linf = max(assembly.norm_L2(u) for u in traj.iterates)
-    p = traj.config.nf.p
-    acc = sum(traj.config.tau * assembly.seminorm_W1p(u, p) ** p
-              for u in traj.iterates[1:])
-    return linf, acc ** (1.0 / p)
-
-
 def _cauchy_difference(coarse, fine, fine_mesh, p):
     """Distance of consecutive-level runs on the finer space-time grid."""
     tau_f = fine.config.tau
@@ -425,18 +424,20 @@ def run_study(sc):
         cfg = replace(base, mesh=meshes[n], eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
         try:
             semi = run_evolution(u0s[n], cfg)
-            total = discrepancy_total(semi)
+            ledgers_semi = check_energy_ledgers(semi)
+            cols = ledgers_semi.columns
+            total = _discrepancy_total(cfg, cols.diss_dtau)
             if n == 0:
                 semi0_total = total
             impl = run_evolution(u0s[n], replace(cfg, scheme=IMPLICIT))
-            linf, lp = _trajectory_norms(semi)
+            acc = sum(cfg.tau * s ** p for s in cols.seminorm[1:].tolist())
             levels.append(LevelResult(
                 n=n, h=meshes[n].h, eps=eps_n, tau=cfg.tau, K=K_n,
-                linf_l2=linf, lp_w1p=lp,
+                linf_l2=float(np.max(np.sqrt(cols.l2_sq))), lp_w1p=acc ** (1.0 / p),
                 gap=_scheme_gap(semi, impl),
                 discrepancy_total=total,
                 e_cell_ratio=cell_bound_satisfied(semi),
-                ledgers_semi=check_energy_ledgers(semi),
+                ledgers_semi=ledgers_semi,
                 ledgers_implicit=check_energy_ledgers(impl)))
             semis.append(semi)
         except SolverError as exc:

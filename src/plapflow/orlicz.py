@@ -133,13 +133,18 @@ def _phi_closed(p, delta, t):
     # Each ufunc runs only on the samples of its branch (where=) and writes
     # into one of three buffers, so a call holds three arrays of the
     # broadcast shape; out doubles as scratch for p - 1 until the last step.
+    # Where delta^p falls below the normal range or expm1 overflows, that form
+    # loses its digits (0, inf or nan at t >> delta), and the (delta+t)-power
+    # form s^(p-1) (s/p - delta/(p-1)) + delta^p/(p(p-1)), s = delta + t,
+    # takes over: it cancels only at t <~ delta, where phi is itself below
+    # the normal range, and it tends to t^p/p as delta/t -> 0.
     d, t, p = np.broadcast_arrays(np.asarray(delta, dtype=float),
                                   np.asarray(t, dtype=float),
                                   np.asarray(p, dtype=float))
     shift = d > 0.0
     plain = ~shift
     out, u, w = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.power(t, p, out=out, where=plain)
         np.divide(out, p, out=out, where=plain)
         np.divide(t, d, out=u, where=shift)
@@ -154,6 +159,11 @@ def _phi_closed(p, delta, t):
         np.subtract(w, u, out=w, where=shift)
         np.power(d, p, out=u, where=shift)
         np.multiply(u, w, out=out, where=shift)
+        lost = shift & ((u < np.finfo(float).tiny) | ~np.isfinite(w))
+        if lost.any():
+            dl, pl, ul = d[lost], p[lost], u[lost]
+            s = dl + t[lost]
+            out[lost] = s ** (pl - 1.0) * (s / pl - dl / (pl - 1.0)) + ul / (pl * (pl - 1.0))
     if out.ndim == 0:
         return float(out)
     return out

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from plapflow import orlicz, schemes
+from plapflow import assembly, orlicz, schemes
 from plapflow.cli import main
 from plapflow.config import KEYS, ConfigError, example_config, load_run_config
+from plapflow.mesh import FemFunction, interpolate_nodal
 from plapflow.schemes import AdmissibilityWarning
 
 MINIMAL = """\
@@ -153,6 +154,40 @@ class TestRunCommand:
         assert outputs[0] == outputs[1]
 
 
+    def test_run_evaluates_the_energy_once_per_iterate(self, tmp_path, monkeypatch):
+        calls = {"energy": 0, "norm_L2": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(assembly, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(assembly, name, counted)
+        cfg = write_config(tmp_path, MINIMAL, out=tmp_path / "out")
+        assert main(["run", cfg]) == 0
+        assert calls == {"energy": 10 + 1, "norm_L2": 0}
+
+    def test_csv_columns_are_the_norms_of_the_iterates(self, tmp_path):
+        cfg = write_config(tmp_path, IMPLICIT, out=tmp_path / "out")
+        assert main(["run", cfg]) == 0
+        setup = load_run_config(cfg)
+        sc = setup.scheme_config
+        traj = schemes.run_evolution(interpolate_nodal(setup.initial, sc.mesh), sc)
+        rows = (tmp_path / "out" / "run_trajectory.csv").read_text().splitlines()
+        assert rows[0] == "k,t_k,L2_norm,W1p_seminorm,energy_eps,dtau_L2,solver_iters,residual"
+        assert len(rows) == 1 + traj.K + 1
+        for k, row in enumerate(rows[1:]):
+            cols = row.split(",")
+            u = traj.iterates[k]
+            dtau = (0.0 if k == 0 else assembly.norm_L2(
+                FemFunction(sc.mesh, (u.coeffs - traj.iterates[k - 1].coeffs) / sc.tau)))
+            expect = [k * sc.tau, assembly.norm_L2(u), assembly.seminorm_W1p(u, sc.nf.p),
+                      assembly.energy(u, sc.nf, sc.eps, sc.kind), dtau]
+            assert int(cols[0]) == k
+            assert [float(c) for c in cols[1:6]] == expect
+            if k:
+                assert int(cols[6]) == traj.stats[k - 1].iterations
+                assert float(cols[7]) == traj.stats[k - 1].residual
+
+
 class TestStudyCommand:
     def test_coupled_study_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STUDY, out=tmp_path / "out", coupling="default")
@@ -164,6 +199,15 @@ class TestStudyCommand:
         assert payload["passed"] is True
         levels = (tmp_path / "out" / "study_levels.csv").read_text().splitlines()
         assert len(levels) == 1 + 3
+
+    def test_outputs_are_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, STUDY, out=tmp_path / "out", coupling="default")
+        outputs = []
+        for _ in range(2):
+            assert main(["study", cfg]) == 0
+            outputs.append([(tmp_path / "out" / f"study_{name}").read_bytes()
+                            for name in ("levels.csv", "cauchy.csv", "study.json")])
+        assert outputs[0] == outputs[1]
 
     def test_anti_coupled_study_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STUDY, out=tmp_path / "out", coupling="fixed-tau")

@@ -54,6 +54,19 @@ class TestPhiEval:
                       epsabs=1e-300, epsrel=1e-13)
         assert phi_eval(NFunctionPD(p, delta), t) == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [1.01, 1.2, 1.5, 1.8, 2.0])
+    def test_tiny_shift_is_the_pure_power(self, p):
+        # at delta/t <= 1e-100 phi(t) is t^p/p to double precision; the log1p
+        # form alone gave nan, inf or 0 there once delta fell below ~1e-100
+        for t in np.logspace(-100, 100, 21):
+            for ratio in (1e-100, 1e-150, 1e-200, 1e-300):
+                delta = ratio * t
+                if delta == 0.0:  # below the subnormal range
+                    continue
+                val = phi_eval(NFunctionPD(p, delta), t)
+                assert np.isfinite(val)
+                assert val == pytest.approx(t**p / p, rel=1e-12, abs=0.0), (t, delta)
+
     def test_domain_errors(self):
         nf = NFunctionPD(1.5)
         with pytest.raises(ValueError):
