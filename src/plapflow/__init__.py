@@ -8,7 +8,6 @@ from .mesh import (FemFunction, TriMesh, interpolate_nodal, prolong, refine_red,
 from .schemes import (SchemeConfig, SolverError, Trajectory,
                       first_kacanov_equals_semi_implicit, implicit_step,
                       interpolant_eval, run_evolution, semi_implicit_step)
-from .diagnostics import (StudyConfig, check_energy_ledgers, discrepancy_terms,
-                          discrepancy_total, run_study)
+from .diagnostics import StudyConfig, check_energy_ledgers, discrepancy_total, run_study
 
 __version__ = "0.1.0"

@@ -405,19 +405,21 @@ def weighted_mass(mesh, w, coeff):
     return midpoint_mass(mesh, lower_order.d_eval(coeff, values_at_midpoints(w)))
 
 
+def _source_at_midpoints(mesh, f, t):
+    """f(., t) at the edge midpoints per cell, (M, 3)."""
+    xq = midpoint_coords(mesh)
+    return np.broadcast_to(np.asarray(f(xq[..., 0], xq[..., 1], t), dtype=float), xq.shape[:2])
+
+
 def load_vector(mesh, f, t=0.0):
     """Load vector of an analytic source f(x, y, t), midpoint quadrature."""
-    xq = midpoint_coords(mesh)
-    fq = np.asarray(f(xq[..., 0], xq[..., 1], t), dtype=float)
-    fq = np.broadcast_to(fq, xq.shape[:2])
+    fq = _source_at_midpoints(mesh, f, t)
     return (_midpoint_operator(mesh).T @ ((mesh.areas / 3.0)[:, None] * fq).reshape(-1))[:-1]
 
 
 def quadrature_norm_sq(mesh, f, t=0.0):
     """||f(., t)||_L2^2 by the same midpoint rule the load vector uses."""
-    xq = midpoint_coords(mesh)
-    fq = np.asarray(f(xq[..., 0], xq[..., 1], t), dtype=float)
-    fq = np.broadcast_to(fq, xq.shape[:2])
+    fq = _source_at_midpoints(mesh, f, t)
     return float(np.sum((mesh.areas / 3.0)[:, None] * fq * fq))
 
 

@@ -27,7 +27,7 @@ control run guards against vacuously passing assertions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -174,52 +174,17 @@ def check_energy_ledgers(traj):
 # Discrepancy of the semi-implicit scheme
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiscrepancyRecord:
-    k: int
-    E_norm_L1: float
-    E_max_cell: float
-    E_bound_cell: float  # (2-p) eps^(p-1)
-    E_bound_L1: float    # same, scaled by |Omega|
-    alpha_eps: float
-
-    @property
-    def cell_bound_holds(self):
-        return self.E_max_cell <= self.E_bound_cell + 1e-10 * max(1.0, self.E_bound_cell)
-
-
 def _require_semi_quadratic(cfg):
     if cfg.scheme != SEMI_IMPLICIT:
-        raise ValueError("discrepancy terms are defined for semi-implicit trajectories")
+        raise ValueError("the discrepancy bounds are defined for semi-implicit trajectories")
     if cfg.kind != QUADRATIC_NORM:
-        raise ValueError("discrepancy terms require the quadratic-norm regularization")
+        raise ValueError("the discrepancy bounds require the quadratic-norm regularization")
 
 
 def _regularization_residual(p, eps, g):
-    """|E| = |S_0(g) - S_eps(g)| per cell, at the cell gradients g of an iterate."""
+    """|E| = |S_0(g) - S_eps(g)| per cell at the cell gradients g of an iterate, by
+    which a semi-implicit step misses the unregularized implicit equation."""
     return vnorm(op_S_eps(p, 0.0, g) - op_S_eps(p, eps, g))
-
-
-def discrepancy_terms(traj, k):
-    """The cellwise regularization residual E^k = S_0(grad u^k) - S_eps(grad u^k)
-    by which step k misses the unregularized implicit equation, with its
-    certified bounds."""
-    cfg = traj.config
-    _require_semi_quadratic(cfg)
-    if not 1 <= k <= traj.K:
-        raise ValueError(f"step index k = {k} outside 1..{traj.K}")
-    p, eps = cfg.nf.p, cfg.eps
-    area = cfg.mesh.areas
-    e_abs = _regularization_residual(p, eps, assembly.gradients(traj.iterates[k]))
-    bound_cell = (2.0 - p) * eps ** (p - 1.0)
-    return DiscrepancyRecord(
-        k=k,
-        E_norm_L1=float(np.sum(area * e_abs)),
-        E_max_cell=float(np.max(e_abs)),
-        E_bound_cell=bound_cell,
-        E_bound_L1=bound_cell * float(np.sum(area)),
-        alpha_eps=float(np.sqrt(cfg.tau * eps ** (p - 2.0))),
-    )
 
 
 def _dissipation_sum(tau, diss_dtau):
@@ -308,6 +273,9 @@ class StudyConfig:
                              f"got {self.control_levels}")
         if self.base.K < 1:
             raise ValueError("the base configuration must take at least one step")
+        if self.base.kind != QUADRATIC_NORM:
+            raise ValueError("a study bounds the discrepancy, which requires the "
+                             f"quadratic-norm regularization, got {self.base.kind!r}")
 
     def parameter_sequence(self):
         """(eps_n, K_n) for n = 0..levels-1 under the coupling rule."""
@@ -327,28 +295,39 @@ class StudyConfig:
 
 @dataclass
 class LevelResult:
+    """One level of a study, and the one definition of its columns.  A level
+    whose runs failed has its parameters and error, NaN measurements and empty
+    ledger reports."""
+
     n: int
     h: float
     eps: float
     tau: float
     K: int
-    linf_l2: float
-    lp_w1p: float
-    gap: float
-    discrepancy_total: float
-    e_cell_ratio: float
-    ledgers_semi: LedgerReport
-    ledgers_implicit: LedgerReport
+    linf_l2: float = np.nan
+    lp_w1p: float = np.nan
+    gap: float = np.nan
+    discrepancy_total: float = np.nan
+    e_cell_ratio: float = np.nan
+    ledgers_semi: LedgerReport = field(default_factory=lambda: LedgerReport([]))
+    ledgers_implicit: LedgerReport = field(default_factory=lambda: LedgerReport([]))
     error: str | None = None
 
     def to_dict(self):
-        return {"n": self.n, "h": self.h, "eps": self.eps, "tau": self.tau,
-                "K": self.K, "linf_l2": self.linf_l2, "lp_w1p": self.lp_w1p,
-                "gap": self.gap, "discrepancy_total": self.discrepancy_total,
-                "e_cell_ratio": self.e_cell_ratio,
-                "ledgers_semi": self.ledgers_semi.to_dict(),
-                "ledgers_implicit": self.ledgers_implicit.to_dict(),
-                "error": self.error}
+        """Every field, the ledger reports as their dicts: the level's study JSON entry."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_dict() if isinstance(value, LedgerReport) else value
+        return out
+
+    def table_row(self):
+        """The level's row of the level table, column -> value: the int and float
+        fields, then 'pass' or 'fail' over both ledgers, or 'none' if the level failed."""
+        row = {f.name: getattr(self, f.name) for f in fields(self) if f.type in ("int", "float")}
+        ok = self.ledgers_semi.passed and self.ledgers_implicit.passed
+        row["ledgers"] = "none" if self.error is not None else "pass" if ok else "fail"
+        return row
 
 
 @dataclass
@@ -384,7 +363,7 @@ def _cauchy_difference(coarse, fine, fine_mesh, p):
     linf = 0.0
     acc = 0.0
     for j in range(fine.K + 1):
-        uc = prolong(interpolant_eval(coarse, "constant", j * tau_f), fine_mesh)
+        uc = prolong(interpolant_eval(coarse, j * tau_f), fine_mesh)
         diff = FemFunction(fine_mesh, fine.iterates[j].coeffs - uc.coeffs)
         linf = max(linf, assembly.norm_L2(diff))
         if j >= 1:
@@ -416,11 +395,10 @@ def run_study(sc):
     for n in range(1, sc.levels):
         u0s.append(prolong(u0s[-1], meshes[n]))
 
-    params = sc.parameter_sequence()
     levels = []
     semis = []
     semi0_total = np.nan  # level 0's semi-implicit run is also the control run at m = 0
-    for n, (eps_n, K_n) in enumerate(params):
+    for n, (eps_n, K_n) in enumerate(sc.parameter_sequence()):
         cfg = replace(base, mesh=meshes[n], eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
         try:
             semi = run_evolution(u0s[n], cfg)
@@ -441,20 +419,15 @@ def run_study(sc):
                 ledgers_implicit=check_energy_ledgers(impl)))
             semis.append(semi)
         except SolverError as exc:
-            levels.append(LevelResult(
-                n=n, h=meshes[n].h, eps=eps_n, tau=base.T / K_n, K=K_n,
-                linf_l2=np.nan, lp_w1p=np.nan, gap=np.nan,
-                discrepancy_total=np.nan, e_cell_ratio=np.nan,
-                ledgers_semi=LedgerReport([]), ledgers_implicit=LedgerReport([]),
-                error=f"level {n}: {exc}"))
+            levels.append(LevelResult(n=n, h=meshes[n].h, eps=eps_n, tau=base.T / K_n, K=K_n,
+                                      error=f"level {n}: {exc}"))
             semis.append(None)
 
     cauchy = []
     for n in range(len(semis) - 1):
-        if semis[n] is None or semis[n + 1] is None:
-            cauchy.append({"linf_l2": np.nan, "lp_w1p": np.nan})
-            continue
-        linf, lp = _cauchy_difference(semis[n], semis[n + 1], meshes[n + 1], p)
+        linf = lp = np.nan
+        if semis[n] is not None and semis[n + 1] is not None:
+            linf, lp = _cauchy_difference(semis[n], semis[n + 1], meshes[n + 1], p)
         cauchy.append({"linf_l2": linf, "lp_w1p": lp})
 
     products = [lv.tau * float(base.nf.phi_prime2(lv.eps)) for lv in levels]
@@ -468,14 +441,13 @@ def run_study(sc):
         except SolverError:
             control_totals.append(np.nan)
 
-    ok = [lv.error is None for lv in levels]
+    ran = all(lv.error is None for lv in levels)
     assertions = {
-        "all-levels-ran": all(ok),
-        "cauchy-linf-l2-decreasing": _strictly_decreasing(
-            [c["linf_l2"] for c in cauchy]) if all(ok) else False,
-        "gap-decreasing": _strictly_decreasing([lv.gap for lv in levels]) if all(ok) else False,
-        "discrepancy-decreasing": _strictly_decreasing(
-            [lv.discrepancy_total for lv in levels]) if all(ok) else False,
+        "all-levels-ran": ran,
+        "cauchy-linf-l2-decreasing": ran and _strictly_decreasing([c["linf_l2"] for c in cauchy]),
+        "gap-decreasing": ran and _strictly_decreasing([lv.gap for lv in levels]),
+        "discrepancy-decreasing": ran and _strictly_decreasing(
+            [lv.discrepancy_total for lv in levels]),
         "e-cell-bound": all(lv.e_cell_ratio <= 1.0 + 1e-10 for lv in levels if lv.error is None),
         "ledgers": all(lv.ledgers_semi.passed and lv.ledgers_implicit.passed
                        for lv in levels if lv.error is None),

@@ -446,26 +446,13 @@ def run_evolution(u0, cfg):
     return Trajectory(cfg, iterates, stats)
 
 
-def interpolant_eval(traj, kind, t):
-    """Evaluate a time interpolant of the iterates at t in [0, T].
-
-    constant: u^k on (t_{k-1}, t_k];  affine: linear between the nodes;
-    lagged: u^{k-1} on (t_{k-1}, t_k].  At t = 0 all three give u^0.
-    """
+def interpolant_eval(traj, t):
+    """The piecewise-constant time interpolant of the iterates at t in [0, T]:
+    u^k on (t_{k-1}, t_k], and u^0 at t = 0."""
     cfg = traj.config
     if not -1e-12 <= t <= cfg.T * (1.0 + 1e-12) + 1e-300:
         raise ValueError(f"t = {t} outside [0, {cfg.T}]")
-    if kind not in ("constant", "affine", "lagged"):
-        raise ValueError(f"unknown interpolant kind {kind!r}")
     if traj.K == 0 or t <= 0.0:
         return traj.iterates[0].copy()
-    tau = cfg.tau
-    k = int(np.ceil(t / tau - 1e-12))
-    k = min(max(k, 1), traj.K)
-    if kind == "constant":
-        return traj.iterates[k].copy()
-    if kind == "lagged":
-        return traj.iterates[k - 1].copy()
-    theta = t / tau - (k - 1)
-    coeffs = theta * traj.iterates[k].coeffs + (1.0 - theta) * traj.iterates[k - 1].coeffs
-    return FemFunction(cfg.mesh, coeffs)
+    k = int(np.ceil(t / cfg.tau - 1e-12))
+    return traj.iterates[min(max(k, 1), traj.K)].copy()

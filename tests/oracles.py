@@ -18,13 +18,6 @@ import numpy as np
 from plapflow import assembly, diagnostics, lower_order, orlicz
 from plapflow.orlicz import CheckResult
 
-# 5-point Gauss-Legendre nodes/weights on [-1, 1]
-GAUSS5_X = np.array([-0.906179845938664, -0.538469310105683, 0.0,
-                     0.538469310105683, 0.906179845938664])
-GAUSS5_W = np.array([0.236926885056189, 0.478628670499366, 0.568888888888889,
-                     0.478628670499366, 0.236926885056189])
-
-
 def dense_mass(nodes, cells):
     n = len(nodes)
     M = np.zeros((n, n))
@@ -81,12 +74,6 @@ def heat_backward_euler(nodes, cells, boundary_node, u0_full, tau, n_steps):
         full[free] = u
         out.append(full)
     return out
-
-
-def gauss5_time_integral(f, a, b):
-    """Integral of a scalar function over [a, b] with 5-point Gauss."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(GAUSS5_X, GAUSS5_W))
 
 
 def unit_square_cells(n):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plapflow import assembly, orlicz, schemes
+from plapflow import assembly, diagnostics, orlicz, schemes
 from plapflow.cli import main
 from plapflow.config import KEYS, ConfigError, example_config, load_run_config
 from plapflow.mesh import FemFunction, interpolate_nodal
@@ -106,6 +106,14 @@ class TestRunCommand:
                            out=tmp_path / "out")
         assert main(["run", cfg]) == 1
         assert "eps" in capsys.readouterr().err
+
+    def test_solver_failure_exits_1(self, tmp_path, capsys):
+        # one Kacanov sweep cannot reach tol-res
+        cfg = write_config(tmp_path, IMPLICIT + "\n[solver]\nmax-iter = 1\n",
+                           out=tmp_path / "out")
+        assert main(["run", cfg]) == 1
+        assert capsys.readouterr().err.startswith("solver failure: implicit step 1 ")
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
@@ -209,6 +217,30 @@ class TestStudyCommand:
                             for name in ("levels.csv", "cauchy.csv", "study.json")])
         assert outputs[0] == outputs[1]
 
+    def test_failed_levels_write_no_ledger_verdict(self, tmp_path, capsys):
+        # one Kacanov sweep cannot reach tol-res, so every level fails
+        cfg = write_config(tmp_path, STUDY + "\n[solver]\nmax-iter = 1\n",
+                           out=tmp_path / "out", coupling="default")
+        assert main(["study", cfg]) == 2
+        assert "FAIL  all-levels-ran" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "study_levels.csv").read_text().splitlines()
+        assert rows[0] == "n,h,eps,tau,K,linf_l2,lp_w1p,gap,discrepancy_total,e_cell_ratio,ledgers"
+        assert len(rows) == 1 + 3
+        for row in rows[1:]:
+            assert row.split(",")[5:] == ["nan"] * 5 + ["none"]
+
+    def test_unauditable_study_stops_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(diagnostics, "run_evolution", lambda *args: calls.append(args))
+        text = STUDY.replace("regularization = quadratic-norm", "regularization = additive-shift")
+        cfg = write_config(tmp_path, text, out=tmp_path / "out", coupling="default")
+        assert main(["study", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [study] a study bounds the discrepancy, which requires the "
+            "quadratic-norm regularization, got 'additive-shift'\n")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_anti_coupled_study_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STUDY, out=tmp_path / "out", coupling="fixed-tau")
         assert main(["study", cfg]) == 2
@@ -287,6 +319,15 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="^" + re.escape(message)) as info:
             load_run_config(cfg)
         assert str(info.value).count("[lower-order]") == 1
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("n = 4", "n = 0", "[run] n must be >= 1"),
+        ("n = 4", "n = 4\nrefine = -1", "[run] refine must be >= 0"),
+    ])
+    def test_mesh_size_errors(self, tmp_path, old, new, message):
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new), out=tmp_path / "out")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            load_run_config(cfg)
 
     def test_unknown_regularization_names_run_once(self, tmp_path):
         text = MINIMAL.replace("regularization = quadratic-norm", "regularization = cubic")

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, settings, strategies as st
 
 from plapflow import assembly, diagnostics, fields
 from plapflow.config import example_config, load_run_config
-from plapflow.diagnostics import (StudyConfig, cell_bound_satisfied,
-                                  check_energy_ledgers, discrepancy_terms,
-                                  discrepancy_total, heat_exact,
+from plapflow.diagnostics import (LevelResult, StudyConfig, cell_bound_satisfied,
+                                  check_energy_ledgers, discrepancy_total, heat_exact,
                                   heat_manufactured_error, heat_run_error,
                                   lagged_dissipation_sum, run_study)
-from plapflow.lower_order import LowerOrderCoeff
+from plapflow.lower_order import LowerOrderCoeff, admissibility
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, S_EPS_LIPSCHITZ_MAX
 from plapflow.schemes import SchemeConfig, Trajectory, run_evolution
@@ -80,58 +80,83 @@ class TestLedgers:
         rep = check_energy_ledgers(run_evolution(FemFunction.zeros(mesh4), cfg))
         assert rep.passed and rep.entries == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(["semi-implicit", "implicit"]),
+           kind=st.sampled_from([QUADRATIC_NORM, ADDITIVE_SHIFT]),
+           p=st.floats(1.0, 2.0, exclude_min=True), eps=st.floats(1e-3, 0.9),
+           tau=st.floats(1e-3, 0.5), K=st.integers(1, 4), n=st.integers(1, 8),
+           initial=st.sampled_from(["sin-product", "bilinear", "random"]),
+           amplitude=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1),
+           source=st.sampled_from(["zero", "sin-product", "bump", "bilinear"]),
+           lower=st.sampled_from(["zero", "power", "shifted-power"]))
+    def test_random_runs_pass_every_ledger(self, data, scheme, kind, p, eps, tau, K, n,
+                                           initial, amplitude, seed, source, lower):
+        if lower == "zero":
+            coeff = LowerOrderCoeff.zero()
+        else:
+            # r anywhere in the scheme's admissible interval, c7 tau <= 0.95
+            r_max = 2.0 * p if scheme == "implicit" else p + 1.0
+            assume(r_max > 2.0)  # no double lies in (2, r_max] when p is within an ulp of 1
+            r = data.draw(st.floats(2.0, r_max, exclude_min=True,
+                                    exclude_max=scheme == "semi-implicit" and p == 2.0), "r")
+            coeff = (LowerOrderCoeff.power(r) if lower == "power" else
+                     LowerOrderCoeff.shifted_power(r, data.draw(st.floats(-1.0, 1.9), "c")))
+        assert admissibility(coeff, p, scheme)
+        delta = 0.0 if kind == QUADRATIC_NORM else data.draw(st.floats(0.0, 1.0), "delta")
+        mesh = unit_square_mesh(n)
+        cfg = make_cfg(mesh, scheme=scheme, kind=kind, nf=NFunctionPD(p, delta), eps=eps,
+                       K=K, T=K * tau, coeff=coeff, source=fields.make_source(
+                           source, decay=data.draw(st.floats(0.0, 2.0), "decay"),
+                           amplitude=data.draw(st.floats(-3.0, 3.0), "source amplitude")))
+        if initial == "random":
+            u0 = random_u(mesh, np.random.default_rng(seed), scale=amplitude)
+        else:
+            u0 = interpolate_nodal(fields.make_field(initial, amplitude), mesh)
+        rep = check_energy_ledgers(run_evolution(u0, cfg))
+        assert rep.passed, [e.to_dict() for e in rep.entries]
+
 
 class TestDiscrepancy:
     def test_p2_both_fields_vanish(self, mesh8, rng):
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0))
         traj = run_evolution(random_u(mesh8, rng), cfg)
-        rec = discrepancy_terms(traj, 1)
-        assert rec.E_norm_L1 == pytest.approx(0.0, abs=1e-14)
-        assert rec.E_max_cell == pytest.approx(0.0, abs=1e-14)
-        assert rec.E_bound_cell == 0.0
-        assert rec.cell_bound_holds
+        for u in traj.iterates[1:]:
+            e_abs = diagnostics._regularization_residual(2.0, cfg.eps, assembly.gradients(u))
+            assert np.max(e_abs) == pytest.approx(0.0, abs=1e-14)
+        assert cell_bound_satisfied(traj) == 0.0
 
     def test_steady_state_lag_field_vanishes(self, mesh8, rng):
         cfg = make_cfg(mesh8, K=2, T=0.02)
         u = random_u(mesh8, rng)
         steady = Trajectory(cfg, [u, u.copy(), u.copy()], [])
-        rec = discrepancy_terms(steady, 1)
-        assert rec.cell_bound_holds
+        assert cell_bound_satisfied(steady) <= 1.0 + 1e-10
 
     def test_cell_bound_scalar_oracle(self, mesh8, rng):
         # per-cell |E| = |S_0(g) - S_eps(g)| <= (2-p) eps^(p-1), recomputed
-        # cell by cell from scalar gradient data
+        # cell by cell from scalar gradient data of every step
         cfg = make_cfg(mesh8, eps=0.2)
         traj = run_evolution(random_u(mesh8, rng), cfg)
-        rec = discrepancy_terms(traj, 1)
-        g = assembly.gradients(traj.iterates[1])
         p, eps = cfg.nf.p, cfg.eps
         worst = 0.0
-        for gx, gy in g:
-            r2 = gx * gx + gy * gy
-            s0 = np.array([gx, gy]) * r2 ** ((p - 2.0) / 2.0) if r2 > 0 else np.zeros(2)
-            se = np.array([gx, gy]) * (r2 + eps * eps) ** ((p - 2.0) / 2.0)
-            worst = max(worst, float(np.hypot(*(s0 - se))))
-        assert rec.E_max_cell == pytest.approx(worst, rel=1e-12)
-        assert worst <= (2.0 - p) * eps ** (p - 1.0) + 1e-12
-        assert rec.E_bound_L1 == pytest.approx(rec.E_bound_cell * 1.0, rel=1e-13)
+        for u in traj.iterates[1:]:
+            for gx, gy in assembly.gradients(u):
+                r2 = gx * gx + gy * gy
+                s0 = np.array([gx, gy]) * r2 ** ((p - 2.0) / 2.0) if r2 > 0 else np.zeros(2)
+                se = np.array([gx, gy]) * (r2 + eps * eps) ** ((p - 2.0) / 2.0)
+                worst = max(worst, float(np.hypot(*(s0 - se))))
+        bound = (2.0 - p) * eps ** (p - 1.0)
+        assert cell_bound_satisfied(traj) == pytest.approx(worst / bound, rel=1e-12)
+        assert worst <= bound + 1e-12
 
     def test_requires_semi_implicit_quadratic_norm(self, mesh4, rng):
         impl = make_cfg(mesh4, scheme="implicit")
         traj = run_evolution(random_u(mesh4, rng), impl)
         with pytest.raises(ValueError, match="semi-implicit"):
-            discrepancy_terms(traj, 1)
+            cell_bound_satisfied(traj)
         shift = make_cfg(mesh4, kind=ADDITIVE_SHIFT)
         traj = run_evolution(random_u(mesh4, rng), shift)
         with pytest.raises(ValueError, match="quadratic-norm"):
             discrepancy_total(traj)
-
-    def test_step_index_validated(self, mesh4, rng):
-        traj = run_evolution(random_u(mesh4, rng), make_cfg(mesh4))
-        with pytest.raises(ValueError):
-            discrepancy_terms(traj, 0)
-        with pytest.raises(ValueError):
-            discrepancy_terms(traj, traj.K + 1)
 
 
 class TestDiscrepancyTotal:
@@ -152,8 +177,7 @@ class TestDiscrepancyTotal:
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), K=4, T=0.04)
         traj = run_evolution(random_u(mesh8, rng), cfg)
         total = discrepancy_total(traj)
-        rec = discrepancy_terms(traj, 1)
-        assert rec.E_bound_cell == 0.0
+        assert cell_bound_satisfied(traj) == 0.0
         alpha = np.sqrt(cfg.tau)
         tail = cfg.tau / (2.0 * alpha)
         assert tail == pytest.approx(np.sqrt(cfg.tau) / 2.0, rel=1e-14)
@@ -202,6 +226,19 @@ class TestStudy:
             assert lv.error is None
             assert np.isfinite(lv.gap) and np.isfinite(lv.discrepancy_total)
             assert lv.ledgers_semi.passed and lv.ledgers_implicit.passed
+            assert lv.table_row()["ledgers"] == "pass"
+
+    def test_level_columns_are_the_fields(self, small_report):
+        lv = small_report.levels[0]
+        assert list(lv.table_row()) == [
+            "n", "h", "eps", "tau", "K", "linf_l2", "lp_w1p", "gap", "discrepancy_total",
+            "e_cell_ratio", "ledgers"]
+        assert lv.to_dict() == {
+            "n": lv.n, "h": lv.h, "eps": lv.eps, "tau": lv.tau, "K": lv.K,
+            "linf_l2": lv.linf_l2, "lp_w1p": lv.lp_w1p, "gap": lv.gap,
+            "discrepancy_total": lv.discrepancy_total, "e_cell_ratio": lv.e_cell_ratio,
+            "ledgers_semi": lv.ledgers_semi.to_dict(),
+            "ledgers_implicit": lv.ledgers_implicit.to_dict(), "error": None}
 
     def test_parameters_follow_the_rule(self, small_report):
         eps = [lv.eps for lv in small_report.levels]
@@ -237,6 +274,13 @@ class TestStudy:
         with pytest.raises(ValueError):
             StudyConfig(base=base, initial=fields.make_field("zero"),
                         coupling="sideways")
+
+    def test_study_requires_the_quadratic_norm(self):
+        base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2,
+                            kind=ADDITIVE_SHIFT)
+        with pytest.raises(ValueError, match="requires the quadratic-norm regularization, "
+                                             "got 'additive-shift'$"):
+            StudyConfig(base=base, initial=fields.make_field("sin-product"))
 
     @pytest.mark.parametrize("control_levels", [0, 1])
     def test_negative_control_needs_two_levels(self, control_levels):
@@ -274,6 +318,20 @@ def test_failed_level_names_level_step_and_parameters():
         assert lv.error.startswith(f"level {lv.n}: implicit step 1 ")
         assert f"p = 1.5, eps = {lv.eps:g}, tau = {lv.tau:g}" in lv.error
         assert "Kacanov iteration did not reach" in lv.error
+        # no ledger ran, so the level claims neither pass nor fail
+        assert lv.table_row()["ledgers"] == "none"
+
+
+def test_failed_level_is_its_parameters_and_error():
+    lv = LevelResult(n=1, h=0.5, eps=0.25, tau=0.1, K=2, error="level 1: failed")
+    row = lv.table_row()
+    assert [row[k] for k in ("n", "h", "eps", "tau", "K")] == [1, 0.5, 0.25, 0.1, 2]
+    assert all(np.isnan(row[k]) for k in ("linf_l2", "lp_w1p", "gap", "discrepancy_total",
+                                          "e_cell_ratio"))
+    assert row["ledgers"] == "none"
+    assert lv.to_dict()["ledgers_semi"] == lv.to_dict()["ledgers_implicit"] == {
+        "passed": True, "entries": []}
+    assert lv.ledgers_semi is not lv.ledgers_implicit
 
 
 def test_level_0_semi_run_is_the_first_control_run(monkeypatch):

@@ -367,49 +367,19 @@ class TestInterpolants:
     def test_nodes_agree(self, traj):
         tau = traj.config.tau
         for k in range(traj.K + 1):
-            for kind in ("constant", "affine"):
-                u = interpolant_eval(traj, kind, k * tau)
-                np.testing.assert_allclose(u.coeffs, traj.iterates[k].coeffs,
-                                           atol=1e-13)
+            u = interpolant_eval(traj, k * tau)
+            np.testing.assert_allclose(u.coeffs, traj.iterates[k].coeffs, atol=1e-13)
 
-    def test_affine_midpoint(self, traj):
+    def test_constant_between_nodes(self, traj):
+        # u^k on (t_{k-1}, t_k]
         tau = traj.config.tau
-        u = interpolant_eval(traj, "affine", 1.5 * tau)
-        expect = 0.5 * (traj.iterates[1].coeffs + traj.iterates[2].coeffs)
-        np.testing.assert_allclose(u.coeffs, expect, atol=1e-14)
-
-    def test_lagged(self, traj):
-        tau = traj.config.tau
-        u = interpolant_eval(traj, "lagged", 2.5 * tau)
-        np.testing.assert_array_equal(u.coeffs, traj.iterates[2].coeffs)
-        u0 = interpolant_eval(traj, "lagged", 0.0)
-        np.testing.assert_array_equal(u0.coeffs, traj.iterates[0].coeffs)
+        u = interpolant_eval(traj, 2.5 * tau)
+        np.testing.assert_array_equal(u.coeffs, traj.iterates[3].coeffs)
+        u = interpolant_eval(traj, 0.5 * tau)
+        np.testing.assert_array_equal(u.coeffs, traj.iterates[1].coeffs)
 
     def test_outside_domain_rejected(self, traj):
         with pytest.raises(ValueError):
-            interpolant_eval(traj, "constant", -0.1)
+            interpolant_eval(traj, -0.1)
         with pytest.raises(ValueError):
-            interpolant_eval(traj, "constant", traj.config.T + 0.1)
-        with pytest.raises(ValueError):
-            interpolant_eval(traj, "staircase", 0.1)
-
-    def test_constant_affine_gap_formula(self, traj):
-        # ||affine - constant||^2_{L2(0,T;L2)} = (tau^2/3) sum_k tau ||d u^k||^2,
-        # cross-checked by 5-point Gauss quadrature per interval
-        cfg = traj.config
-        tau = cfg.tau
-        m = assembly.mass_matrix(cfg.mesh)
-        formula = 0.0
-        for k in range(1, traj.K + 1):
-            d = (traj.iterates[k].coeffs - traj.iterates[k - 1].coeffs) / tau
-            formula += tau**3 / 3.0 * float(d @ (m @ d))
-
-        def gap_sq(t):
-            a = interpolant_eval(traj, "affine", t)
-            c = interpolant_eval(traj, "constant", t)
-            diff = a.coeffs - c.coeffs
-            return float(diff @ (m @ diff))
-
-        quad = sum(oracles.gauss5_time_integral(gap_sq, (k - 1) * tau, k * tau)
-                   for k in range(1, traj.K + 1))
-        assert quad == pytest.approx(formula, rel=1e-10)
+            interpolant_eval(traj, traj.config.T + 0.1)
