@@ -55,7 +55,8 @@ kind = zero                   ; zero | power | shifted-power
 [solver]
 ; linear solves: SuperLU LU on a nested-dissection ordering cached per mesh;
 ; from 289 unknowns on, CG preconditioned with the last LU, refactoring when
-; CG needs more than 8 iterations or fails
+; CG needs more than 8 iterations or fails; on refined meshes of 10000
+; unknowns or more, CG preconditioned with a multigrid V-cycle instead
 ; kacanov is Anderson-accelerated at depth 3; its first sweep is the
 ; semi-implicit step
 nonlinear = kacanov           ; kacanov | newton

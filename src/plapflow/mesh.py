@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 BOUNDARY_TOL = 1e-12
 
@@ -207,6 +208,35 @@ def refine_red(m):
                    midpoint_edges=midpoint_edges)
 
 
+def prolongation(target):
+    """The prolongation of the red-refined mesh target: the sparse matrix that
+    maps the interior coefficients of a P1 function on target.parent to those
+    of the same function on target, cached in target._cache.
+
+    Row i holds 1 at the parent's interior node if child node i is one, and
+    0.5 at each interior end of its parent edge if it is a midpoint; boundary
+    ends carry the value 0 and get no entry.  Both weights are powers of two,
+    so P @ u agrees bit for bit with the edge average 0.5 (u_a + u_b).
+    """
+    key = "prolongation"
+    if key not in target._cache:
+        parent = target.parent
+        column = np.full(parent.n_nodes, -1, dtype=np.int64)
+        column[parent.interior] = np.arange(parent.n_interior)
+        row = np.full(target.n_nodes, -1, dtype=np.int64)
+        row[target.interior] = np.arange(target.n_interior)
+        mids = target.midpoint_edges
+        rows = np.concatenate([row[target.parent_map],
+                               np.repeat(row[parent.n_nodes:], 2)])
+        cols = np.concatenate([column, column[mids].ravel()])
+        vals = np.concatenate([np.ones(parent.n_nodes), np.full(mids.size, 0.5)])
+        keep = (rows >= 0) & (cols >= 0)
+        P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                          shape=(target.n_interior, parent.n_interior))
+        target._cache[key] = P
+    return target._cache[key]
+
+
 def prolong(u, target):
     """Exact injection of a P1 function into the red-refined mesh.
 
@@ -215,12 +245,7 @@ def prolong(u, target):
     """
     if target.parent is not u.mesh:
         raise ValueError("target mesh is not the red refinement of the source mesh")
-    full = u.full_values()
-    child = np.empty(target.n_nodes)
-    child[target.parent_map] = full
-    mids = target.midpoint_edges
-    child[u.mesh.n_nodes:] = 0.5 * (full[mids[:, 0]] + full[mids[:, 1]])
-    return FemFunction.from_full(target, child)
+    return FemFunction(target, prolongation(target) @ u.coeffs)
 
 
 def interpolate_nodal(expr, m):

@@ -4,8 +4,9 @@ The finite element oracles share no code with the package: assembly is dense
 with explicit Python loops and analytic element formulas, systems are solved
 with numpy.linalg.solve.  Deliberately slow and simple.
 
-The einsum/bincount kernels at the end sum exactly as the package's cached
-sparse operators do, and pin that those change no bit.
+The einsum/bincount kernels and the midpoint prolongation at the end sum
+exactly as the package's cached sparse operators do, and pin that those
+change no bit.
 
 The lemma certification and energy ledger oracles are the package's earlier
 versions on its own kernels: every check on arrays of all samples at once,
@@ -439,3 +440,15 @@ def einsum_gradients(u):
     full = u.full_values()
     grads = np.ascontiguousarray(u.mesh.hat_gradients())
     return np.einsum("mi,mid->md", full[u.mesh.cells], grads)
+
+
+def midpoint_prolong(u, target):
+    """Interior coefficients on the red refinement target of the P1 function u:
+    parent nodes keep their values and each midpoint takes the average
+    0.5 (u_a + u_b) of its edge's ends, boundary ends counting as 0."""
+    full = u.full_values()
+    child = np.empty(target.n_nodes)
+    child[target.parent_map] = full
+    mids = target.midpoint_edges
+    child[u.mesh.n_nodes:] = 0.5 * (full[mids[:, 0]] + full[mids[:, 1]])
+    return child[target.interior]

@@ -227,7 +227,25 @@ class TestStudyCommand:
         assert rows[0] == "n,h,eps,tau,K,linf_l2,lp_w1p,gap,discrepancy_total,e_cell_ratio,ledgers"
         assert len(rows) == 1 + 3
         for row in rows[1:]:
-            assert row.split(",")[5:] == ["nan"] * 5 + ["none"]
+            # the semi-implicit runs finished and keep their columns; the gap needs both
+            cells = row.split(",")[5:]
+            assert cells[2] == "nan" and cells[5] == "none"
+            assert all(np.isfinite(float(c)) for c in cells[:2] + cells[3:5])
+
+    def test_example_study_that_ran_no_level_fails_every_level_assertion(self, tmp_path, capsys):
+        # one Kacanov sweep cannot reach tol-res, so no level ran and neither
+        # the e-cell bound nor the ledgers hold over all levels
+        text = example_config()
+        assert "\nmax-iter = 60\n" in text and "\ndirectory = out\n" in text
+        text = text.replace("\nmax-iter = 60\n", "\nmax-iter = 1\n")
+        text = text.replace("\ndirectory = out\n", f"\ndirectory = {tmp_path / 'out'}\n")
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main(["study", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  all-levels-ran" in out
+        assert "FAIL  e-cell-bound" in out
+        assert "FAIL  ledgers" in out
 
     def test_unauditable_study_stops_before_any_run(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -318,8 +318,27 @@ def test_failed_level_names_level_step_and_parameters():
         assert lv.error.startswith(f"level {lv.n}: implicit step 1 ")
         assert f"p = 1.5, eps = {lv.eps:g}, tau = {lv.tau:g}" in lv.error
         assert "Kacanov iteration did not reach" in lv.error
-        # no ledger ran, so the level claims neither pass nor fail
+        # the implicit ledger did not run, so the level claims neither pass nor fail
         assert lv.table_row()["ledgers"] == "none"
+
+
+def test_failed_implicit_run_keeps_the_semi_implicit_measurements(small_report):
+    # max-iter = 1 fails every implicit run but not the semi-implicit runs,
+    # which are the same runs as in a study that passes
+    base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2,
+                        kind=QUADRATIC_NORM, max_iter=1)
+    rep = run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"),
+                                levels=3, control_levels=4))
+    for lv, ok in zip(rep.levels, small_report.levels):
+        assert lv.error.startswith(f"level {lv.n}: implicit step 1 ")
+        for name in ("linf_l2", "lp_w1p", "discrepancy_total", "e_cell_ratio"):
+            assert np.isfinite(getattr(lv, name))
+            assert getattr(lv, name) == getattr(ok, name)
+        assert lv.ledgers_semi.to_dict() == ok.ledgers_semi.to_dict()
+        assert lv.ledgers_semi.entries and lv.ledgers_semi.passed
+        assert np.isnan(lv.gap) and lv.ledgers_implicit.entries == []
+    assert rep.cauchy == small_report.cauchy
+    assert all(np.isfinite(c["linf_l2"]) and np.isfinite(c["lp_w1p"]) for c in rep.cauchy)
 
 
 def test_failed_level_is_its_parameters_and_error():

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from plapflow import assembly, lower_order, schemes
 from plapflow.lower_order import LowerOrderCoeff
-from plapflow.mesh import FemFunction, TriMesh, refine_red, unit_square_mesh
+from plapflow.mesh import (FemFunction, TriMesh, prolong, prolongation, refine_red,
+                           unit_square_mesh)
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
 from plapflow.schemes import SchemeConfig, SolverError
 
@@ -257,3 +258,90 @@ class TestFactorReuse:
             with pytest.raises(SolverError, match="^direct factorization failed"):
                 solve(TestSolveSpd.singular(m), b)
         assert (calls.splu, calls.cg) == (2, 1)
+
+
+@pytest.fixture(scope="module")
+def refined():
+    """unit_square_mesh(4) red-refined twice: 225 unknowns over a hierarchy of 9 and 49."""
+    return refine_red(refine_red(unit_square_mesh(4)))
+
+
+def evolve_multigrid(u0, cfg, monkeypatch, mg_dofs):
+    """run_evolution with MG_DOFS set and factoring every other system, and the
+    solver calls it made."""
+    monkeypatch.setattr(schemes, "MG_DOFS", mg_dofs)
+    return evolve(u0, cfg, monkeypatch, cfg.mesh.n_interior + 1)
+
+
+class TestMultigrid:
+    """MG_DOFS = 0 sends the systems of a refined mesh through the V-cycle."""
+
+    @pytest.mark.parametrize("case", list(TestFactorReuse.CASES))
+    def test_iterates_match_factoring_every_solve(self, refined, monkeypatch, case):
+        cfg = make_cfg(refined, K=5, T=0.05, **TestFactorReuse.CASES[case])
+        u0 = FemFunction(refined, np.random.default_rng(2).uniform(-1, 1, refined.n_interior))
+        fresh, fresh_calls = evolve_multigrid(u0, cfg, monkeypatch, refined.n_interior + 1)
+        multigrid, calls = evolve_multigrid(u0, cfg, monkeypatch, 0)
+        assert fresh_calls.cg == 0
+        assert [st.iterations for st in multigrid.stats] == [st.iterations for st in fresh.stats]
+        for a, b in zip(multigrid.iterates[1:], fresh.iterates[1:]):
+            diff = assembly.norm_L2(FemFunction(refined, a.coeffs - b.coeffs))
+            assert diff <= 1e-12 * assembly.norm_L2(b)
+        # one factorization of the coarsest operator and one CG call per solve
+        solves = sum(st.iterations for st in multigrid.stats)
+        assert fresh_calls.splu == calls.splu == calls.cg == solves
+
+    def test_coarsest_factor_is_of_the_root_mesh(self, refined, monkeypatch):
+        monkeypatch.setattr(schemes, "MG_DOFS", 0)
+        sizes = []
+        factor = schemes._SpdSolver._factor
+        monkeypatch.setattr(schemes._SpdSolver, "_factor",
+                            lambda self, B: sizes.append(B.shape) or factor(self, B))
+        cfg = make_cfg(refined)
+        b = np.random.default_rng(5).standard_normal(refined.n_interior)
+        A = schemes._system_matrix(FemFunction.zeros(refined), cfg)
+        x = schemes._SpdSolver(cfg)(A, b)
+        assert sizes == [(9, 9)]
+        ref = spla.spsolve(A.tocsc(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_failed_cg_factors_the_fine_system(self, refined, monkeypatch):
+        monkeypatch.setattr(schemes, "_CG_MAXITER", 1)
+        cfg = make_cfg(refined, K=3, T=0.03, coeff=LOWER)
+        u0 = FemFunction(refined, np.random.default_rng(7).uniform(-1, 1, refined.n_interior))
+        fresh, _ = evolve_multigrid(u0, cfg, monkeypatch, refined.n_interior + 1)
+        capped, calls = evolve_multigrid(u0, cfg, monkeypatch, 0)
+        # the first solve factors the root and, after one CG iteration, its own
+        # system; the run then factors every system
+        assert (calls.splu, calls.cg) == (2 + 2, 1)
+        for a, b in zip(capped.iterates[1:], fresh.iterates[1:]):
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+    def test_mesh_without_parent_never_takes_the_multigrid_path(self, monkeypatch):
+        m = unit_square_mesh(16)
+        cfg = make_cfg(m, K=3, T=0.03)
+        assert schemes._SpdSolver(cfg).hierarchy == []
+        u0 = FemFunction(m, np.random.default_rng(8).uniform(-1, 1, m.n_interior))
+        _, calls = evolve_multigrid(u0, cfg, monkeypatch, 0)
+        assert (calls.splu, calls.cg) == (3, 0)
+
+    def test_hierarchy_stops_at_the_last_mesh_with_unknowns(self):
+        m = refine_red(refine_red(unit_square_mesh(1)))
+        hierarchy = schemes._hierarchy(m)
+        assert [parent.n_interior for _, _, parent in hierarchy] == [1]
+        assert schemes._hierarchy(m.parent.parent) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), depth=st.integers(1, 3), jitter=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_prolongation_is_the_midpoint_average_to_the_bit(self, n, depth, jitter, seed):
+        rng = np.random.default_rng(seed)
+        m = jittered(n, 0, seed) if jitter else unit_square_mesh(n)
+        for _ in range(depth):
+            child = refine_red(m)
+            u = FemFunction(m, rng.uniform(-1, 1, m.n_interior) * 10.0 ** rng.integers(-8, 9))
+            P = prolongation(child)
+            assert P is prolongation(child)
+            assert (P @ u.coeffs).tobytes() == oracles.midpoint_prolong(u, child).tobytes()
+            assert prolong(u, child).coeffs.tobytes() == (P @ u.coeffs).tobytes()
+            m = child
