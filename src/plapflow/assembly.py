@@ -423,15 +423,17 @@ def quadrature_norm_sq(mesh, f, t=0.0):
     return float(np.sum((mesh.areas / 3.0)[:, None] * fq * fq))
 
 
-def energy(u, nf, eps, kind):
+def energy(u, nf, eps, kind, grads=None):
     """Regularized gradient energy, exact cellwise.
 
     quadratic-norm: (1/p) sum area (|grad u|^2 + eps^2)^(p/2)
     additive-shift: sum area phi_eps(|grad u|)
+
+    grads, if given, are u's cell gradients, gradients(u), already computed.
     """
     if kind not in REGULARIZATION_KINDS:
         raise ValueError(f"unknown regularization kind {kind!r}")
-    gn = vnorm(gradients(u))
+    gn = vnorm(gradients(u) if grads is None else grads)
     if kind == QUADRATIC_NORM:
         if nf.delta != 0.0:
             raise ValueError("quadratic-norm regularization requires delta = 0")
@@ -447,9 +449,9 @@ def norm_L2(u):
     return float(np.sqrt(u.coeffs @ (m @ u.coeffs)))
 
 
-def seminorm_W1p(u, p):
-    """Exact W^{1,p} seminorm: (sum area |grad u|^p)^(1/p)."""
-    gn = vnorm(gradients(u))
+def seminorm_W1p(u, p, grads=None):
+    """Exact W^{1,p} seminorm: (sum area |grad u|^p)^(1/p); grads as for energy."""
+    gn = vnorm(gradients(u) if grads is None else grads)
     return float(np.sum(u.mesh.areas * gn**p) ** (1.0 / p))
 
 

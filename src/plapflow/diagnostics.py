@@ -89,7 +89,9 @@ class LedgerReport:
 
 def _walk(traj):
     """The columns of traj in one pass over its iterates, with the cell
-    gradients and diffusion weights of two iterates live at a time."""
+    gradients and diffusion weights of two iterates live at a time.  Each
+    iterate's gradients are evaluated once and shared by its energy,
+    seminorm and dissipation terms."""
     cfg = traj.config
     K, mesh = traj.K, cfg.mesh
     areas = mesh.areas
@@ -99,10 +101,10 @@ def _walk(traj):
     us = traj.iterates
     prev = None
     for k, u in enumerate(us):
-        cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind)
-        cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
-        cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p)
         g = assembly.gradients(u)
+        cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind, g)
+        cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
+        cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p, g)
         w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
         if k:
             i, tau = k - 1, cfg.tau

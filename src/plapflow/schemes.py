@@ -27,7 +27,10 @@ regimes fixed by the mesh:
   preconditioned with a multigrid V-cycle on the refinement hierarchy,
   rebuilt for every system, and factors nothing larger than the coarsest
   mesh; a solve that fails factors its system, and the run continues in
-  the kept-factor regime.
+  the kept-factor regime.  The V-cycle's operators live for one solve: the
+  cycle is a module function bound to them, not a closure that calls
+  itself, so no reference cycle keeps them alive until the garbage
+  collector runs (on a 65k-unknown mesh that held 6.4 MB more per step).
 
 MG_DOFS sits at the measured crossover of the last two: on 10-step runs the
 V-cycle was faster for the semi-implicit scheme from 3969 unknowns on, and
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,27 +248,35 @@ class _SpdSolver:
         nested-dissection ordering.  Each level smooths once before and once
         after its coarse correction by damped Jacobi, so the cycle is a
         symmetric map, as CG requires of its preconditioner.
+
+        The map is _vcycle bound to this solve's levels: it refers to no
+        function that refers back to it, so the operators, Jacobi weights
+        and coarse factor are freed by reference counting as soon as the
+        solve drops the map.  A recursive closure that called itself would
+        sit in a reference cycle, and every solve's operators would stay
+        alive until the cyclic garbage collector happened to run.
         """
-        ops = [A]
+        levels, op = [], A
         for P, R, _ in self.hierarchy:
-            ops.append(R @ ops[-1] @ P)
-        smooth = [_JACOBI_DAMPING / op.diagonal() for op in ops[:-1]]
+            levels.append((op, _JACOBI_DAMPING / op.diagonal(), P, R))
+            op = R @ op @ P
         perm = assembly.nested_dissection(self.hierarchy[-1][2])[0]
-        lu = self._factor(ops[-1][perm][:, perm].tocsc())
+        return partial(_vcycle, levels, self._factor(op[perm][:, perm].tocsc()), perm)
 
-        def cycle(r, level=0):
-            if level == len(smooth):
-                x = np.empty_like(r)
-                x[perm] = lu.solve(r[perm])
-                return x
-            op, w = ops[level], smooth[level]
-            P, R, _ = self.hierarchy[level]
-            x = w * r
-            x += P @ cycle(R @ (r - op @ x), level + 1)
-            x += w * (r - op @ x)
-            return x
 
-        return cycle
+def _vcycle(levels, lu, perm, r):
+    """The V(1,1)-cycle applied to r.  levels holds (operator, Jacobi weights,
+    P, P^T) per level, finest first; lu factors the coarsest operator on the
+    ordering perm."""
+    if not levels:
+        x = np.empty_like(r)
+        x[perm] = lu.solve(r[perm])
+        return x
+    (op, w, P, R), coarser = levels[0], levels[1:]
+    x = w * r
+    x += P @ _vcycle(coarser, lu, perm, R @ (r - op @ x))
+    x += w * (r - op @ x)
+    return x
 
 
 def _hierarchy(mesh):

@@ -60,6 +60,18 @@ class TestLedgers:
         assert check_energy_ledgers(traj).to_dict() == oracles.check_energy_ledgers(traj).to_dict()
         assert lagged_dissipation_sum(traj) == oracles.lagged_dissipation_sum(traj)
 
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
+    def test_one_gradient_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
+        cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
+                       coeff=LowerOrderCoeff.power(2.5),
+                       source=fields.make_source("bump", amplitude=2.0))
+        traj = run_evolution(random_u(mesh8, rng), cfg)
+        calls = []
+        gradients = assembly.gradients
+        monkeypatch.setattr(assembly, "gradients", lambda u: calls.append(u) or gradients(u))
+        check_energy_ledgers(traj)
+        assert len(calls) == traj.K + 1
+
     def test_implicit_ledger(self, mesh8, rng):
         cfg = make_cfg(mesh8, scheme="implicit",
                        source=fields.make_source("bump"))

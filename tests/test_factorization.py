@@ -1,6 +1,9 @@
 """The cached nested-dissection ordering and the linear solver built on it:
-direct solves, and the reuse of a factor as a CG preconditioner."""
+direct solves, the reuse of a factor as a CG preconditioner, the multigrid
+V-cycle, and the lifetime of what a solve builds."""
 
+import gc
+import tracemalloc
 import types
 import warnings
 
@@ -10,7 +13,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from plapflow import assembly, lower_order, schemes
+from plapflow import assembly, diagnostics, lower_order, orlicz, schemes
+from plapflow.config import example_config, load_run_config
 from plapflow.lower_order import LowerOrderCoeff
 from plapflow.mesh import (FemFunction, TriMesh, prolong, prolongation, refine_red,
                            unit_square_mesh)
@@ -345,3 +349,84 @@ class TestMultigrid:
             assert (P @ u.coeffs).tobytes() == oracles.midpoint_prolong(u, child).tobytes()
             assert prolong(u, child).coeffs.tobytes() == (P @ u.coeffs).tobytes()
             m = child
+
+
+def unreachable_after(action):
+    """The number of objects that action() leaves to the cyclic garbage
+    collector: unreachable, but kept alive by reference cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def audited_run(mesh, K=3):
+    """The trajectory of a K-step semi-implicit run on mesh, its ledgers checked."""
+    cfg = make_cfg(mesh, K=K, T=0.01 * K)
+    u0 = FemFunction(mesh, np.random.default_rng(9).uniform(-1, 1, mesh.n_interior))
+    traj = schemes.run_evolution(u0, cfg)
+    assert diagnostics.check_energy_ledgers(traj).passed
+    return traj
+
+
+class TestSolveLifetime:
+    """Reference counting alone frees what a solve builds (factors, Galerkin
+    operators, Jacobi weights), as soon as the solve returns."""
+
+    # the schemes constants each regime sets, and the (splu, cg) calls of its
+    # three solves, which show that the regime was reached
+    REGIMES = {"factor-every": ({}, (3, 0)),
+               "kept-factor": ({}, (2, 1)),
+               "v-cycle": ({"MG_DOFS": 0}, (3, 3)),
+               "v-cycle-fallback": ({"MG_DOFS": 0, "_CG_MAXITER": 1}, (2 + 2, 1))}
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_a_run_and_its_ledgers_leave_no_reference_cycle(self, regime, mesh8, refined,
+                                                            monkeypatch):
+        mesh = {"factor-every": mesh8, "kept-factor": unit_square_mesh(18)}.get(regime, refined)
+        assert (mesh.n_interior >= schemes.REUSE_DOFS) == (regime == "kept-factor")
+        constants, expected = self.REGIMES[regime]
+        for name, value in constants.items():
+            monkeypatch.setattr(schemes, name, value)
+        calls = Counted(monkeypatch)
+        assert unreachable_after(lambda: audited_run(mesh)) == 0
+        assert (calls.splu, calls.cg) == expected
+
+    def test_the_example_study_leaves_no_reference_cycle(self, tmp_path):
+        path = tmp_path / "example.ini"
+        path.write_text(example_config())
+        study = load_run_config(str(path), want_study=True).study
+        assert unreachable_after(lambda: diagnostics.run_study(study)) == 0
+
+    def test_lemma_certification_leaves_no_reference_cycle(self):
+        assert unreachable_after(lambda: orlicz.certify_lemmas(3 * orlicz.LEMMA_BLOCK, 7)) == 0
+
+    def test_a_multigrid_run_holds_its_iterates_alone(self, monkeypatch):
+        # 6 more V-cycle steps hold 6 more iterates and step records, and
+        # nothing of their solves; the collector is off, so that a leak does
+        # not depend on when it would have run
+        monkeypatch.setattr(schemes, "MG_DOFS", 0)
+        mesh = refine_red(refine_red(refine_red(unit_square_mesh(4))))
+        audited_run(mesh, K=1)  # fill the mesh's caches
+
+        def held(K):
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                traj = audited_run(mesh, K)
+                return tracemalloc.get_traced_memory()[0] - before, traj
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        short, _ = held(2)
+        long, traj = held(8)
+        iterate = traj.iterates[-1].coeffs.nbytes
+        # per step: the FemFunction, its StepStats and list slots, about 2 KB
+        slack = 6 * 1024
+        assert long - short <= 6 * (iterate + slack)

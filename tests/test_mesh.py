@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plapflow import assembly
 from plapflow.mesh import (FemFunction, TriMesh, export_csv, export_vtk,
@@ -12,6 +13,14 @@ def _canonical_cells(m):
     """Cells as a set of frozensets of rounded coordinates (ordering-free)."""
     return {frozenset(tuple(np.round(m.nodes[v], 12)) for v in tri)
             for tri in m.cells}
+
+
+def _barycentric(tri, x):
+    """Barycentric coordinates of the points x (..., 2) in the triangles tri (..., 3, 2)."""
+    a = tri[..., 0, :]
+    edges = np.stack([tri[..., 1, :] - a, tri[..., 2, :] - a], axis=-1)
+    l12 = np.linalg.solve(edges, (x - a)[..., None])[..., 0]
+    return np.concatenate([1.0 - l12.sum(axis=-1, keepdims=True), l12], axis=-1)
 
 
 class TestUnitSquare:
@@ -150,6 +159,36 @@ class TestProlong:
         w = prolong(prolong(u, child), grand)
         assert assembly.seminorm_W1p(w, 1.7) == pytest.approx(
             assembly.seminorm_W1p(u, 1.7), rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 5), depth=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_prolonged_function_is_the_coarse_function_pointwise(self, n, depth, seed):
+        # the V-cycle's P relies on this: a P1 function on a jittered mesh,
+        # prolonged through 1-3 red refinements, takes the coarse function's
+        # value at random points of every fine cell
+        rng = np.random.default_rng(seed)
+        coarse = unit_square_mesh(n)
+        nodes = coarse.nodes.copy()
+        nodes[coarse.interior] += rng.uniform(-0.1, 0.1, (coarse.n_interior, 2)) / n
+        coarse = TriMesh(nodes, coarse.cells)
+        u = FemFunction(coarse, rng.uniform(-1, 1, coarse.n_interior))
+        v, fine = u, coarse
+        for _ in range(depth):
+            fine = refine_red(fine)
+            v = prolong(v, fine)
+        fine_tri, coarse_tri = fine.nodes[fine.cells], coarse.nodes[coarse.cells]
+        # the coarse cell holding each fine cell, located by the fine centroid
+        inside = _barycentric(coarse_tri[None], fine_tri.mean(axis=1)[:, None]).min(axis=-1)
+        owner = np.argmax(inside, axis=1)
+        assert np.all(inside[np.arange(fine.n_cells), owner] > 0.0)
+        lam = rng.random((fine.n_cells, 4, 3))
+        lam /= lam.sum(axis=-1, keepdims=True)
+        points = lam @ fine_tri  # (M, 4, 2)
+        fine_values = np.sum(lam * v.full_values()[fine.cells][:, None], axis=-1)
+        mu = _barycentric(coarse_tri[owner][:, None], points)
+        coarse_values = np.sum(mu * u.full_values()[coarse.cells[owner]][:, None], axis=-1)
+        scale = np.max(np.abs(u.coeffs), initial=0.0)
+        assert np.max(np.abs(fine_values - coarse_values)) <= 1e-13 * scale
 
     def test_mismatch_rejected(self):
         parent = unit_square_mesh(2)
