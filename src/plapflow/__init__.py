@@ -5,8 +5,7 @@ from .orlicz import (ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, certify_lemmas
 from .lower_order import IMPLICIT, SEMI_IMPLICIT, LowerOrderCoeff, admissibility
 from .mesh import (FemFunction, TriMesh, interpolate_nodal, prolong, refine_red,
                    unit_square_mesh)
-from .schemes import (SchemeConfig, SolverError, Trajectory,
-                      first_kacanov_equals_semi_implicit, implicit_step,
+from .schemes import (SchemeConfig, SolverError, Trajectory, implicit_step,
                       interpolant_eval, run_evolution, semi_implicit_step)
 from .diagnostics import StudyConfig, check_energy_ledgers, discrepancy_total, run_study
 

@@ -6,7 +6,7 @@ edge-midpoint rule, which is exact for quadratic integrands; the error
 quadrature uses the 7-point degree-5 rule.
 
 The kernels that run once per nonlinear sweep are sparse matrix-vector
-products with operators built once per mesh and kept in ``mesh._cache``, so a
+products with operators built once per mesh through ``mesh.per_mesh``, so a
 call does arithmetic only.  Interior coefficients are extended by one trailing
 zero, which the boundary vertices of a cell read:
 
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lower_order
-from .mesh import FemFunction
+from .mesh import FemFunction, per_mesh
 # DegenerateWeightError is re-exported: callers of the assemblers catch it here.
 from .orlicz import (QUADRATIC_NORM, REGULARIZATION_KINDS, DegenerateWeightError,  # noqa: F401
                      diffusion_weight, vnorm)
@@ -57,6 +57,7 @@ _QUAD7_W = np.array([9.0 / 40.0]
                     + [(155.0 + _S15) / 1200.0] * 3)
 
 
+@per_mesh
 def _pattern(mesh):
     """CSR pattern shared by every P1 matrix on mesh, and where each local entry goes.
 
@@ -73,33 +74,30 @@ def _pattern(mesh):
     The slots are found one local (i, j) position at a time, so the set-up
     holds no temporary of the size of all 9 M local entries: on large meshes
     such temporaries stayed resident after they were freed and raised the
-    peak memory of the whole run.
+    peak memory of the whole run.  The keys i * n + j are formed from the
+    int64 dof numbers: at n = 65025 they overflow int32.
     """
-    key = "pattern"
-    if key not in mesh._cache:
-        n = mesh.n_interior
-        number = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        number[mesh.interior] = np.arange(n)
-        ends = number[mesh.edges]
-        ends = ends[np.all(ends >= 0, axis=1)]
-        pairs = np.sort(np.concatenate([np.arange(n) * (n + 1),
-                                        ends[:, 0] * n + ends[:, 1],
-                                        ends[:, 1] * n + ends[:, 0]]))
-        row, col = np.divmod(pairs, n)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-        indices = col.astype(np.int32)
+    n = mesh.n_interior
+    number = mesh.dof_numbers()
+    ends = number[mesh.edges]
+    ends = ends[np.all(ends < n, axis=1)]
+    pairs = np.sort(np.concatenate([np.arange(n) * (n + 1),
+                                    ends[:, 0] * n + ends[:, 1],
+                                    ends[:, 1] * n + ends[:, 0]]))
+    row, col = np.divmod(pairs, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    indices = col.astype(np.int32)
 
-        dof = number[mesh.cells]
-        slot = np.full((mesh.n_cells, 3, 3), pairs.size, dtype=np.int32)
-        for i in range(3):
-            for j in range(3):
-                inside = (dof[:, i] >= 0) & (dof[:, j] >= 0)
-                slot[inside, i, j] = np.searchsorted(pairs, dof[inside, i] * n + dof[inside, j])
-        for shared in (indptr, indices, slot):
-            shared.flags.writeable = False  # every matrix on the mesh holds these
-        mesh._cache[key] = (indptr, indices, slot.reshape(-1))
-    return mesh._cache[key]
+    dof = number[mesh.cells]
+    slot = np.full((mesh.n_cells, 3, 3), pairs.size, dtype=np.int32)
+    for i in range(3):
+        for j in range(3):
+            inside = (dof[:, i] < n) & (dof[:, j] < n)
+            slot[inside, i, j] = np.searchsorted(pairs, dof[inside, i] * n + dof[inside, j])
+    for shared in (indptr, indices, slot):
+        shared.flags.writeable = False  # every matrix on the mesh holds these
+    return indptr, indices, slot.reshape(-1)
 
 
 def _block_sum_operator(mesh, element_blocks):
@@ -202,10 +200,11 @@ def _dissect(xy, row, col):
     return perm
 
 
+@per_mesh
 def nested_dissection(mesh):
     """Fill-reducing ordering of the interior dofs and the CSC pattern of P A P^T.
 
-    Returns (perm, indptr, indices, gather), cached in mesh._cache: perm[k]
+    Returns (perm, indptr, indices, gather), built once per mesh: perm[k]
     is the dof in position k, and for every matrix A on _pattern(mesh) the
     permuted matrix B[k, l] = A[perm[k], perm[l]] is
     csc_matrix((A.data[gather], indices, indptr)).  Every matrix on the mesh
@@ -214,64 +213,46 @@ def nested_dissection(mesh):
     with integer arrays, without sparse fancy indexing, which would hold
     copies of whole matrices.
     """
-    key = "nested_dissection"
-    if key not in mesh._cache:
-        indptr_a, indices_a, _ = _pattern(mesh)
-        n = indptr_a.size - 1
-        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr_a))
-        upper = row < indices_a
-        perm = _dissect(mesh.nodes[mesh.interior], row[upper], indices_a[upper])
-        inv = np.empty(n, dtype=np.int32)
-        inv[perm] = np.arange(n, dtype=np.int32)
-        new_col = inv[indices_a]
-        gather = np.argsort(new_col.astype(np.int64) * n + inv[row]).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(new_col, minlength=n), out=indptr[1:])
-        indices = inv[row[gather]]
-        for shared in (perm, indptr, indices, gather):
-            shared.flags.writeable = False
-        mesh._cache[key] = (perm, indptr, indices, gather)
-    return mesh._cache[key]
+    indptr_a, indices_a, _ = _pattern(mesh)
+    n = indptr_a.size - 1
+    row = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr_a))
+    upper = row < indices_a
+    perm = _dissect(mesh.nodes[mesh.interior], row[upper], indices_a[upper])
+    inv = np.empty(n, dtype=np.int32)
+    inv[perm] = np.arange(n, dtype=np.int32)
+    new_col = inv[indices_a]
+    gather = np.argsort(new_col.astype(np.int64) * n + inv[row]).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(new_col, minlength=n), out=indptr[1:])
+    indices = inv[row[gather]]
+    for shared in (perm, indptr, indices, gather):
+        shared.flags.writeable = False
+    return perm, indptr, indices, gather
 
 
+@per_mesh
 def _stiffness_blocks(mesh):
     """Unweighted element stiffness blocks area * grad phi_i . grad phi_j, (M, 3, 3).
 
     They are the data of weighted_stiffness's operator S, which holds no copy.
     """
-    key = "stiffness_blocks"
-    if key not in mesh._cache:
-        grads = mesh.hat_gradients()
-        blocks = np.einsum("mid,mjd->mij", grads, grads)
-        blocks *= mesh.areas[:, None, None]
-        blocks.flags.writeable = False
-        mesh._cache[key] = blocks
-    return mesh._cache[key]
+    grads = mesh.hat_gradients()
+    blocks = np.einsum("mid,mjd->mij", grads, grads)
+    blocks *= mesh.areas[:, None, None]
+    blocks.flags.writeable = False
+    return blocks
 
 
+@per_mesh
 def mass_matrix(mesh):
     """Consistent P1 mass matrix; element block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
-    key = "mass"
-    if key not in mesh._cache:
-        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        blocks = mesh.areas[:, None, None] * base
-        mesh._cache[key] = _assemble(mesh, blocks)
-    return mesh._cache[key]
-
-
-def stiffness_matrix(mesh):
-    """Unweighted Laplace stiffness matrix."""
-    key = "stiffness"
-    if key not in mesh._cache:
-        mesh._cache[key] = _assemble(mesh, _stiffness_blocks(mesh))
-    return mesh._cache[key]
+    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return _assemble(mesh, mesh.areas[:, None, None] * base)
 
 
 def _cell_dofs(mesh):
-    """Interior numbers of every cell's vertices, (M, 3); boundary vertices get N_int."""
-    number = np.full(mesh.n_nodes, mesh.n_interior, dtype=np.int32)
-    number[mesh.interior] = np.arange(mesh.n_interior, dtype=np.int32)
-    return number[mesh.cells]
+    """Dof numbers of every cell's vertices as int32, (M, 3); boundary vertices get N_int."""
+    return mesh.dof_numbers().astype(np.int32)[mesh.cells]
 
 
 def _extended(u):
@@ -279,21 +260,19 @@ def _extended(u):
     return np.append(u.coeffs, 0.0)
 
 
+@per_mesh
 def _gradient_operator(mesh):
     """G, the 2M x (N_int + 1) CSR operator of the cell gradients.
 
     Row 2 m + d holds component d of the gradients of cell m's three hats,
     in the columns of its vertices.  Its data are the hat_gradients storage.
     """
-    key = "gradient_operator"
-    if key not in mesh._cache:
-        m = mesh.n_cells
-        storage = mesh.hat_gradients().transpose(0, 2, 1)  # (M, 2, 3), C-contiguous
-        cols = np.repeat(_cell_dofs(mesh)[:, None, :], 2, axis=1)
-        indptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
-        mesh._cache[key] = sp.csr_matrix((storage.reshape(-1), cols.reshape(-1), indptr),
-                                         shape=(2 * m, mesh.n_interior + 1))
-    return mesh._cache[key]
+    m = mesh.n_cells
+    storage = mesh.hat_gradients().transpose(0, 2, 1)  # (M, 2, 3), C-contiguous
+    cols = np.repeat(_cell_dofs(mesh)[:, None, :], 2, axis=1)
+    indptr = np.arange(0, 6 * m + 1, 3, dtype=np.int32)
+    return sp.csr_matrix((storage.reshape(-1), cols.reshape(-1), indptr),
+                         shape=(2 * m, mesh.n_interior + 1))
 
 
 def gradients(u):
@@ -301,12 +280,10 @@ def gradients(u):
     return (_gradient_operator(u.mesh) @ _extended(u)).reshape(-1, 2)
 
 
+@per_mesh
 def _stiffness_operator(mesh):
     """S, the block-sum operator of the unweighted element stiffness blocks."""
-    key = "stiffness_operator"
-    if key not in mesh._cache:
-        mesh._cache[key] = _block_sum_operator(mesh, _stiffness_blocks(mesh))
-    return mesh._cache[key]
+    return _block_sum_operator(mesh, _stiffness_blocks(mesh))
 
 
 def weighted_stiffness(mesh, w, nf, eps, kind):
@@ -343,28 +320,24 @@ def jacobian_stiffness(mesh, w, nf, eps, kind):
     return _assemble(mesh, blocks)
 
 
+@per_mesh
 def midpoint_coords(mesh):
     """Physical coordinates of the edge midpoints per cell, (M, 3, 2)."""
-    key = "midpoint_coords"
-    if key not in mesh._cache:
-        v = mesh.nodes[mesh.cells]
-        mesh._cache[key] = 0.5 * (v[:, _EDGE_ENDS[:, 0]] + v[:, _EDGE_ENDS[:, 1]])
-    return mesh._cache[key]
+    v = mesh.nodes[mesh.cells]
+    return 0.5 * (v[:, _EDGE_ENDS[:, 0]] + v[:, _EDGE_ENDS[:, 1]])
 
 
+@per_mesh
 def _midpoint_operator(mesh):
     """P, the 3M x (N_int + 1) CSR operator of the values at the edge midpoints.
 
     Row 3 m + q holds 1/2 in the columns of the two ends of cell m's edge q.
     """
-    key = "midpoint_operator"
-    if key not in mesh._cache:
-        m = mesh.n_cells
-        cols = _cell_dofs(mesh)[:, _EDGE_ENDS]  # (M, 3, 2)
-        indptr = np.arange(0, 6 * m + 1, 2, dtype=np.int32)
-        mesh._cache[key] = sp.csr_matrix((np.full(6 * m, 0.5), cols.reshape(-1), indptr),
-                                         shape=(3 * m, mesh.n_interior + 1))
-    return mesh._cache[key]
+    m = mesh.n_cells
+    cols = _cell_dofs(mesh)[:, _EDGE_ENDS]  # (M, 3, 2)
+    indptr = np.arange(0, 6 * m + 1, 2, dtype=np.int32)
+    return sp.csr_matrix((np.full(6 * m, 0.5), cols.reshape(-1), indptr),
+                         shape=(3 * m, mesh.n_interior + 1))
 
 
 def values_at_midpoints(u):
@@ -372,6 +345,7 @@ def values_at_midpoints(u):
     return (_midpoint_operator(u.mesh) @ _extended(u)).reshape(-1, 3)
 
 
+@per_mesh
 def _midpoint_mass_operator(mesh):
     """Q, the (nnz + 1) x 3M CSC operator of the midpoint-rule mass data.
 
@@ -379,18 +353,15 @@ def _midpoint_mass_operator(mesh):
     third is 0, so column 3 m + q adds area_m / 12 times its coefficient into
     the slots of the block entries (a, a), (a, b), (b, a), (b, b) of cell m.
     """
-    key = "midpoint_mass_operator"
-    if key not in mesh._cache:
-        _, indices, slot = _pattern(mesh)
-        m = mesh.n_cells
-        blocks = slot.reshape(m, 3, 3)
-        a, b = _EDGE_ENDS[:, 0], _EDGE_ENDS[:, 1]
-        rows = np.stack([blocks[:, a, a], blocks[:, a, b], blocks[:, b, a], blocks[:, b, b]],
-                        axis=-1)  # (M, 3, 4)
-        indptr = np.arange(0, 12 * m + 1, 4, dtype=np.int32)
-        mesh._cache[key] = sp.csc_matrix((np.repeat(mesh.areas / 12.0, 12), rows.reshape(-1),
-                                          indptr), shape=(indices.size + 1, 3 * m))
-    return mesh._cache[key]
+    _, indices, slot = _pattern(mesh)
+    m = mesh.n_cells
+    blocks = slot.reshape(m, 3, 3)
+    a, b = _EDGE_ENDS[:, 0], _EDGE_ENDS[:, 1]
+    rows = np.stack([blocks[:, a, a], blocks[:, a, b], blocks[:, b, a], blocks[:, b, b]],
+                    axis=-1)  # (M, 3, 4)
+    indptr = np.arange(0, 12 * m + 1, 4, dtype=np.int32)
+    return sp.csc_matrix((np.repeat(mesh.areas / 12.0, 12), rows.reshape(-1), indptr),
+                         shape=(indices.size + 1, 3 * m))
 
 
 def midpoint_mass(mesh, qvals):

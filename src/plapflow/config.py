@@ -53,10 +53,10 @@ kind = zero                   ; zero | power | shifted-power
 ; c = 0.1
 
 [solver]
-; linear solves: SuperLU LU on a nested-dissection ordering cached per mesh;
-; from 289 unknowns on, CG preconditioned with the last LU, refactoring when
-; CG needs more than 8 iterations or fails; on refined meshes of 10000
-; unknowns or more, CG preconditioned with a multigrid V-cycle instead
+; linear solves: small systems are factored by SuperLU LU on a
+; nested-dissection ordering cached per mesh; larger ones are solved by CG
+; preconditioned with the last LU, refactoring when CG slows down or fails;
+; large refined meshes use CG preconditioned with a multigrid V-cycle instead
 ; kacanov is Anderson-accelerated at depth 3; its first sweep is the
 ; semi-implicit step
 nonlinear = kacanov           ; kacanov | newton

@@ -35,7 +35,7 @@ from . import assembly, lower_order
 from .lower_order import IMPLICIT, SEMI_IMPLICIT
 from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
 from .orlicz import (NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight,
-                     op_S_eps, vnorm)
+                     op_S_eps, vdot, vnorm)
 from .schemes import SchemeConfig, SolverError, interpolant_eval, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
@@ -112,8 +112,8 @@ def _walk(traj):
             cols.dtau_l2_sq[i] = d @ (mass @ d)
             g_prev, w_prev = prev
             gd = (g - g_prev) / tau
-            cols.diss_dtau[i] = np.sum(areas * w_prev * np.sum(gd * gd, axis=1))
-            g2 = np.sum(g * g, axis=1)
+            cols.diss_dtau[i] = np.sum(areas * w_prev * vdot(gd, gd))
+            g2 = vdot(g, g)
             cols.diss_u_lag[i] = np.sum(areas * w_prev * g2)
             cols.diss_u_cur[i] = np.sum(areas * w * g2)
             if cfg.source is not None:

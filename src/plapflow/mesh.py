@@ -7,10 +7,14 @@ parent nodes keep their indices, midpoints are appended.
 
 Homogeneous Dirichlet conditions are built in: a nodal function carries
 coefficients on interior nodes only and vanishes on the boundary.
+
+Whatever is built once per mesh, here and in ``assembly``, goes through the
+one memo ``per_mesh``.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,6 +22,23 @@ import numpy as np
 import scipy.sparse as sp
 
 BOUNDARY_TOL = 1e-12
+
+
+def per_mesh(build):
+    """Memoize build(mesh) on the mesh: the first call builds, every later
+    call with the same mesh returns the same object.  The value is kept on
+    the mesh under the builder's qualified name, so it lives as long as the
+    mesh does."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def cached(mesh):
+        cache = mesh._cache
+        if key not in cache:
+            cache[key] = build(mesh)
+        return cache[key]
+
+    return cached
 
 
 class TriMesh:
@@ -28,25 +49,20 @@ class TriMesh:
     nodes : (N, 2) float array
     cells : (M, 3) int array, counterclockwise vertex triples
     boundary_node : (N,) bool array
-    level : refinement generation (0 for a freshly built mesh)
-    parent : the mesh this one was refined from, or None
-    parent_map : (N_parent,) indices of the parent nodes among this mesh's
-        nodes (the identity injection), or None at level 0
+    parent : the mesh this one was refined from, or None; its nodes are the
+        first parent.n_nodes nodes of this mesh
     """
 
-    def __init__(self, nodes, cells, level=0, parent=None, parent_map=None,
-                 midpoint_edges=None):
+    def __init__(self, nodes, cells, parent=None, midpoint_edges=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValueError("nodes must be an (N, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (M, 3) array")
-        self.level = int(level)
         self.parent = parent
-        self.parent_map = parent_map
         self.midpoint_edges = midpoint_edges  # (N - N_parent, 2) parent edge ends
-        self._cache = {}
+        self._cache = {}  # per_mesh's memo
 
         v0 = self.nodes[self.cells[:, 0]]
         v1 = self.nodes[self.cells[:, 1]]
@@ -61,9 +77,8 @@ class TriMesh:
         self.edges = np.column_stack(np.divmod(keys, len(self.nodes)))
         if np.any(counts > 2):
             raise ValueError("mesh is not conforming: an edge meets > 2 cells")
-        self.boundary_edges = self.edges[counts == 1]
         self.boundary_node = np.zeros(len(self.nodes), dtype=bool)
-        self.boundary_node[self.boundary_edges.ravel()] = True
+        self.boundary_node[self.edges[counts == 1].ravel()] = True
         self.interior = np.flatnonzero(~self.boundary_node)
 
     @property
@@ -79,34 +94,48 @@ class TriMesh:
         return len(self.interior)
 
     @property
+    def level(self):
+        """Refinement generation: 0 for a mesh without a parent."""
+        return 0 if self.parent is None else self.parent.level + 1
+
+    @property
     def h(self):
         """Mesh size: the longest edge."""
         d = self.nodes[self.edges[:, 0]] - self.nodes[self.edges[:, 1]]
         return float(np.max(np.sqrt(np.sum(d * d, axis=1))))
 
+    @per_mesh
     def hat_gradients(self):
         """Per-cell constant gradients of the three local hats, (M, 3, 2).
 
-        The cache holds them component-major, as one C-contiguous (M, 2, 3)
-        array whose entry (m, d, i) is component d of the gradient of hat i on
-        cell m; what is returned is a transposed view of it.  In that layout
-        the storage is, flattened, the data of the cell-gradient operator G of
+        They are stored component-major, as one C-contiguous (M, 2, 3) array
+        whose entry (m, d, i) is component d of the gradient of hat i on cell
+        m; what is returned is a transposed view of it.  In that layout the
+        storage is, flattened, the data of the cell-gradient operator G of
         assembly.gradients (row 2 m + d holds the three entries (m, d, :)), so
         the operator adds no copy of it.
         """
-        key = "hat_gradients"
-        if key not in self._cache:
-            v = self.nodes[self.cells]  # (M, 3, 2)
-            grads = np.empty((self.n_cells, 2, 3))
-            for i in range(3):
-                b = v[:, (i + 1) % 3]
-                c = v[:, (i + 2) % 3]
-                grads[:, 0, i] = (b[:, 1] - c[:, 1])
-                grads[:, 1, i] = (c[:, 0] - b[:, 0])
-            grads /= (2.0 * self.areas)[:, None, None]
-            grads.flags.writeable = False  # the gradient operator holds it
-            self._cache[key] = grads
-        return self._cache[key].transpose(0, 2, 1)
+        v = self.nodes[self.cells]  # (M, 3, 2)
+        grads = np.empty((self.n_cells, 2, 3))
+        for i in range(3):
+            b = v[:, (i + 1) % 3]
+            c = v[:, (i + 2) % 3]
+            grads[:, 0, i] = (b[:, 1] - c[:, 1])
+            grads[:, 1, i] = (c[:, 0] - b[:, 0])
+        grads /= (2.0 * self.areas)[:, None, None]
+        grads.flags.writeable = False  # the gradient operator holds it
+        return grads.transpose(0, 2, 1)
+
+    def dof_numbers(self):
+        """The node-to-dof numbering, (N,) int64: interior node i gets its
+        position in self.interior, every boundary node the sentinel N_int.
+
+        It is int64 so that products of two numbers, such as the pattern keys
+        i * N_int + j, cannot overflow.
+        """
+        number = np.full(self.n_nodes, self.n_interior, dtype=np.int64)
+        number[self.interior] = np.arange(self.n_interior)
+        return number
 
     def shape_regularity(self):
         """Max ratio of circumradius to inradius over all cells."""
@@ -178,7 +207,7 @@ def unit_square_mesh(n):
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     cells = np.stack([np.column_stack([v00, v10, v11]),
                       np.column_stack([v00, v11, v01])], axis=1)
-    return TriMesh(nodes, cells.reshape(-1, 3), level=0)
+    return TriMesh(nodes, cells.reshape(-1, 3))
 
 
 def refine_red(m):
@@ -203,38 +232,29 @@ def refine_red(m):
     midpoint_edges = np.column_stack(np.divmod(uniq[order], n_old))
     new_nodes = 0.5 * (m.nodes[midpoint_edges[:, 0]] + m.nodes[midpoint_edges[:, 1]])
     return TriMesh(np.vstack([m.nodes, new_nodes]), new_cells.reshape(-1, 3),
-                   level=m.level + 1, parent=m,
-                   parent_map=np.arange(n_old, dtype=np.int64),
-                   midpoint_edges=midpoint_edges)
+                   parent=m, midpoint_edges=midpoint_edges)
 
 
+@per_mesh
 def prolongation(target):
     """The prolongation of the red-refined mesh target: the sparse matrix that
     maps the interior coefficients of a P1 function on target.parent to those
-    of the same function on target, cached in target._cache.
+    of the same function on target.
 
     Row i holds 1 at the parent's interior node if child node i is one, and
     0.5 at each interior end of its parent edge if it is a midpoint; boundary
     ends carry the value 0 and get no entry.  Both weights are powers of two,
     so P @ u agrees bit for bit with the edge average 0.5 (u_a + u_b).
     """
-    key = "prolongation"
-    if key not in target._cache:
-        parent = target.parent
-        column = np.full(parent.n_nodes, -1, dtype=np.int64)
-        column[parent.interior] = np.arange(parent.n_interior)
-        row = np.full(target.n_nodes, -1, dtype=np.int64)
-        row[target.interior] = np.arange(target.n_interior)
-        mids = target.midpoint_edges
-        rows = np.concatenate([row[target.parent_map],
-                               np.repeat(row[parent.n_nodes:], 2)])
-        cols = np.concatenate([column, column[mids].ravel()])
-        vals = np.concatenate([np.ones(parent.n_nodes), np.full(mids.size, 0.5)])
-        keep = (rows >= 0) & (cols >= 0)
-        P = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                          shape=(target.n_interior, parent.n_interior))
-        target._cache[key] = P
-    return target._cache[key]
+    parent = target.parent
+    column, row = parent.dof_numbers(), target.dof_numbers()
+    mids = target.midpoint_edges
+    rows = np.concatenate([row[:parent.n_nodes], np.repeat(row[parent.n_nodes:], 2)])
+    cols = np.concatenate([column, column[mids].ravel()])
+    vals = np.concatenate([np.ones(parent.n_nodes), np.full(mids.size, 0.5)])
+    keep = (rows < target.n_interior) & (cols < parent.n_interior)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(target.n_interior, parent.n_interior))
 
 
 def prolong(u, target):

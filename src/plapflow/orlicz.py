@@ -205,7 +205,7 @@ def phi_shifted(nf, alpha, t):
     return float(nf.shifted(alpha).phi(t))
 
 
-def _dot(a, b):
+def vdot(a, b):
     """Inner product of plane vectors along the last axis; written out, it adds
     in the order np.sum(a * b, axis=-1) does, at a fraction of its cost."""
     if a.shape[-1:] != (2,) or b.shape[-1:] != (2,):
@@ -215,7 +215,7 @@ def _dot(a, b):
 
 def vnorm(a):
     """Euclidean norm of plane vectors along the last axis, e.g. |grad u| per cell."""
-    return np.sqrt(_dot(a, a))
+    return np.sqrt(vdot(a, a))
 
 
 def _op_A(p, shift, a, r):
@@ -242,7 +242,7 @@ def op_S_eps(p, eps, a):
         raise ValueError(f"exponent p must lie in (1, 2], got {p}")
     _check_scalar("eps", eps, minimum=0.0)
     a = np.asarray(a, dtype=float)
-    return _op_S(p, eps, a, _dot(a, a))
+    return _op_S(p, eps, a, vdot(a, a))
 
 
 def diffusion_weight(nf, eps, kind, t):
@@ -280,7 +280,7 @@ def _orlicz_stability(p, shift, a, ra, b, rb, s):
     """w b.(b-a) >= phi(|b|) - phi(|a|) + (w/2) |b-a|^2 with phi the shifted
     density phi_shift and w = phi'(|a|)/|a|; returns (lhs, rhs, holds)."""
     w = _additive_weight(p, shift, ra)
-    lhs = w * _dot(b, b - a)
+    lhs = w * vdot(b, b - a)
     rhs = _phi_closed(p, shift, rb) - _phi_closed(p, shift, ra) + 0.5 * w * s * s
     return lhs, rhs, lhs >= rhs - _ineq_scale(lhs, rhs)
 
@@ -300,7 +300,7 @@ def _lagged_weight(p, shift, a, ra, rb, s):
 def _monotone_forms(p, shift, a, ra, b, rb, s):
     """The three equivalent monotonicity quantities of A_shift at a != b:
     (A(a) - A(b)).(a-b), phi_{shift+|a|}(|a-b|), phi'(|a|+|b|)/(|a|+|b|) |a-b|^2."""
-    inner = _dot(_op_A(p, shift, a, ra) - _op_A(p, shift, b, rb), a - b)
+    inner = vdot(_op_A(p, shift, a, ra) - _op_A(p, shift, b, rb), a - b)
     shifted = _phi_closed(p, shift + ra, s)
     quotient = _additive_weight(p, shift, ra + rb) * s * s
     return inner, shifted, quotient
@@ -416,30 +416,40 @@ _CHECKS = ("monotonicity", "uniform-eps-bound", "orlicz-stability", "kappa-brack
 
 
 class _Fold:
-    """Violation counts per check and extremes per (check, stat), folded over
-    sample blocks by the rules certify_lemmas states."""
+    """Violation counts per check, and per (check, stat) a minimum, a maximum
+    or a span (both), folded over sample blocks by the rules certify_lemmas
+    states."""
 
     def __init__(self):
         self.violations = dict.fromkeys(_CHECKS, 0)
-        self.low = {}
-        self.high = {}
+        self.extremes = {}  # (check, stat) -> its folded extremes
 
     def count(self, check, bad):
         self.violations[check] += int(np.count_nonzero(bad))
 
-    def min(self, key, x):
-        if x.size:
-            m = np.min(x)
-            self.low[key] = np.minimum(self.low[key], m) if key in self.low else m
+    def min(self, check, stat, x):
+        self._fold(check, stat, x, np.minimum)
 
-    def max(self, key, x):
-        if x.size:
-            m = np.max(x)
-            self.high[key] = np.maximum(self.high[key], m) if key in self.high else m
+    def max(self, check, stat, x):
+        self._fold(check, stat, x, np.maximum)
 
-    def span(self, key, x):
-        self.min(key, x)
-        self.max(key, x)
+    def span(self, check, stat, x):
+        self._fold(check, stat, x, np.minimum, np.maximum)
+
+    def _fold(self, check, stat, x, *merges):
+        if x.size:
+            new = [merge.reduce(x) for merge in merges]
+            old = self.extremes.get((check, stat), new)
+            self.extremes[check, stat] = [merge(a, b) for merge, a, b in zip(merges, old, new)]
+
+    def stats(self):
+        """Per check, its stats in the order they were first recorded: a
+        minimum or a maximum as a float, a span as the pair (min, max)."""
+        out = {check: {} for check in _CHECKS}
+        for (check, stat), values in self.extremes.items():
+            values = tuple(float(v) for v in values)
+            out[check][stat] = values if len(values) == 2 else values[0]
+        return out
 
 
 def _certify_block(fold, p, delta, eps, alpha, a, b):
@@ -451,24 +461,24 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
     # --- monotonicity of A_alpha and the equivalence of its three forms -----
     inner, shifted_val, quotient = _monotone_forms(p, delta + alpha, a, ra, b, rb, s)
     fold.count("monotonicity", ok & (inner <= 0.0))
-    fold.min(("monotonicity", "min_inner"), inner[ok])
+    fold.min("monotonicity", "min_inner", inner[ok])
     for key, num, den in (("inner-over-shifted", inner, shifted_val),
                           ("inner-over-quotient", inner, quotient),
                           ("shifted-over-quotient", shifted_val, quotient)):
         q = np.where(ok, num / np.where(ok, den, 1.0), 1.0)
         lo, hi = MONOTONE_RATIO_BOUNDS[key]
         fold.count("monotonicity-equivalence", (q < lo) | (q > hi))
-        fold.span(("monotonicity-equivalence", key), q[ok])
+        fold.span("monotonicity-equivalence", key, q[ok])
 
     # --- uniform eps-bound |A_eps - A_0| <= (1-kappa0) phi'(eps) ------------
     lhs, rhs, holds = _uniform_eps_bound(p, delta, eps, a, ra)
     fold.count("uniform-eps-bound", ~holds)
-    fold.max(("uniform-eps-bound", "max_excess"), lhs - rhs)
+    fold.max("uniform-eps-bound", "max_excess", lhs - rhs)
 
     # --- Orlicz stability ----------------------------------------------------
     lhs, rhs, holds = _orlicz_stability(p, shift, a, ra, b, rb, s)
     fold.count("orlicz-stability", ~holds)
-    fold.min(("orlicz-stability", "min_margin"), lhs - rhs)
+    fold.min("orlicz-stability", "min_margin", lhs - rhs)
 
     # --- kappa bracket (exact in closed form, 1e-12 relative) ---------------
     r = np.where(ra > 0.0, ra, 1.0)  # avoid r = 0 (phi'' undefined there)
@@ -476,8 +486,8 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
     rpp2 = r * (delta + r) ** (p - 3.0) * ((p - 1.0) * r + delta)
     tol = 1e-12 * np.maximum(1.0, pp)
     fold.count("kappa-bracket", (rpp2 < (p - 1.0) * pp - tol) | (rpp2 > pp + tol))
-    fold.max(("kappa-bracket", "max_ratio"), rpp2 / pp)
-    fold.min(("kappa-bracket", "min_ratio"), rpp2 / pp)
+    fold.max("kappa-bracket", "max_ratio", rpp2 / pp)
+    fold.min("kappa-bracket", "min_ratio", rpp2 / pp)
 
     # --- (C2): phi'(r)/r nonincreasing --------------------------------------
     # w1 may be inf at |a| or |b| = delta = 0, still ordered
@@ -488,7 +498,7 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
     # --- lagged weight ratio (regression against the frozen sup) ------------
     ratio = _lagged_weight(p, shift, a, ra, rb, s)[2]
     fold.count("lagged-weight-ratio", ratio > LAGGED_WEIGHT_RATIO_MAX)
-    fold.max(("lagged-weight-ratio", "max_ratio"), ratio)
+    fold.max("lagged-weight-ratio", "max_ratio", ratio)
 
     # --- sandwich for the shifted density -----------------------------------
     q = ((_phi_closed(p, shift, ra) + eps**p + delta**p)
@@ -497,12 +507,12 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
         qs = q[p == pv]
         lo, hi = EQUI_SANDWICH_BOUNDS[pv]
         fold.count("shifted-density-sandwich", (qs < lo) | (qs > hi))
-        fold.span(("shifted-density-sandwich", pv), qs)
+        fold.span("shifted-density-sandwich", pv, qs)
 
     # --- quadratic-norm operator difference quotient (regression) -----------
     q = _s_eps_quotient(p, eps, a, ra, b, rb, s)
     fold.count("s-eps-difference-quotient", q > S_EPS_LIPSCHITZ_MAX)
-    fold.max(("s-eps-difference-quotient", "max_ratio"), q)
+    fold.max("s-eps-difference-quotient", "max_ratio", q)
 
 
 def certify_lemmas(samples=1_000_000, seed=42):
@@ -545,25 +555,9 @@ def certify_lemmas(samples=1_000_000, seed=42):
                            eps[blk], alpha[blk], _vectors(ar[blk], atheta[blk]),
                            _vectors(br[blk], btheta[blk]))
 
+    stats = fold.stats()
+    stats["lagged-weight-ratio"]["frozen_bound"] = LAGGED_WEIGHT_RATIO_MAX
+    stats["s-eps-difference-quotient"]["frozen_bound"] = S_EPS_LIPSCHITZ_MAX
     sandwich = "shifted-density-sandwich"
-    low = {key: float(x) for key, x in fold.low.items()}
-    high = {key: float(x) for key, x in fold.high.items()}
-    stats = {
-        "monotonicity": {"min_inner": low["monotonicity", "min_inner"]},
-        "uniform-eps-bound": {"max_excess": high["uniform-eps-bound", "max_excess"]},
-        "orlicz-stability": {"min_margin": low["orlicz-stability", "min_margin"]},
-        "kappa-bracket": {"max_ratio": high["kappa-bracket", "max_ratio"],
-                          "min_ratio": low["kappa-bracket", "min_ratio"]},
-        "weight-nonincreasing": {},
-        "lagged-weight-ratio": {"max_ratio": high["lagged-weight-ratio", "max_ratio"],
-                                "frozen_bound": LAGGED_WEIGHT_RATIO_MAX},
-        "monotonicity-equivalence": {
-            key: (low[check, key], high[check, key])
-            for check, key in low if check == "monotonicity-equivalence"},
-        "shifted-density-sandwich": {
-            f"p={pv}": (low[sandwich, pv], high[sandwich, pv])
-            for pv in sorted(pv for check, pv in low if check == sandwich)},
-        "s-eps-difference-quotient": {"max_ratio": high["s-eps-difference-quotient", "max_ratio"],
-                                      "frozen_bound": S_EPS_LIPSCHITZ_MAX},
-    }
+    stats[sandwich] = {f"p={pv}": span for pv, span in sorted(stats[sandwich].items())}
     return [CheckResult(name, n, fold.violations[name], stats[name]) for name in _CHECKS]

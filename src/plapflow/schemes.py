@@ -27,10 +27,7 @@ regimes fixed by the mesh:
   preconditioned with a multigrid V-cycle on the refinement hierarchy,
   rebuilt for every system, and factors nothing larger than the coarsest
   mesh; a solve that fails factors its system, and the run continues in
-  the kept-factor regime.  The V-cycle's operators live for one solve: the
-  cycle is a module function bound to them, not a closure that calls
-  itself, so no reference cycle keeps them alive until the garbage
-  collector runs (on a 65k-unknown mesh that held 6.4 MB more per step).
+  the kept-factor regime.
 
 MG_DOFS sits at the measured crossover of the last two: on 10-step runs the
 V-cycle was faster for the semi-implicit scheme from 3969 unknowns on, and
@@ -40,7 +37,7 @@ for warm-started Kacanov from about 12 000.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -48,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, lower_order
-from .lower_order import IMPLICIT, SEMI_IMPLICIT, SCHEMES, LowerOrderCoeff
+from .lower_order import SEMI_IMPLICIT, SCHEMES, LowerOrderCoeff
 from .mesh import FemFunction, TriMesh, prolongation
 from .orlicz import NFunctionPD, QUADRATIC_NORM, REGULARIZATION_KINDS
 
@@ -249,12 +246,11 @@ class _SpdSolver:
         after its coarse correction by damped Jacobi, so the cycle is a
         symmetric map, as CG requires of its preconditioner.
 
-        The map is _vcycle bound to this solve's levels: it refers to no
-        function that refers back to it, so the operators, Jacobi weights
-        and coarse factor are freed by reference counting as soon as the
-        solve drops the map.  A recursive closure that called itself would
-        sit in a reference cycle, and every solve's operators would stay
-        alive until the cyclic garbage collector happened to run.
+        The map is _vcycle bound to this solve's levels, not a closure that
+        calls itself: such a closure sits in a reference cycle, so every
+        solve's operators, Jacobi weights and coarse factor would stay alive
+        until the cyclic garbage collector ran, instead of being freed as
+        soon as the solve drops the map.
         """
         levels, op = [], A
         for P, R, _ in self.hierarchy:
@@ -404,10 +400,12 @@ class _AndersonMixer:
         return out
 
 
-def _semi_step(u_prev, cfg, k, solve=None):
-    """The semi-implicit step with its linear-solve residual.
+def semi_implicit_step(u_prev, cfg, k, solve=None):
+    """One linear step with weight and coefficient lagged at u_prev.
 
-    solve is the run's _SpdSolver; None gives a fresh one, which factors.
+    Returns the new iterate and its StepStats: one iteration, and the
+    residual of the linear solve.  solve is the run's _SpdSolver; None gives
+    a fresh one.
     """
     if cfg.eps <= 0.0:
         raise ValueError("semi-implicit step requires eps > 0")
@@ -417,11 +415,6 @@ def _semi_step(u_prev, cfg, k, solve=None):
     b, _ = _step_rhs(u_prev, cfg, k)
     u = FemFunction(cfg.mesh, solve(A, b))
     return u, StepStats(1, float(np.linalg.norm(A @ u.coeffs - b)))
-
-
-def semi_implicit_step(u_prev, cfg, k):
-    """One linear step with weight and coefficient lagged at u_prev."""
-    return _semi_step(u_prev, cfg, k)[0]
 
 
 def implicit_step(u_prev, cfg, k, solve=None):
@@ -512,24 +505,6 @@ def _line_searches(searches):
     return f"line search per iteration (step: trial residual) [{'], ['.join(per_iteration)}]"
 
 
-def first_kacanov_equals_semi_implicit(u_prev, cfg):
-    """Check the structural identity between the two schemes.
-
-    The first Kacanov sweep of the implicit step from v0 = u_prev solves
-    exactly the semi-implicit linear system, so the iterates must coincide
-    to solver accuracy: 1e-12 relative to 1 + max |u|.
-    """
-    if cfg.eps <= 0.0:
-        raise ValueError("comparison requires eps > 0")
-    semi = semi_implicit_step(u_prev, cfg, 1)
-    one_sweep = replace(cfg, scheme=IMPLICIT, nonlinear=KACANOV, max_iter=1,
-                        tol_res=np.inf)
-    v1, _ = implicit_step(u_prev, one_sweep, 1)
-    scale = 1.0 + float(np.max(np.abs(semi.coeffs))) if semi.coeffs.size else 1.0
-    diff = float(np.max(np.abs(semi.coeffs - v1.coeffs))) if semi.coeffs.size else 0.0
-    return diff <= 1e-12 * scale
-
-
 def run_evolution(u0, cfg):
     """Apply the configured step for k = 1..K from the initial iterate u0.
 
@@ -538,7 +513,7 @@ def run_evolution(u0, cfg):
     """
     if u0.mesh is not cfg.mesh:
         raise ValueError("initial data lives on a different mesh than the config")
-    step = _semi_step if cfg.scheme == SEMI_IMPLICIT else implicit_step
+    step = semi_implicit_step if cfg.scheme == SEMI_IMPLICIT else implicit_step
     solve = _SpdSolver(cfg)
     iterates = [u0]
     stats = []

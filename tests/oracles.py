@@ -14,10 +14,14 @@ and the gradients and weights of all iterates held at once.  They pin that
 the memory-lean versions change no bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from plapflow import assembly, diagnostics, lower_order, orlicz
+from plapflow.lower_order import IMPLICIT
 from plapflow.orlicz import CheckResult
+from plapflow.schemes import KACANOV, implicit_step, semi_implicit_step
 
 def dense_mass(nodes, cells):
     n = len(nodes)
@@ -448,7 +452,23 @@ def midpoint_prolong(u, target):
     0.5 (u_a + u_b) of its edge's ends, boundary ends counting as 0."""
     full = u.full_values()
     child = np.empty(target.n_nodes)
-    child[target.parent_map] = full
+    child[:u.mesh.n_nodes] = full
     mids = target.midpoint_edges
     child[u.mesh.n_nodes:] = 0.5 * (full[mids[:, 0]] + full[mids[:, 1]])
     return child[target.interior]
+
+
+def first_kacanov_equals_semi_implicit(u_prev, cfg):
+    """The structural identity between the two schemes: the first Kacanov
+    sweep of the implicit step from v0 = u_prev solves exactly the
+    semi-implicit linear system, so the iterates must coincide to solver
+    accuracy, 1e-12 relative to 1 + max |u|."""
+    if cfg.eps <= 0.0:
+        raise ValueError("comparison requires eps > 0")
+    semi, _ = semi_implicit_step(u_prev, cfg, 1)
+    one_sweep = replace(cfg, scheme=IMPLICIT, nonlinear=KACANOV, max_iter=1,
+                        tol_res=np.inf)
+    v1, _ = implicit_step(u_prev, one_sweep, 1)
+    scale = 1.0 + float(np.max(np.abs(semi.coeffs))) if semi.coeffs.size else 1.0
+    diff = float(np.max(np.abs(semi.coeffs - v1.coeffs))) if semi.coeffs.size else 0.0
+    return diff <= 1e-12 * scale

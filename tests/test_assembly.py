@@ -7,14 +7,18 @@ from plapflow import assembly, lower_order, schemes
 from plapflow.assembly import (DegenerateWeightError, energy, gradients,
                                jacobian_stiffness, l2_error, load_vector,
                                mass_matrix, norm_L2, quadrature_norm_sq,
-                               seminorm_W1p, stiffness_matrix, weighted_mass,
-                               weighted_stiffness)
+                               seminorm_W1p, weighted_mass, weighted_stiffness)
 from plapflow.lower_order import LowerOrderCoeff
 from plapflow.mesh import FemFunction, TriMesh, interpolate_nodal, prolong, refine_red, unit_square_mesh
 from plapflow.fields import make_field, make_source
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, diffusion_weight, vnorm
 
 import oracles
+
+
+def stiffness_matrix(mesh):
+    """The unweighted Laplace stiffness matrix: the cached stiffness blocks, summed."""
+    return assembly._assemble(mesh, assembly._stiffness_blocks(mesh))
 
 
 def uniform_stencil(m, h, centre, edge, axis_only):
@@ -466,7 +470,7 @@ class TestOperators:
         stiffness = assembly._stiffness_operator(m)
         assert np.shares_memory(stiffness.indices, slot)
         assert np.shares_memory(stiffness.data, assembly._stiffness_blocks(m))
-        assert np.shares_memory(assembly._gradient_operator(m).data, m._cache["hat_gradients"])
+        assert np.shares_memory(assembly._gradient_operator(m).data, m.hat_gradients())
         # The ceiling is the sum of what the sweep must cache, at the arrays'
         # dtypes.  Per cell (M = 8192): hat gradients 48 B, and G's column
         # indices and row pointers 24 + 8; stiffness blocks 72; slot 36; S's

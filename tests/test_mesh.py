@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plapflow import assembly
-from plapflow.mesh import (FemFunction, TriMesh, export_csv, export_vtk,
-                           interpolate_nodal, prolong, refine_red, unit_square_mesh)
+import plapflow
+from plapflow import assembly, mesh as mesh_module
+from plapflow.mesh import (FemFunction, TriMesh, export_csv, export_vtk, interpolate_nodal,
+                           per_mesh, prolong, prolongation, refine_red, unit_square_mesh)
 
 import oracles
 
@@ -98,12 +101,10 @@ class TestRedRefinement:
         child = refine_red(parent)
         assert child.shape_regularity() == pytest.approx(parent.shape_regularity(), rel=1e-12)
 
-    def test_parent_map_is_coordinate_preserving_injection(self):
+    def test_parent_nodes_keep_their_indices(self):
         parent = unit_square_mesh(3)
         child = refine_red(parent)
-        pm = child.parent_map
-        assert len(np.unique(pm)) == parent.n_nodes
-        np.testing.assert_array_equal(child.nodes[pm], parent.nodes)
+        np.testing.assert_array_equal(child.nodes[:parent.n_nodes], parent.nodes)
 
     def test_midpoints_are_level_edges(self):
         parent = unit_square_mesh(2)
@@ -128,7 +129,7 @@ class TestProlong:
         out_full = prolong(u, child).full_values()
         parent_full = u.full_values()
         # parent nodes keep values, midpoints average the edge ends
-        np.testing.assert_array_equal(out_full[child.parent_map], parent_full)
+        np.testing.assert_array_equal(out_full[:parent.n_nodes], parent_full)
         mids = child.midpoint_edges
         np.testing.assert_allclose(
             out_full[parent.n_nodes:],
@@ -199,6 +200,41 @@ class TestProlong:
         child = refine_red(parent)
         with pytest.raises(ValueError):
             prolong(FemFunction.zeros(child), child)
+
+
+# Every builder that goes through the per-mesh memo.
+MEMOIZED = [TriMesh.hat_gradients, prolongation, assembly._pattern, assembly.nested_dissection,
+            assembly._stiffness_blocks, assembly.mass_matrix, assembly._gradient_operator,
+            assembly._stiffness_operator, assembly.midpoint_coords, assembly._midpoint_operator,
+            assembly._midpoint_mass_operator]
+
+
+class TestPerMesh:
+    @pytest.mark.parametrize("build", MEMOIZED, ids=lambda f: f.__name__)
+    def test_built_once_per_mesh(self, build):
+        m, other = refine_red(unit_square_mesh(2)), refine_red(unit_square_mesh(3))
+        first = build(m)
+        assert build(m) is first
+        assert build(other) is not first
+        assert build(other) is build(other)
+
+    def test_every_memoized_builder_is_listed(self):
+        memo = per_mesh(lambda m: None).__code__
+        found = {f for namespace in (vars(mesh_module), vars(assembly), vars(TriMesh))
+                 for f in namespace.values() if getattr(f, "__code__", None) is memo}
+        assert found == set(MEMOIZED)
+
+    def test_no_other_module_touches_the_memo(self):
+        package = Path(plapflow.__file__).parent
+        users = sorted(p.name for p in package.glob("*.py") if "_cache" in p.read_text())
+        assert users == ["mesh.py"]
+
+    def test_dof_numbers(self):
+        m = refine_red(unit_square_mesh(3))
+        number = m.dof_numbers()
+        assert number.dtype == np.int64
+        np.testing.assert_array_equal(number[m.interior], np.arange(m.n_interior))
+        np.testing.assert_array_equal(number[m.boundary_node], m.n_interior)
 
 
 class TestInterpolateNodal:

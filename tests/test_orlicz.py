@@ -370,12 +370,15 @@ def test_certification_rejects_fewer_than_one_sample():
 def test_fold_propagates_nan_as_whole_array_extremes_do():
     fold = orlicz._Fold()
     for block in ([1.0, 2.0], [], [np.nan, 0.5], [3.0]):
-        fold.span("x", np.asarray(block))
-    assert np.isnan(fold.low["x"]) and np.isnan(fold.high["x"])
+        fold.span("monotonicity", "x", np.asarray(block))
+    low, high = fold.stats()["monotonicity"]["x"]
+    assert np.isnan(low) and np.isnan(high)
     fold = orlicz._Fold()
     for block in ([1.0, 2.0], [], [3.0]):
-        fold.span("x", np.asarray(block))
-    assert (fold.low["x"], fold.high["x"]) == (1.0, 3.0)
+        fold.span("monotonicity", "x", np.asarray(block))
+        fold.max("monotonicity", "top", np.asarray(block))
+        fold.min("monotonicity", "bottom", np.asarray(block))
+    assert fold.stats()["monotonicity"] == {"x": (1.0, 3.0), "top": 3.0, "bottom": 1.0}
 
 
 def test_certification_memory_grows_by_its_inputs_alone():

@@ -8,8 +8,7 @@ from plapflow import assembly, fields, schemes
 from plapflow.lower_order import LowerOrderCoeff
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
-from plapflow.schemes import (AdmissibilityWarning, SchemeConfig, SolverError,
-                              first_kacanov_equals_semi_implicit, implicit_step,
+from plapflow.schemes import (AdmissibilityWarning, SchemeConfig, SolverError, implicit_step,
                               interpolant_eval, run_evolution, semi_implicit_step)
 
 import oracles
@@ -62,8 +61,9 @@ class TestConfigValidation:
 class TestSemiImplicitStep:
     def test_zero_fixed_point(self, mesh4):
         cfg = make_cfg(mesh4)
-        out = semi_implicit_step(FemFunction.zeros(mesh4), cfg, 1)
+        out, stats = semi_implicit_step(FemFunction.zeros(mesh4), cfg, 1)
         np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-15)
+        assert stats.iterations == 1
 
     def test_p2_equals_backward_euler_heat(self, mesh8):
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), eps=0.5, K=20, T=0.1)
@@ -78,7 +78,7 @@ class TestSemiImplicitStep:
     def test_dense_solver_oracle(self, mesh4):
         cfg = make_cfg(mesh4, eps=0.1, K=10, T=0.1)
         u_prev = interpolate_nodal(fields.make_field("sin-product"), mesh4)
-        out = semi_implicit_step(u_prev, cfg, 1)
+        out, _ = semi_implicit_step(u_prev, cfg, 1)
         m = assembly.mass_matrix(mesh4).toarray()
         k = assembly.weighted_stiffness(mesh4, u_prev, cfg.nf, cfg.eps,
                                         cfg.kind).toarray()
@@ -266,7 +266,7 @@ class TestKacanovIdentity:
     def test_identity_holds(self, mesh8, rng):
         u_prev = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
         cfg = make_cfg(mesh8)
-        assert first_kacanov_equals_semi_implicit(u_prev, cfg)
+        assert oracles.first_kacanov_equals_semi_implicit(u_prev, cfg)
 
     def test_randomized_configs(self, rng):
         for _ in range(8):
@@ -282,7 +282,7 @@ class TestKacanovIdentity:
                            source=fields.make_source("bump",
                                                      amplitude=float(rng.uniform(-2, 2))))
             u_prev = FemFunction(mesh, rng.uniform(-1, 1, mesh.n_interior))
-            assert first_kacanov_equals_semi_implicit(u_prev, cfg)
+            assert oracles.first_kacanov_equals_semi_implicit(u_prev, cfg)
 
     def test_p2_trajectories_fully_coincide(self, mesh8, rng):
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), K=5, T=0.05)
@@ -302,10 +302,8 @@ class TestRunEvolution:
         u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
         traj = run_evolution(u0, cfg)
         for k in range(1, traj.K + 1):
-            if scheme == "implicit":
-                u, _ = implicit_step(traj.iterates[k - 1], cfg, k)
-            else:
-                u = semi_implicit_step(traj.iterates[k - 1], cfg, k)
+            step = implicit_step if scheme == "implicit" else semi_implicit_step
+            u, _ = step(traj.iterates[k - 1], cfg, k)
             assert np.array_equal(u.coeffs, traj.iterates[k].coeffs)
 
     def test_k_zero(self, mesh4):
@@ -336,7 +334,8 @@ class TestRunEvolution:
         u0 = FemFunction(mesh, np.array([0.7]))
         traj = run_evolution(u0, cfg)
         m = assembly.mass_matrix(mesh).toarray()
-        k = assembly.stiffness_matrix(mesh).toarray()
+        # at p = 2 the weight is exactly 1: the unweighted stiffness matrix
+        k = assembly.weighted_stiffness(mesh, u0, cfg.nf, cfg.eps, cfg.kind).toarray()
         step = np.linalg.solve(m + cfg.tau * k, m)
         expect = u0.coeffs.copy()
         for u in traj.iterates[1:]:
