@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lower_order
-from .mesh import FemFunction, per_mesh
+from .mesh import FemFunction, _edge_keys, per_mesh
 # DegenerateWeightError is re-exported: callers of the assemblers catch it here.
 from .orlicz import (QUADRATIC_NORM, REGULARIZATION_KINDS, DegenerateWeightError,  # noqa: F401
                      diffusion_weight, vnorm)
@@ -71,30 +71,50 @@ def _pattern(mesh):
     weighted_stiffness, and _assemble's); Q of midpoint_mass gathers its row
     indices from it.
 
-    The slots are found one local (i, j) position at a time, so the set-up
-    holds no temporary of the size of all 9 M local entries: on large meshes
-    such temporaries stayed resident after they were freed and raised the
-    peak memory of the whole run.  The keys i * n + j are formed from the
-    int64 dof numbers: at n = 65025 they overflow int32.
+    One np.unique numbers the edges of every cell by their keys
+    lo (n + 1) + hi in dof numbers, the boundary sentinel n included, so
+    edges sort by (lo, hi) and are interior where hi < n.  Row r holds, in
+    column order, the lower ends of the interior edges whose higher end is r,
+    the diagonal, then the higher ends of those whose lower end is r.  The
+    latter are consecutive and ascending in key order; a stable sort by the
+    higher end lists the former the same way.  So the per-row counts below
+    and above the diagonal place every entry, and the slots are looked up
+    per edge, with no search.  The keys are formed from the int64 dof
+    numbers: at n = 65025 they overflow int32.
     """
     n = mesh.n_interior
-    number = mesh.dof_numbers()
-    ends = number[mesh.edges]
-    ends = ends[np.all(ends < n, axis=1)]
-    pairs = np.sort(np.concatenate([np.arange(n) * (n + 1),
-                                    ends[:, 0] * n + ends[:, 1],
-                                    ends[:, 1] * n + ends[:, 0]]))
-    row, col = np.divmod(pairs, n)
+    dof = mesh.dof_numbers()[mesh.cells]
+    keys, edge = np.unique(_edge_keys(dof, n + 1).ravel(), return_inverse=True)
+    lo, hi = np.divmod(keys, n + 1)
+    inner = hi < n
+    lo, hi = lo[inner], hi[inner]
+    below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    indices = col.astype(np.int32)
+    np.cumsum(below + 1 + above, out=indptr[1:])
+    nnz = int(indptr[-1])
+    # entry position per dof (diagonal) and per edge, the trash slot for the
+    # boundary sentinel and for edges with a boundary end
+    diag = np.append(indptr[:-1] + below, nnz)
+    up, down = np.full(keys.size, nnz), np.full(keys.size, nnz)
+    rank = np.arange(lo.size)
+    up[inner] = diag[lo] + 1 + rank - (np.cumsum(above) - above)[lo]
+    order = np.argsort(hi, kind="stable")
+    ends = hi[order]
+    down[np.flatnonzero(inner)[order]] = indptr[ends] + rank - (np.cumsum(below) - below)[ends]
 
-    dof = number[mesh.cells]
-    slot = np.full((mesh.n_cells, 3, 3), pairs.size, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[diag[:-1]] = np.arange(n)
+    indices[up[inner]] = hi
+    indices[down[inner]] = lo
+
+    edge = edge.reshape(-1, 3)
+    slot = np.empty((mesh.n_cells, 3, 3), dtype=np.int32)
     for i in range(3):
-        for j in range(3):
-            inside = (dof[:, i] < n) & (dof[:, j] < n)
-            slot[inside, i, j] = np.searchsorted(pairs, dof[inside, i] * n + dof[inside, j])
+        slot[:, i, i] = diag[dof[:, i]]
+    for e, (i, j) in enumerate(_EDGE_ENDS):
+        forward = dof[:, i] < dof[:, j]  # entry (i, j) lies above the diagonal
+        slot[:, i, j] = np.where(forward, up[edge[:, e]], down[edge[:, e]])
+        slot[:, j, i] = np.where(forward, down[edge[:, e]], up[edge[:, e]])
     for shared in (indptr, indices, slot):
         shared.flags.writeable = False  # every matrix on the mesh holds these
     return indptr, indices, slot.reshape(-1)

@@ -94,11 +94,6 @@ class TriMesh:
         return len(self.interior)
 
     @property
-    def level(self):
-        """Refinement generation: 0 for a mesh without a parent."""
-        return 0 if self.parent is None else self.parent.level + 1
-
-    @property
     def h(self):
         """Mesh size: the longest edge."""
         d = self.nodes[self.edges[:, 0]] - self.nodes[self.edges[:, 1]]
@@ -136,17 +131,6 @@ class TriMesh:
         number = np.full(self.n_nodes, self.n_interior, dtype=np.int64)
         number[self.interior] = np.arange(self.n_interior)
         return number
-
-    def shape_regularity(self):
-        """Max ratio of circumradius to inradius over all cells."""
-        v = self.nodes[self.cells]
-        e = np.stack([np.linalg.norm(v[:, (i + 2) % 3] - v[:, (i + 1) % 3], axis=1)
-                      for i in range(3)], axis=1)
-        a, b, c = e[:, 0], e[:, 1], e[:, 2]
-        s = 0.5 * (a + b + c)
-        inradius = self.areas / s
-        circumradius = a * b * c / (4.0 * self.areas)
-        return float(np.max(circumradius / inradius))
 
 
 @dataclass

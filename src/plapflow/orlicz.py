@@ -19,6 +19,8 @@ kernel, shared by the scalar ``check_*`` functions and ``certify_lemmas``.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,10 +383,20 @@ P_GRID = (1.2, 1.5, 1.8, 2.0)
 DELTA_GRID = (0.0, 0.1)
 
 # Samples certify_lemmas checks at once.  Its working set is a few dozen
-# block-sized arrays of 128 KiB, whatever the sample count.  Of 2^14 ... 2^17,
-# measured at 10^6 samples, 2^14 gave the lowest peak RSS, as fast as 2^15 and
-# faster than 2^16 and 2^17 (CHANGES.md).
+# block-sized arrays of 128 KiB per block in flight, whatever the sample
+# count.  Of 2^14 ... 2^17, measured at 10^6 samples, 2^14 gave the lowest
+# peak RSS, as fast as 2^15 and faster than 2^16 and 2^17 (CHANGES.md).
 LEMMA_BLOCK = 2**14
+
+# Most threads certify_lemmas runs its blocks on, so that at most this many
+# blocks' working sets are in memory at once, whatever the CPU count.
+LEMMA_THREADS = 4
+
+# The uniform draws of certify_lemmas, in stream order: eps, alpha, then the
+# radius and the angle of a, then of b.  Each takes one generator output per
+# sample.
+_UNIFORM_DRAWS = ((1e-6, 1.0), (0.0, 5.0), (0.0, 10.0), (0.0, 2.0 * np.pi),
+                  (0.0, 10.0), (0.0, 2.0 * np.pi))
 
 
 @dataclass
@@ -397,13 +409,6 @@ class CheckResult:
     @property
     def passed(self):
         return self.violations == 0
-
-
-def _sample_vectors(rng, n):
-    """Radii in [0, 10] and angles of n plane vectors, drawn in that order."""
-    r = rng.uniform(0.0, 10.0, size=n)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return r, theta
 
 
 def _vectors(r, theta):
@@ -422,7 +427,7 @@ class _Fold:
 
     def __init__(self):
         self.violations = dict.fromkeys(_CHECKS, 0)
-        self.extremes = {}  # (check, stat) -> its folded extremes
+        self.extremes = {}  # (check, stat) -> (its merges, its folded extremes)
 
     def count(self, check, bad):
         self.violations[check] += int(np.count_nonzero(bad))
@@ -436,17 +441,28 @@ class _Fold:
     def span(self, check, stat, x):
         self._fold(check, stat, x, np.minimum, np.maximum)
 
+    def merge(self, later):
+        """Fold in the fold of the blocks that follow this one's: counts add,
+        and extremes merge as a further block's would, keys new to this fold
+        appended in their order in later."""
+        for check, count in later.violations.items():
+            self.violations[check] += count
+        for key, (merges, values) in later.extremes.items():
+            self._merge(key, merges, values)
+
     def _fold(self, check, stat, x, *merges):
         if x.size:
-            new = [merge.reduce(x) for merge in merges]
-            old = self.extremes.get((check, stat), new)
-            self.extremes[check, stat] = [merge(a, b) for merge, a, b in zip(merges, old, new)]
+            self._merge((check, stat), merges, [merge.reduce(x) for merge in merges])
+
+    def _merge(self, key, merges, new):
+        old = self.extremes.get(key, (merges, new))[1]
+        self.extremes[key] = merges, [merge(a, b) for merge, a, b in zip(merges, old, new)]
 
     def stats(self):
         """Per check, its stats in the order they were first recorded: a
         minimum or a maximum as a float, a span as the pair (min, max)."""
         out = {check: {} for check in _CHECKS}
-        for (check, stat), values in self.extremes.items():
+        for (check, stat), (_, values) in self.extremes.items():
             values = tuple(float(v) for v in values)
             out[check][stat] = values if len(values) == 2 else values[0]
         return out
@@ -515,25 +531,65 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
     fold.max("s-eps-difference-quotient", "max_ratio", q)
 
 
+def _lemma_threads():
+    """Threads for certify_lemmas: one per CPU this process may run on, at
+    most LEMMA_THREADS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, LEMMA_THREADS)
+
+
+def _uniform_block(state, n, start, stop):
+    """Samples start..stop-1 of each of the n-sample _UNIFORM_DRAWS arrays
+    that a PCG64 generator in state draws one after the other."""
+    bits = np.random.PCG64()
+    gen = np.random.Generator(bits)
+    out = []
+    for j, (low, high) in enumerate(_UNIFORM_DRAWS):
+        bits.state = state
+        bits.advance(j * n + start)
+        out.append(gen.uniform(low, high, size=stop - start))
+    return out
+
+
 def certify_lemmas(samples=1_000_000, seed=42):
     """Sample every certified inequality and report violation counts.
 
     A violation is an inequality broken beyond the floating-point tolerance,
     or a measured ratio escaping its frozen regression interval.
 
-    All inputs are drawn up front, in one fixed order from one generator, so
-    the samples do not depend on the block size.  The checks then run on
-    LEMMA_BLOCK samples at a time and their outcomes fold:
+    The inputs are those of one generator drawing, in this order, n indices
+    into P_GRID and n into DELTA_GRID, then n each of eps, alpha, |a|, the
+    angle of a, |b| and the angle of b (_UNIFORM_DRAWS).  The indices are
+    drawn up front and kept as int8, 2 B per sample; `choice` takes a varying
+    number of generator outputs per sample, so they cannot be drawn later.
+    The six float arrays are not drawn up front: each takes exactly one
+    64-bit output of the PCG64 stream per sample, so sample s of float array
+    j is drawn by the output j n + s past the state the generator has after
+    the indices.  A block of samples draws its own inputs from a copy of that
+    state advanced there (PCG64.advance jumps exactly), and gets, bit for
+    bit, the values a draw of all samples up front would give it.
+
+    The checks run on LEMMA_BLOCK samples at a time, on a pool of threads
+    (one per CPU the process may run on, at most LEMMA_THREADS); numpy's
+    array kernels release the interpreter lock, so the blocks run in
+    parallel.  Each block folds its outcome into its own _Fold, and the
+    folds merge in block order:
       - violation counts add;
       - minima and maxima fold with np.minimum / np.maximum, so a NaN in any
         block propagates as through a whole-array np.min / np.max;
       - a block whose subset is empty (no pair a != b, no sample at some p)
         adds nothing to that subset's statistic;
       - the sandwich reports every p drawn in any block, in increasing order.
-    The result equals, bit for bit, that of one block of all samples, and
-    memory grows by the inputs alone, 50 B per sample: p and delta are kept
-    as int8 indices into P_GRID and DELTA_GRID (the same draws as choosing
-    the values) and looked up per block, the other six are float64.
+    The result therefore equals, bit for bit, that of one block of all
+    samples, for any number of threads.  A block that raises makes this
+    function raise that error, after the blocks still running have ended and
+    the rest were cancelled.
+
+    Memory grows by the indices alone, 2 B per sample; besides them it holds
+    one block's working set per thread (a few MB each).
     """
     n = int(samples)
     if n < 1:
@@ -542,18 +598,22 @@ def certify_lemmas(samples=1_000_000, seed=42):
     p_grid, delta_grid = np.asarray(P_GRID), np.asarray(DELTA_GRID)
     p_index = rng.choice(len(p_grid), size=n).astype(np.int8)
     delta_index = rng.choice(len(delta_grid), size=n).astype(np.int8)
-    eps = rng.uniform(1e-6, 1.0, size=n)
-    alpha = rng.uniform(0.0, 5.0, size=n)
-    ar, atheta = _sample_vectors(rng, n)
-    br, btheta = _sample_vectors(rng, n)
+    state = rng.bit_generator.state
+
+    def certify(start):
+        stop = min(start + LEMMA_BLOCK, n)
+        fold = _Fold()
+        # errstate is a context variable: each thread enters its own
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eps, alpha, ar, atheta, br, btheta = _uniform_block(state, n, start, stop)
+            _certify_block(fold, p_grid[p_index[start:stop]], delta_grid[delta_index[start:stop]],
+                           eps, alpha, _vectors(ar, atheta), _vectors(br, btheta))
+        return fold
 
     fold = _Fold()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, LEMMA_BLOCK):
-            blk = slice(start, start + LEMMA_BLOCK)
-            _certify_block(fold, p_grid[p_index[blk]], delta_grid[delta_index[blk]],
-                           eps[blk], alpha[blk], _vectors(ar[blk], atheta[blk]),
-                           _vectors(br[blk], btheta[blk]))
+    with ThreadPoolExecutor(_lemma_threads()) as pool:
+        for block in pool.map(certify, range(0, n, LEMMA_BLOCK)):
+            fold.merge(block)
 
     stats = fold.stats()
     stats["lagged-weight-ratio"]["frozen_bound"] = LAGGED_WEIGHT_RATIO_MAX

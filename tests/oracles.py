@@ -96,6 +96,18 @@ def unit_square_cells(n):
     return np.asarray(cells, dtype=np.int64)
 
 
+def shape_regularity(mesh):
+    """Max ratio of circumradius to inradius over the cells of mesh."""
+    v = mesh.nodes[mesh.cells]
+    e = np.stack([np.linalg.norm(v[:, (i + 2) % 3] - v[:, (i + 1) % 3], axis=1)
+                  for i in range(3)], axis=1)
+    a, b, c = e[:, 0], e[:, 1], e[:, 2]
+    s = 0.5 * (a + b + c)
+    inradius = mesh.areas / s
+    circumradius = a * b * c / (4.0 * mesh.areas)
+    return float(np.max(circumradius / inradius))
+
+
 def sorted_edges(cells):
     """Distinct edges (lo, hi) of a triangulation in lexicographic order."""
     edges = np.sort(np.asarray(cells)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
@@ -430,6 +442,31 @@ def load_vector(nodes, cells, f):
 # The package's cached operators add the same products in the same cell
 # order, so the cell gradients, the weighted stiffness and every _assemble
 # result equal these to the bit.
+
+def searchsorted_pattern(mesh):
+    """assembly._pattern as it was built before: the sorted keys i n + j of
+    every pattern entry, and each local (i, j) position's slots found by
+    np.searchsorted in them, one position at a time."""
+    n = mesh.n_interior
+    number = mesh.dof_numbers()
+    ends = number[mesh.edges]
+    ends = ends[np.all(ends < n, axis=1)]
+    pairs = np.sort(np.concatenate([np.arange(n) * (n + 1),
+                                    ends[:, 0] * n + ends[:, 1],
+                                    ends[:, 1] * n + ends[:, 0]]))
+    row, col = np.divmod(pairs, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    indices = col.astype(np.int32)
+
+    dof = number[mesh.cells]
+    slot = np.full((mesh.n_cells, 3, 3), pairs.size, dtype=np.int32)
+    for i in range(3):
+        for j in range(3):
+            inside = (dof[:, i] < n) & (dof[:, j] < n)
+            slot[inside, i, j] = np.searchsorted(pairs, dof[inside, i] * n + dof[inside, j])
+    return indptr, indices, slot.reshape(-1)
+
 
 def bincount_assemble(mesh, element_blocks):
     """Data of the matrix with (M, 3, 3) element blocks, summed by np.bincount over the slots."""

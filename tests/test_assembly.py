@@ -361,6 +361,27 @@ class TestSharedPattern:
         got = schemes._system_matrix(v, cfg).toarray()
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14 * np.max(np.abs(expect)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), refine=st.integers(0, 2), relabel=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pattern_is_the_searchsorted_pattern(self, n, refine, relabel, seed):
+        m = jittered_unit_square(n, seed)
+        if relabel:
+            # nodes renumbered, cells reordered, each cell's vertices rotated
+            rng = np.random.default_rng(seed)
+            label = rng.permutation(m.n_nodes)
+            cells = label[m.cells[rng.permutation(m.n_cells)]]
+            turn = rng.integers(0, 3, m.n_cells)
+            cells = np.take_along_axis(cells, (np.arange(3) + turn[:, None]) % 3, axis=1)
+            nodes = np.empty_like(m.nodes)
+            nodes[label] = m.nodes
+            m = TriMesh(nodes, cells)
+        for _ in range(refine):
+            m = refine_red(m)
+        for got, expect in zip(assembly._pattern(m), oracles.searchsorted_pattern(m)):
+            assert got.dtype == expect.dtype
+            np.testing.assert_array_equal(got, expect)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_against_dense_oracles_on_jittered_meshes(self, n, seed):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -395,6 +396,51 @@ def test_certification_memory_grows_by_its_inputs_alone():
     certify_lemmas(10, seed=7)  # lazy set-up outside the traced calls
     growth = traced_peak(8 * BLOCK) - traced_peak(4 * BLOCK)
     assert growth <= 72 * 4 * BLOCK
+
+
+@pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_certification_is_the_same_on_any_number_of_threads(samples, monkeypatch):
+    expect = _table(oracles.certify_lemmas(samples, 42))
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(orlicz, "_lemma_threads", lambda: threads)
+        assert _table(certify_lemmas(samples, 42)) == expect
+
+
+def test_a_failing_block_fails_the_certification_and_ends_its_threads(monkeypatch):
+    class BlockError(Exception):
+        pass
+
+    certify = orlicz._certify_block
+
+    def fail_short_block(fold, p, *args):
+        if p.size < BLOCK:  # the last of 3 BLOCK + 7 samples
+            raise BlockError("short block")
+        certify(fold, p, *args)
+
+    monkeypatch.setattr(orlicz, "_certify_block", fail_short_block)
+    monkeypatch.setattr(orlicz, "_lemma_threads", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(BlockError, match="^short block$"):
+        certify_lemmas(3 * BLOCK + 7, 5)
+    assert threading.active_count() == before
+
+
+def test_certification_memory_grows_by_the_grid_indices_alone(monkeypatch):
+    # Only the int8 p and delta indices (2 B a sample) are drawn up front;
+    # each block draws its own floats.  One thread, so the peak does not
+    # depend on how the working sets of concurrent blocks overlap in time.
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            certify_lemmas(samples, seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(orlicz, "_lemma_threads", lambda: 1)
+    certify_lemmas(10, seed=7)  # lazy set-up outside the traced calls
+    growth = traced_peak(8 * BLOCK) - traced_peak(4 * BLOCK)
+    assert growth <= 4 * 4 * BLOCK
 
 
 _coord = st.floats(-1e3, 1e3, allow_nan=False)
