@@ -34,15 +34,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lower_order
-from .mesh import FemFunction, _edge_keys, per_mesh
+from .mesh import EDGE_ENDS, FemFunction, per_mesh
 # DegenerateWeightError is re-exported: callers of the assemblers catch it here.
 from .orlicz import (QUADRATIC_NORM, REGULARIZATION_KINDS, DegenerateWeightError,  # noqa: F401
                      diffusion_weight, vnorm)
-
-
-# Local vertices at the ends of edges 01, 12, 20; the edge midpoints are
-# numbered in this order.
-_EDGE_ENDS = np.array([[0, 1], [1, 2], [2, 0]])
 
 # Degree-5 rule: barycentric coordinates and weights (normalized to 1).
 _S15 = np.sqrt(15.0)
@@ -71,22 +66,23 @@ def _pattern(mesh):
     weighted_stiffness, and _assemble's); Q of midpoint_mass gathers its row
     indices from it.
 
-    One np.unique numbers the edges of every cell by their keys
-    lo (n + 1) + hi in dof numbers, the boundary sentinel n included, so
-    edges sort by (lo, hi) and are interior where hi < n.  Row r holds, in
-    column order, the lower ends of the interior edges whose higher end is r,
-    the diagonal, then the higher ends of those whose lower end is r.  The
-    latter are consecutive and ascending in key order; a stable sort by the
-    higher end lists the former the same way.  So the per-row counts below
-    and above the diagonal place every entry, and the slots are looked up
-    per edge, with no search.  The keys are formed from the int64 dof
-    numbers: at n = 65025 they overflow int32.
+    The mesh's edges, in dof numbers lo < hi with the boundary sentinel n,
+    are interior where hi < n; one argsort orders those by their keys
+    lo (n + 1) + hi, that is by (lo, hi).  Row r holds, in column order, the
+    lower ends of the interior edges whose higher end is r, the diagonal,
+    then the higher ends of those whose lower end is r.  The latter are
+    consecutive and ascending in key order; a stable sort by the higher end
+    lists the former the same way.  So the per-row counts below and above
+    the diagonal place every entry, and the slots are looked up per edge
+    through mesh.cell_edges, with no search.  The keys are formed from the
+    int64 dof numbers: at n = 65025 they overflow int32.
     """
     n = mesh.n_interior
-    dof = mesh.dof_numbers()[mesh.cells]
-    keys, edge = np.unique(_edge_keys(dof, n + 1).ravel(), return_inverse=True)
-    lo, hi = np.divmod(keys, n + 1)
-    inner = hi < n
+    number = mesh.dof_numbers()
+    dof = number[mesh.cells]
+    lo, hi = np.sort(number[mesh.edges], axis=1).T
+    inner = np.flatnonzero(hi < n)
+    inner = inner[np.argsort(lo[inner] * (n + 1) + hi[inner])]
     lo, hi = lo[inner], hi[inner]
     below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -95,23 +91,23 @@ def _pattern(mesh):
     # entry position per dof (diagonal) and per edge, the trash slot for the
     # boundary sentinel and for edges with a boundary end
     diag = np.append(indptr[:-1] + below, nnz)
-    up, down = np.full(keys.size, nnz), np.full(keys.size, nnz)
+    up, down = np.full(len(mesh.edges), nnz), np.full(len(mesh.edges), nnz)
     rank = np.arange(lo.size)
     up[inner] = diag[lo] + 1 + rank - (np.cumsum(above) - above)[lo]
     order = np.argsort(hi, kind="stable")
     ends = hi[order]
-    down[np.flatnonzero(inner)[order]] = indptr[ends] + rank - (np.cumsum(below) - below)[ends]
+    down[inner[order]] = indptr[ends] + rank - (np.cumsum(below) - below)[ends]
 
     indices = np.empty(nnz, dtype=np.int32)
     indices[diag[:-1]] = np.arange(n)
     indices[up[inner]] = hi
     indices[down[inner]] = lo
 
-    edge = edge.reshape(-1, 3)
+    edge = mesh.cell_edges
     slot = np.empty((mesh.n_cells, 3, 3), dtype=np.int32)
     for i in range(3):
         slot[:, i, i] = diag[dof[:, i]]
-    for e, (i, j) in enumerate(_EDGE_ENDS):
+    for e, (i, j) in enumerate(EDGE_ENDS):
         forward = dof[:, i] < dof[:, j]  # entry (i, j) lies above the diagonal
         slot[:, i, j] = np.where(forward, up[edge[:, e]], down[edge[:, e]])
         slot[:, j, i] = np.where(forward, down[edge[:, e]], up[edge[:, e]])
@@ -344,7 +340,7 @@ def jacobian_stiffness(mesh, w, nf, eps, kind):
 def midpoint_coords(mesh):
     """Physical coordinates of the edge midpoints per cell, (M, 3, 2)."""
     v = mesh.nodes[mesh.cells]
-    return 0.5 * (v[:, _EDGE_ENDS[:, 0]] + v[:, _EDGE_ENDS[:, 1]])
+    return 0.5 * (v[:, EDGE_ENDS[:, 0]] + v[:, EDGE_ENDS[:, 1]])
 
 
 @per_mesh
@@ -354,7 +350,7 @@ def _midpoint_operator(mesh):
     Row 3 m + q holds 1/2 in the columns of the two ends of cell m's edge q.
     """
     m = mesh.n_cells
-    cols = _cell_dofs(mesh)[:, _EDGE_ENDS]  # (M, 3, 2)
+    cols = _cell_dofs(mesh)[:, EDGE_ENDS]  # (M, 3, 2)
     indptr = np.arange(0, 6 * m + 1, 2, dtype=np.int32)
     return sp.csr_matrix((np.full(6 * m, 0.5), cols.reshape(-1), indptr),
                          shape=(3 * m, mesh.n_interior + 1))
@@ -376,7 +372,7 @@ def _midpoint_mass_operator(mesh):
     _, indices, slot = _pattern(mesh)
     m = mesh.n_cells
     blocks = slot.reshape(m, 3, 3)
-    a, b = _EDGE_ENDS[:, 0], _EDGE_ENDS[:, 1]
+    a, b = EDGE_ENDS[:, 0], EDGE_ENDS[:, 1]
     rows = np.stack([blocks[:, a, a], blocks[:, a, b], blocks[:, b, a], blocks[:, b, b]],
                     axis=-1)  # (M, 3, 4)
     indptr = np.arange(0, 12 * m + 1, 4, dtype=np.int32)

@@ -23,6 +23,12 @@ import scipy.sparse as sp
 
 BOUNDARY_TOL = 1e-12
 
+# Local vertices at the ends of a cell's edges 01, 12, 20, and the cell's four
+# red children in local numbers: 0-2 its vertices, 3 + e the midpoint of its
+# edge e.
+EDGE_ENDS = np.array([[0, 1], [1, 2], [2, 0]])
+_RED_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
 
 def per_mesh(build):
     """Memoize build(mesh) on the mesh: the first call builds, every later
@@ -48,20 +54,26 @@ class TriMesh:
     ----------
     nodes : (N, 2) float array
     cells : (M, 3) int array, counterclockwise vertex triples
+    edges : (E, 2) int32 array, the distinct edges (lo < hi) by first appearance
+    cell_edges : (M, 3) int32 array, entry (m, e) the edge EDGE_ENDS[e] of cell m
     boundary_node : (N,) bool array
     parent : the mesh this one was refined from, or None; its nodes are the
         first parent.n_nodes nodes of this mesh
     """
 
-    def __init__(self, nodes, cells, parent=None, midpoint_edges=None):
+    def __init__(self, nodes, cells, parent=None):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValueError("nodes must be an (N, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (M, 3) array")
+        n = len(self.nodes)
+        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= n):
+            raise ValueError(f"cells must index the {n} nodes")
+        if np.any(np.bincount(self.cells.ravel(), minlength=n) == 0):
+            raise ValueError("every node must be a vertex of some cell")
         self.parent = parent
-        self.midpoint_edges = midpoint_edges  # (N - N_parent, 2) parent edge ends
         self._cache = {}  # per_mesh's memo
 
         v0 = self.nodes[self.cells[:, 0]]
@@ -73,12 +85,21 @@ class TriMesh:
             raise ValueError("cells must be counterclockwise with positive area")
         self.areas = 0.5 * cross
 
-        keys, counts = np.unique(_edge_keys(self.cells, len(self.nodes)), return_counts=True)
-        self.edges = np.column_stack(np.divmod(keys, len(self.nodes)))
+        # the mesh's one sort of its edge keys lo n + hi, renumbered from key
+        # order to order of first appearance along the cells' edges EDGE_ENDS
+        ends = self.cells[:, EDGE_ENDS]  # (M, 3, 2)
+        keys, first, inverse, counts = np.unique(
+            (ends.min(axis=2) * n + ends.max(axis=2)).ravel(), return_index=True,
+            return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        self.edges = np.column_stack(np.divmod(keys[order], n)).astype(np.int32)
+        self.cell_edges = rank[inverse].reshape(-1, 3)
         if np.any(counts > 2):
             raise ValueError("mesh is not conforming: an edge meets > 2 cells")
-        self.boundary_node = np.zeros(len(self.nodes), dtype=bool)
-        self.boundary_node[self.edges[counts == 1].ravel()] = True
+        self.boundary_node = np.zeros(n, dtype=bool)
+        self.boundary_node[self.edges[counts[order] == 1].ravel()] = True
         self.interior = np.flatnonzero(~self.boundary_node)
 
     @property
@@ -166,12 +187,6 @@ class FemFunction:
         return FemFunction(self.mesh, self.coeffs.copy())
 
 
-def _edge_keys(cells, n_nodes):
-    """Key lo * n_nodes + hi of the edges 01, 12, 20 of every cell, (M, 3)."""
-    nxt = np.roll(cells, -1, axis=1)
-    return np.minimum(cells, nxt) * n_nodes + np.maximum(cells, nxt)
-
-
 def unit_square_mesh(n):
     """Structured triangulation of (0,1)^2: n x n squares, each split along
     its lower-left/upper-right diagonal; (n+1)^2 nodes, 2 n^2 cells.
@@ -197,26 +212,13 @@ def unit_square_mesh(n):
 def refine_red(m):
     """Uniform red refinement: every triangle split into 4 via edge midpoints.
 
-    Midpoints are numbered after the parent nodes, in order of first
-    appearance along the cells' edges 01, 12, 20.
+    The midpoint of the parent's edge e is child node m.n_nodes + e, so
+    midpoints are numbered after the parent nodes in the order of m.edges.
     """
-    n_old = m.n_nodes
-    keys = _edge_keys(m.cells, n_old).ravel()
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    mab, mbc, mca = (n_old + rank[inverse]).reshape(-1, 3).T
-    a, b, c = m.cells.T
-    new_cells = np.stack([np.column_stack([a, mab, mca]),
-                          np.column_stack([mab, b, mbc]),
-                          np.column_stack([mca, mbc, c]),
-                          np.column_stack([mab, mbc, mca])], axis=1)
-
-    midpoint_edges = np.column_stack(np.divmod(uniq[order], n_old))
-    new_nodes = 0.5 * (m.nodes[midpoint_edges[:, 0]] + m.nodes[midpoint_edges[:, 1]])
-    return TriMesh(np.vstack([m.nodes, new_nodes]), new_cells.reshape(-1, 3),
-                   parent=m, midpoint_edges=midpoint_edges)
+    local = np.concatenate([m.cells, m.n_nodes + m.cell_edges], axis=1)
+    new_nodes = 0.5 * (m.nodes[m.edges[:, 0]] + m.nodes[m.edges[:, 1]])
+    return TriMesh(np.vstack([m.nodes, new_nodes]), local[:, _RED_CHILDREN].reshape(-1, 3),
+                   parent=m)
 
 
 @per_mesh
@@ -232,7 +234,7 @@ def prolongation(target):
     """
     parent = target.parent
     column, row = parent.dof_numbers(), target.dof_numbers()
-    mids = target.midpoint_edges
+    mids = parent.edges
     rows = np.concatenate([row[:parent.n_nodes], np.repeat(row[parent.n_nodes:], 2)])
     cols = np.concatenate([column, column[mids].ravel()])
     vals = np.concatenate([np.ones(parent.n_nodes), np.full(mids.size, 0.5)])

@@ -108,12 +108,6 @@ def shape_regularity(mesh):
     return float(np.max(circumradius / inradius))
 
 
-def sorted_edges(cells):
-    """Distinct edges (lo, hi) of a triangulation in lexicographic order."""
-    edges = np.sort(np.asarray(cells)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    return np.unique(edges, axis=0)
-
-
 def refine_red(nodes, cells):
     """Red refinement cell by cell, midpoints numbered by first appearance.
 
@@ -490,7 +484,7 @@ def midpoint_prolong(u, target):
     full = u.full_values()
     child = np.empty(target.n_nodes)
     child[:u.mesh.n_nodes] = full
-    mids = target.midpoint_edges
+    mids = u.mesh.edges
     child[u.mesh.n_nodes:] = 0.5 * (full[mids[:, 0]] + full[mids[:, 1]])
     return child[target.interior]
 

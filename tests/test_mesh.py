@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,17 @@ class TestUnitSquare:
             TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                     np.array([[0, 2, 1]]))  # clockwise
 
+    def test_rejects_a_cell_index_outside_the_nodes(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for cells in ([[0, 1, -1]], [[0, 1, 3]]):
+            with pytest.raises(ValueError, match="index"):
+                TriMesh(nodes, cells)
+
+    def test_rejects_a_node_no_cell_uses(self):
+        m = unit_square_mesh(4)
+        with pytest.raises(ValueError, match="node"):
+            TriMesh(np.vstack([m.nodes, [[0.3, 0.3]]]), m.cells)
+
 
 class TestRedRefinement:
     def test_matches_next_unit_square(self):
@@ -66,18 +78,47 @@ class TestRedRefinement:
         assert child.n_nodes == 9 and child.n_cells == 8
         assert _canonical_cells(child) == _canonical_cells(ref)
 
+    @staticmethod
+    def refine_checked(m):
+        """refine_red(m), checked with m's edge table against the loop oracle."""
+        nodes, cells, mids = oracles.refine_red(m.nodes, m.cells)
+        # edges in order of first appearance along the cells' edges 01, 12, 20
+        np.testing.assert_array_equal(m.edges, mids)
+        # edge e of cell m is (cells[m, e], cells[m, e + 1 mod 3]), sorted
+        assert m.cell_edges.dtype == np.int32
+        ends = np.stack([m.cells, np.roll(m.cells, -1, axis=1)], axis=2)
+        np.testing.assert_array_equal(m.edges[m.cell_edges], np.sort(ends, axis=2))
+        child = refine_red(m)
+        np.testing.assert_array_equal(child.nodes, nodes)
+        np.testing.assert_array_equal(child.cells, cells)
+        return child
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_loop_oracle(self, n):
         m = unit_square_mesh(n)
         np.testing.assert_array_equal(m.cells, oracles.unit_square_cells(n))
-        np.testing.assert_array_equal(m.edges, oracles.sorted_edges(m.cells))
-        for _ in range(4):
-            nodes, cells, mids = oracles.refine_red(m.nodes, m.cells)
-            m = refine_red(m)
-            assert np.array_equal(m.nodes, nodes)
-            assert np.array_equal(m.cells, cells)
-            assert np.array_equal(m.edges, oracles.sorted_edges(cells))
-            assert np.array_equal(m.midpoint_edges, mids)
+        for _ in range(5):
+            m = self.refine_checked(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), refine=st.integers(0, 2), relabel=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle_on_general_meshes(self, n, refine, relabel, seed):
+        m = unit_square_mesh(n)
+        rng = np.random.default_rng(seed)
+        nodes = m.nodes.copy()
+        nodes[m.interior] += rng.uniform(-0.1, 0.1, (m.n_interior, 2)) / n
+        cells = m.cells
+        if relabel:
+            # nodes renumbered, cells reordered, each cell's vertices rotated
+            label = rng.permutation(m.n_nodes)
+            cells = label[cells[rng.permutation(m.n_cells)]]
+            turn = rng.integers(0, 3, m.n_cells)
+            cells = np.take_along_axis(cells, (np.arange(3) + turn[:, None]) % 3, axis=1)
+            nodes[label] = nodes.copy()
+        m = TriMesh(nodes, cells)
+        for _ in range(refine + 1):
+            m = self.refine_checked(m)
 
     def test_counts_closed_form(self):
         m = unit_square_mesh(2)
@@ -114,8 +155,7 @@ class TestRedRefinement:
         parent = unit_square_mesh(2)
         child = refine_red(parent)
         mids = child.nodes[parent.n_nodes:]
-        expect = 0.5 * (parent.nodes[child.midpoint_edges[:, 0]]
-                        + parent.nodes[child.midpoint_edges[:, 1]])
+        expect = 0.5 * (parent.nodes[parent.edges[:, 0]] + parent.nodes[parent.edges[:, 1]])
         np.testing.assert_allclose(mids, expect)
 
 
@@ -134,7 +174,7 @@ class TestProlong:
         parent_full = u.full_values()
         # parent nodes keep values, midpoints average the edge ends
         np.testing.assert_array_equal(out_full[:parent.n_nodes], parent_full)
-        mids = child.midpoint_edges
+        mids = parent.edges
         np.testing.assert_allclose(
             out_full[parent.n_nodes:],
             0.5 * (parent_full[mids[:, 0]] + parent_full[mids[:, 1]]))
@@ -232,6 +272,16 @@ class TestPerMesh:
         package = Path(plapflow.__file__).parent
         users = sorted(p.name for p in package.glob("*.py") if "_cache" in p.read_text())
         assert users == ["mesh.py"]
+
+    def test_no_other_module_numbers_edges(self):
+        # edge keys and the local-edge table are formed in mesh only, and the
+        # mesh sorts its edge keys once
+        package = Path(plapflow.__file__).parent
+        users = sorted(p.name for p in package.glob("*.py")
+                       if re.search(r"_edge_keys|np\.roll\(|\[\[0,1\],\[1,2\],\[2,0\]\]",
+                                    re.sub(r"\s", "", p.read_text())))
+        assert users == ["mesh.py"]
+        assert (package / "mesh.py").read_text().count("np.unique(") == 1
 
     def test_dof_numbers(self):
         m = refine_red(unit_square_mesh(3))
