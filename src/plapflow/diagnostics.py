@@ -194,11 +194,6 @@ def _dissipation_sum(tau, diss_dtau):
     return tau * tau * sum(diss_dtau.tolist())
 
 
-def lagged_dissipation_sum(traj):
-    """tau^2 sum_k int w^{k-1} |grad d u^k|^2, the quantity the energy bound controls."""
-    return _dissipation_sum(traj.config.tau, _walk(traj).diss_dtau)
-
-
 def _discrepancy_total(cfg, diss_dtau):
     """discrepancy_total of the semi-implicit run under cfg whose lagged
     dissipations D_k are diss_dtau."""

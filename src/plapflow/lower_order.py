@@ -1,13 +1,14 @@
 """Registry of lower-order coefficients d(s) and the nonlinearity g(s) = d(s) s.
 
-The registry is closed so the growth data (r, c7, c8) is known structurally:
+The registry is closed so the growth data (r, c7, c) is known structurally:
 
     zero           d(s) = 0
     power          d(s) = |s|^(r-2),       r in (2, inf)
     shifted-power  d(s) = |s|^(r-2) - c
 
-Every kind is bounded below by -c7 and grows at most like c8 (1 + |s|^(r-2)),
-which is what the time-stepping theory needs.  Admissibility of r for the two
+Every kind is bounded below by -c7 and grows at most like
+max(1, |c|) (1 + |s|^(r-2)), with c = 0 for the unshifted kinds, which is
+what the time-stepping theory needs.  Admissibility of r for the two
 schemes (spatial dimension fixed at 2) follows the convergence theory:
 implicit needs r in (2, 2p], semi-implicit r in (2, p+1] for p < 2 and
 r in (2, 3) at p = 2.
@@ -69,13 +70,6 @@ class LowerOrderCoeff:
         return 0.0
 
     @property
-    def c8(self):
-        """Growth bound: |d(s)| <= c8 (1 + |s|^(r-2))."""
-        if self.kind == SHIFTED_POWER:
-            return max(1.0, abs(self.c))
-        return 1.0
-
-    @property
     def is_zero(self):
         return self.kind == ZERO
 
@@ -89,12 +83,6 @@ def d_eval(coeff, s):
     if coeff.kind == SHIFTED_POWER:
         val = val - coeff.c
     return val
-
-
-def g_eval(coeff, s):
-    """Nonlinearity g(s) = d(s) s."""
-    s = np.asarray(s, dtype=float)
-    return d_eval(coeff, s) * s
 
 
 def g_prime_eval(coeff, s):

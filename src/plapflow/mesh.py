@@ -168,15 +168,6 @@ class FemFunction:
                 f"expected {self.mesh.n_interior} interior coefficients, "
                 f"got shape {self.coeffs.shape}")
 
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_interior))
-
-    @classmethod
-    def from_full(cls, mesh, values):
-        values = np.asarray(values, dtype=float)
-        return cls(mesh, values[mesh.interior])
-
     def full_values(self):
         """Nodal values on all nodes, zeros on the boundary."""
         full = np.zeros(self.mesh.n_nodes)

@@ -14,7 +14,7 @@ Two regularizations of the degenerate weight at zero gradient are supported:
 the additive shift (shifted density, weight (delta+eps+t)^(p-2)) and the
 quadratic norm (weight (t^2 + eps^2)^((p-2)/2)); ``diffusion_weight`` is the
 one the solver assembles.  Each certified inequality is one private array
-kernel, shared by the scalar ``check_*`` functions and ``certify_lemmas``.
+kernel, and ``certify_lemmas`` is the one entry point that checks them.
 """
 
 from __future__ import annotations
@@ -99,21 +99,9 @@ class NFunctionPD:
         if not np.isfinite(self.delta) or self.delta < 0.0:
             raise ValueError(f"shift delta must be >= 0, got {self.delta}")
 
-    @property
-    def kappa0(self):
-        return self.p - 1.0
-
-    @property
-    def kappa1(self):
-        return 1.0
-
     def phi(self, t):
         """Antiderivative of phi'; phi(0) = 0, equals t^p/p for delta = 0."""
         return _phi_closed(self.p, self.delta, np.asarray(t, dtype=float))
-
-    def phi_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        return _additive_weight(self.p, self.delta, t) * t
 
     def phi_prime2(self, t):
         """Second derivative, defined for t > 0 (and t = 0 when delta > 0)."""
@@ -171,40 +159,8 @@ def _phi_closed(p, delta, t):
     return out
 
 
-def _check_scalar(name, value, minimum=None, strict=False):
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if minimum is not None:
-        if strict and not value > minimum:
-            raise ValueError(f"{name} must be > {minimum}, got {value}")
-        if not strict and not value >= minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
 def _ineq_scale(lhs, rhs):
     return INEQ_TOL * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-
-
-def phi_eval(nf, t):
-    """Evaluate phi(t) in closed form."""
-    _check_scalar("t", t, minimum=0.0)
-    return float(nf.phi(t))
-
-
-def phi_shifted_prime(nf, alpha, t):
-    """Derivative of the alpha-shifted density: (delta+alpha+t)^(p-2) t."""
-    _check_scalar("alpha", alpha, minimum=0.0)
-    _check_scalar("t", t, minimum=0.0)
-    if t == 0.0:
-        return 0.0
-    return float(_additive_weight(nf.p, nf.delta + alpha, t) * t)
-
-
-def phi_shifted(nf, alpha, t):
-    """The alpha-shifted density itself, in closed form."""
-    _check_scalar("alpha", alpha, minimum=0.0)
-    _check_scalar("t", t, minimum=0.0)
-    return float(nf.shifted(alpha).phi(t))
 
 
 def vdot(a, b):
@@ -242,7 +198,8 @@ def op_S_eps(p, eps, a):
     """Quadratic-norm operator a * (|a|^2 + eps^2)^((p-2)/2); S(0) = 0 at eps = 0."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"exponent p must lie in (1, 2], got {p}")
-    _check_scalar("eps", eps, minimum=0.0)
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     a = np.asarray(a, dtype=float)
     return _op_S(p, eps, a, vdot(a, a))
 
@@ -272,7 +229,7 @@ def diffusion_weight(nf, eps, kind, t):
 # The certified inequalities, one kernel each; a batch computes |a|, |b|, |a-b| once.
 
 def _uniform_eps_bound(p, delta, eps, a, ra):
-    """|A_eps(a) - A_0(a)| <= (1 - kappa0) phi'(eps); returns (lhs, rhs, holds)."""
+    """|A_eps(a) - A_0(a)| <= (2 - p) phi'(eps); returns (lhs, rhs, holds)."""
     lhs = vnorm(_op_A(p, delta + eps, a, ra) - _op_A(p, delta, a, ra))
     rhs = (2.0 - p) * _additive_weight(p, delta, eps) * eps
     return lhs, rhs, lhs <= rhs + _ineq_scale(lhs, rhs)
@@ -288,15 +245,14 @@ def _orlicz_stability(p, shift, a, ra, b, rb, s):
 
 
 def _lagged_weight(p, shift, a, ra, rb, s):
-    """|(w(|a|) - w(|b|)) a| against w(|b|) |a-b| for w(t) = phi_shift'(t)/t:
-    (lhs, bound_unit, ratio), the ratio 0 where |b| = 0 or the bound is 0."""
+    """|(w(|a|) - w(|b|)) a| / (w(|b|) |a-b|) for w(t) = phi_shift'(t)/t; 0
+    where |b| = 0 or the denominator is 0."""
     wb = _additive_weight(p, shift, rb)
     # (w_a - w_b) a as A(a) - w_b a, finite even where the weight at |a| = 0 is not
     lhs = vnorm(_op_A(p, shift, a, ra) - wb[..., None] * a)
-    bound_unit = wb * s
-    good = (rb > 0.0) & (bound_unit > 0.0)
-    ratio = np.where(good, lhs / np.where(good, bound_unit, 1.0), 0.0)
-    return lhs, bound_unit, ratio
+    den = wb * s
+    good = (rb > 0.0) & (den > 0.0)
+    return np.where(good, lhs / np.where(good, den, 1.0), 0.0)
 
 
 def _monotone_forms(p, shift, a, ra, b, rb, s):
@@ -313,64 +269,6 @@ def _s_eps_quotient(p, eps, a, ra, b, rb, s):
     num = vnorm(_op_S(p, eps, a, ra * ra) - _op_S(p, eps, b, rb * rb))
     den = s * _quadratic_weight(p, eps, ra * ra + rb * rb)
     return np.where(s > 0.0, num / den, 0.0)
-
-
-def check_uniform_eps_bound(nf, a, eps):
-    """|A_eps(a) - A_0(a)| against (1 - kappa0) phi'(eps)."""
-    _check_scalar("eps", eps, minimum=0.0, strict=True)
-    a = np.asarray(a, dtype=float)
-    lhs, rhs, holds = _uniform_eps_bound(nf.p, nf.delta, eps, a, vnorm(a))
-    return float(lhs), float(rhs), bool(holds)
-
-
-def check_orlicz_stability(nf, a, b, eps):
-    """Weighted convexity-type inequality used for energy decay.
-
-    lhs = (phi_eps'(|a|)/|a|) b.(b-a)
-    rhs = phi_eps(|b|) - phi_eps(|a|) + (1/2)(phi_eps'(|a|)/|a|) |b-a|^2
-    """
-    _check_scalar("eps", eps, minimum=0.0)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    ra, rb = vnorm(a), vnorm(b)
-    if nf.delta + eps + ra == 0.0:
-        # Degenerate weight at a = 0 with no shift: both sides diverge unless
-        # b = 0; the inequality holds in the limit.
-        if rb == 0.0:
-            return 0.0, 0.0, True
-        return np.inf, np.inf, True
-    lhs, rhs, holds = _orlicz_stability(nf.p, nf.delta + eps, a, ra, b, rb, vnorm(a - b))
-    return float(lhs), float(rhs), bool(holds)
-
-
-def check_lagged_weight_estimate(nf, a, b, eps):
-    """Lagged-weight swap estimate; the bound constant is measured, not given.
-
-    Returns (lhs, bound_unit, ratio) with
-    lhs = |(phi_eps'(|a|)/|a| - phi_eps'(|b|)/|b|) a| and
-    bound_unit = (phi_eps'(|b|)/|b|) |a-b|.
-    """
-    _check_scalar("eps", eps, minimum=0.0)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    rb = vnorm(b)
-    if rb == 0.0:
-        raise ValueError("b must be nonzero")
-    out = _lagged_weight(nf.p, nf.delta + eps, a, vnorm(a), rb, vnorm(a - b))
-    return tuple(float(x) for x in out)
-
-
-def check_monotonicity_equivalence(nf, a, b, alpha):
-    """The three mutually equivalent monotonicity quantities for a != b.
-
-    Returns (inner, shifted_phi_val, quotient_form); all are positive and
-    their pairwise ratios stay inside MONOTONE_RATIO_BOUNDS.
-    """
-    _check_scalar("alpha", alpha, minimum=0.0)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    s = vnorm(a - b)
-    if s == 0.0:
-        raise ValueError("degenerate pair: a must differ from b")
-    forms = _monotone_forms(nf.p, nf.delta + alpha, a, vnorm(a), b, vnorm(b), s)
-    return tuple(float(x) for x in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +381,10 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
                           ("shifted-over-quotient", shifted_val, quotient)):
         q = np.where(ok, num / np.where(ok, den, 1.0), 1.0)
         lo, hi = MONOTONE_RATIO_BOUNDS[key]
-        fold.count("monotonicity-equivalence", (q < lo) | (q > hi))
+        fold.count("monotonicity-equivalence", ok & ((q < lo) | (q > hi)))
         fold.span("monotonicity-equivalence", key, q[ok])
 
-    # --- uniform eps-bound |A_eps - A_0| <= (1-kappa0) phi'(eps) ------------
+    # --- uniform eps-bound |A_eps - A_0| <= (2-p) phi'(eps) -----------------
     lhs, rhs, holds = _uniform_eps_bound(p, delta, eps, a, ra)
     fold.count("uniform-eps-bound", ~holds)
     fold.max("uniform-eps-bound", "max_excess", lhs - rhs)
@@ -512,7 +410,7 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
     fold.count("weight-nonincreasing", (ra != rb) & (w1 < w2 - 1e-12 * np.maximum(1.0, w2)))
 
     # --- lagged weight ratio (regression against the frozen sup) ------------
-    ratio = _lagged_weight(p, shift, a, ra, rb, s)[2]
+    ratio = _lagged_weight(p, shift, a, ra, rb, s)
     fold.count("lagged-weight-ratio", ratio > LAGGED_WEIGHT_RATIO_MAX)
     fold.max("lagged-weight-ratio", "max_ratio", ratio)
 

@@ -215,12 +215,12 @@ def certify_lemmas(samples, seed):
                               ("shifted-over-quotient", shifted_val, quotient)):
             q = np.where(ok, num / np.where(ok, den, 1.0), 1.0)
             lo, hi = orlicz.MONOTONE_RATIO_BOUNDS[key]
-            viol += int(np.count_nonzero((q < lo) | (q > hi)))
+            viol += int(np.count_nonzero(ok & ((q < lo) | (q > hi))))
             stats[key] = (float(np.min(q[ok])), float(np.max(q[ok])))
         equivalence = CheckResult("monotonicity-equivalence", n, viol, stats)
         del inner, shifted_val, quotient
 
-        # --- uniform eps-bound |A_eps - A_0| <= (1-kappa0) phi'(eps) --------
+        # --- uniform eps-bound |A_eps - A_0| <= (2-p) phi'(eps) -------------
         lhs, rhs, holds = orlicz._uniform_eps_bound(p, delta, eps, a, ra)
         uniform = CheckResult("uniform-eps-bound", n, int(np.count_nonzero(~holds)),
                               {"max_excess": float(np.max(lhs - rhs))})
@@ -251,7 +251,7 @@ def certify_lemmas(samples, seed):
         del w1, w2
 
         # --- lagged weight ratio (regression against the frozen sup) --------
-        ratio = orlicz._lagged_weight(p, shift, a, ra, rb, s)[2]
+        ratio = orlicz._lagged_weight(p, shift, a, ra, rb, s)
         lagged = CheckResult("lagged-weight-ratio", n,
                              int(np.count_nonzero(ratio > orlicz.LAGGED_WEIGHT_RATIO_MAX)),
                              {"max_ratio": float(np.max(ratio)),
@@ -279,7 +279,7 @@ def certify_lemmas(samples, seed):
             equivalence, sandwich, s_eps]
 
 
-def _lagged_dissipation(traj):
+def lagged_dissipation(traj):
     """Cell gradients and diffusion weights of u^0..u^K, and the lagged
     dissipations D_k = int w^{k-1} |grad d u^k|^2 for k = 1..K."""
     cfg = traj.config
@@ -306,7 +306,7 @@ def check_energy_ledgers(traj):
     pure_flow = cfg.source is None and cfg.coeff.is_zero
 
     us = traj.iterates
-    grads, weights, diss_dtau = _lagged_dissipation(traj)
+    grads, weights, diss_dtau = lagged_dissipation(traj)
     energies = np.array([assembly.energy(u, cfg.nf, cfg.eps, cfg.kind) for u in us])
     mass = assembly.mass_matrix(mesh)
     l2_sq = np.array([float(u.coeffs @ (mass @ u.coeffs)) for u in us])
@@ -352,12 +352,6 @@ def check_energy_ledgers(traj):
         rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
         entries.append(diagnostics._ledger_entry("apriori-implicit", lhs, rhs))
     return diagnostics.LedgerReport(entries)
-
-
-def lagged_dissipation_sum(traj):
-    """diagnostics.lagged_dissipation_sum over all iterates' gradients at once."""
-    tau = traj.config.tau
-    return tau * tau * float(sum(_lagged_dissipation(traj)[2]))
 
 
 # --- finite element kernels, one cell at a time ------------------------------

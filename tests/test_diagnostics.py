@@ -7,8 +7,7 @@ from plapflow import assembly, diagnostics, fields
 from plapflow.config import example_config, load_run_config
 from plapflow.diagnostics import (LevelResult, StudyConfig, cell_bound_satisfied,
                                   check_energy_ledgers, discrepancy_total, heat_exact,
-                                  heat_manufactured_error, heat_run_error,
-                                  lagged_dissipation_sum, run_study)
+                                  heat_manufactured_error, heat_run_error, run_study)
 from plapflow.lower_order import LowerOrderCoeff, admissibility
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, S_EPS_LIPSCHITZ_MAX
@@ -57,8 +56,9 @@ class TestLedgers:
                        coeff=LowerOrderCoeff.power(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
         traj = run_evolution(random_u(mesh8, rng), cfg)
-        assert check_energy_ledgers(traj).to_dict() == oracles.check_energy_ledgers(traj).to_dict()
-        assert lagged_dissipation_sum(traj) == oracles.lagged_dissipation_sum(traj)
+        report = check_energy_ledgers(traj)
+        assert report.to_dict() == oracles.check_energy_ledgers(traj).to_dict()
+        np.testing.assert_array_equal(report.columns.diss_dtau, oracles.lagged_dissipation(traj)[2])
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_one_gradient_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
@@ -89,7 +89,8 @@ class TestLedgers:
 
     def test_k_zero_trivial(self, mesh4):
         cfg = make_cfg(mesh4, K=0, T=0.0)
-        rep = check_energy_ledgers(run_evolution(FemFunction.zeros(mesh4), cfg))
+        u0 = FemFunction(mesh4, np.zeros(mesh4.n_interior))
+        rep = check_energy_ledgers(run_evolution(u0, cfg))
         assert rep.passed and rep.entries == []
 
     @settings(max_examples=100, deadline=None)
@@ -177,7 +178,7 @@ class TestDiscrepancyTotal:
         traj = run_evolution(random_u(mesh8, rng), cfg)
         p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
         alpha = np.sqrt(tau * eps ** (p - 2.0))
-        diss = lagged_dissipation_sum(traj)
+        diss = tau * tau * np.sum(check_energy_ledgers(traj).columns.diss_dtau)
         expect = ((2.0 - p) * eps ** (p - 1.0)
                   + S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
                   + tau * eps ** (p - 2.0) / (2.0 * alpha))
@@ -194,7 +195,8 @@ class TestDiscrepancyTotal:
         tail = cfg.tau / (2.0 * alpha)
         assert tail == pytest.approx(np.sqrt(cfg.tau) / 2.0, rel=1e-14)
         assert total >= tail
-        middle = S_EPS_LIPSCHITZ_MAX**2 * alpha * lagged_dissipation_sum(traj)
+        diss = cfg.tau**2 * np.sum(check_energy_ledgers(traj).columns.diss_dtau)
+        middle = S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
         assert total == pytest.approx(tail + middle, rel=1e-13)
 
     def test_dissipation_controlled_by_initial_energy(self, mesh8, rng):
@@ -203,7 +205,8 @@ class TestDiscrepancyTotal:
         u0 = random_u(mesh8, rng)
         traj = run_evolution(u0, cfg)
         e0 = assembly.energy(u0, cfg.nf, cfg.eps, cfg.kind)
-        assert lagged_dissipation_sum(traj) <= 2.0 * e0 * (1.0 + 1e-9)
+        diss = cfg.tau**2 * np.sum(check_energy_ledgers(traj).columns.diss_dtau)
+        assert diss <= 2.0 * e0 * (1.0 + 1e-9)
 
     def test_cell_bound_satisfied_ratio(self, mesh8, rng):
         traj = run_evolution(random_u(mesh8, rng), make_cfg(mesh8))

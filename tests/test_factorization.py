@@ -148,7 +148,7 @@ class TestSolveSpd:
     @staticmethod
     def singular(mesh):
         """A(v) with row and column 5 zeroed: exactly singular, same pattern."""
-        A = schemes._system_matrix(FemFunction.zeros(mesh), make_cfg(mesh))
+        A = schemes._system_matrix(FemFunction(mesh, np.zeros(mesh.n_interior)), make_cfg(mesh))
         rows = np.repeat(np.arange(mesh.n_interior), np.diff(A.indptr))
         A.data[(rows == 5) | (A.indices == 5)] = 0.0
         return A
@@ -257,7 +257,7 @@ class TestFactorReuse:
         assert cfg.coeff.c7 > 0.0
         solve = schemes._SpdSolver(cfg)
         b = np.ones(m.n_interior)
-        solve(schemes._system_matrix(FemFunction.zeros(m), cfg), b)
+        solve(schemes._system_matrix(FemFunction(m, np.zeros(m.n_interior)), cfg), b)
         with pytest.warns(UserWarning, match="conditional solvability"):
             with pytest.raises(SolverError, match="^direct factorization failed"):
                 solve(TestSolveSpd.singular(m), b)
@@ -303,7 +303,7 @@ class TestMultigrid:
                             lambda self, B: sizes.append(B.shape) or factor(self, B))
         cfg = make_cfg(refined)
         b = np.random.default_rng(5).standard_normal(refined.n_interior)
-        A = schemes._system_matrix(FemFunction.zeros(refined), cfg)
+        A = schemes._system_matrix(FemFunction(refined, np.zeros(refined.n_interior)), cfg)
         x = schemes._SpdSolver(cfg)(A, b)
         assert sizes == [(9, 9)]
         ref = spla.spsolve(A.tocsc(), b)

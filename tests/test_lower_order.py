@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plapflow.lower_order import (IMPLICIT, SEMI_IMPLICIT, LowerOrderCoeff,
-                                  admissibility, d_eval, g_eval, g_prime_eval)
+                                  admissibility, d_eval, g_prime_eval)
 
 
 def test_registry_validation():
@@ -23,28 +23,28 @@ class TestEvaluation:
     def test_zero_kind(self):
         z = LowerOrderCoeff.zero()
         assert d_eval(z, 5.0) == 0.0
-        assert g_eval(z, 7.0) == 0.0
+        assert d_eval(z, 7.0) * 7.0 == 0.0
         assert g_prime_eval(z, 3.0) == 0.0
 
     def test_power_scalar(self):
         c = LowerOrderCoeff.power(2.5)
         assert d_eval(c, 4.0) == pytest.approx(2.0)
-        assert g_eval(c, 4.0) == pytest.approx(8.0)
+        assert d_eval(c, 4.0) * 4.0 == pytest.approx(8.0)
 
     def test_power_even_symmetry(self):
         c = LowerOrderCoeff.power(4.0)
         assert d_eval(c, -3.0) == pytest.approx(9.0)
-        assert g_eval(c, -3.0) == pytest.approx(-27.0)
+        assert d_eval(c, -3.0) * -3.0 == pytest.approx(-27.0)
 
     def test_g_vanishes_at_zero(self):
         for c in (LowerOrderCoeff.zero(), LowerOrderCoeff.power(2.5),
                   LowerOrderCoeff.shifted_power(3.0, 1.0)):
-            assert g_eval(c, 0.0) == 0.0
+            assert d_eval(c, 0.0) * 0.0 == 0.0
 
     def test_shifted_power(self):
         c = LowerOrderCoeff.shifted_power(3.0, 0.5)
         assert d_eval(c, 2.0) == pytest.approx(1.5)
-        assert g_eval(c, 2.0) == pytest.approx(3.0)
+        assert d_eval(c, 2.0) * 2.0 == pytest.approx(3.0)
 
     def test_vectorized(self):
         c = LowerOrderCoeff.power(2.5)
@@ -58,7 +58,7 @@ class TestEvaluation:
             for s in rng.uniform(-4.0, 4.0, 20):
                 if abs(s) < 0.05:
                     continue
-                fd = (g_eval(c, s + h) - g_eval(c, s - h)) / (2 * h)
+                fd = (d_eval(c, s + h) * (s + h) - d_eval(c, s - h) * (s - h)) / (2 * h)
                 assert g_prime_eval(c, s) == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
@@ -71,24 +71,26 @@ class TestGrowthBounds:
         s = rng.uniform(-50.0, 50.0, 100_000)
         d = d_eval(coeff, s)
         assert np.all(d >= -coeff.c7 - 1e-12)
+        c8 = max(1.0, abs(coeff.c))  # |d(s)| <= c8 (1 + |s|^(r-2))
         if coeff.is_zero:
-            bound = coeff.c8
+            bound = c8
         else:
-            bound = coeff.c8 * (1.0 + np.abs(s) ** (coeff.r - 2.0))
+            bound = c8 * (1.0 + np.abs(s) ** (coeff.r - 2.0))
         assert np.all(np.abs(d) <= bound + 1e-12 * np.maximum(1.0, bound))
 
     def test_g_growth(self, rng):
         coeff = LowerOrderCoeff.shifted_power(2.9, 0.4)
-        c9 = coeff.c8 * 2.0  # |g| = |d| |s| <= c8 (|s| + |s|^(r-1)) <= 2 c8 (1+|s|^(r-1))
+        c8 = max(1.0, abs(coeff.c))  # |d(s)| <= c8 (1 + |s|^(r-2))
+        c9 = c8 * 2.0  # |g| = |d| |s| <= c8 (|s| + |s|^(r-1)) <= 2 c8 (1+|s|^(r-1))
         s = rng.uniform(-30.0, 30.0, 10_000)
-        g = g_eval(coeff, s)
+        g = d_eval(coeff, s) * s
         assert np.all(np.abs(g) <= c9 * (1.0 + np.abs(s) ** (coeff.r - 1.0)) + 1e-12)
 
     def test_g_continuous(self, rng):
         coeff = LowerOrderCoeff.power(2.5)
         s = rng.uniform(-2.0, 2.0, 100)
         for h in (1e-3, 1e-6, 1e-9):
-            gap = np.max(np.abs(g_eval(coeff, s + h) - g_eval(coeff, s)))
+            gap = np.max(np.abs(d_eval(coeff, s + h) * (s + h) - d_eval(coeff, s) * s))
             assert gap <= 10.0 * np.sqrt(h)
 
 

@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,18 @@ from scipy.integrate import quad
 import oracles
 
 from plapflow import orlicz
-from plapflow.orlicz import (NFunctionPD, certify_lemmas, check_lagged_weight_estimate,
-                             check_monotonicity_equivalence, check_orlicz_stability,
-                             check_uniform_eps_bound, op_A, op_S_eps, phi_eval,
-                             phi_shifted, phi_shifted_prime)
+from plapflow.orlicz import NFunctionPD, certify_lemmas, op_A, op_S_eps
+
+
+def kernel_errstate():
+    """The floating-point error state certify_lemmas runs the kernels under."""
+    return np.errstate(divide="ignore", invalid="ignore")
+
+
+def pairs(a, b):
+    """The rows of a and b with their norms and |a - b|, as the kernels take them."""
+    a, b = np.atleast_2d(np.asarray(a, dtype=float)), np.atleast_2d(np.asarray(b, dtype=float))
+    return a, orlicz.vnorm(a), b, orlicz.vnorm(b), orlicz.vnorm(a - b)
 
 
 def test_construction_validates_parameters():
@@ -28,75 +37,59 @@ def test_construction_validates_parameters():
         NFunctionPD(float("nan"), 0.0)
 
 
-def test_kappa_constants():
-    nf = NFunctionPD(1.3, 0.2)
-    assert nf.kappa0 == pytest.approx(0.3)
-    assert nf.kappa1 == 1.0
-
-
 class TestPhiEval:
     def test_zero(self):
-        assert phi_eval(NFunctionPD(1.5), 0.0) == 0.0
+        assert NFunctionPD(1.5).phi(0.0) == 0.0
 
     def test_pure_power(self):
         # t^p/p for delta = 0, cross-checked by quadrature of phi'
-        val = phi_eval(NFunctionPD(1.5), 4.0)
+        val = NFunctionPD(1.5).phi(4.0)
         assert val == pytest.approx(16.0 / 3.0, rel=1e-14)
         ref, _ = quad(lambda s: s**0.5, 0.0, 4.0, epsrel=1e-13)
         assert val == pytest.approx(ref, rel=1e-11)
 
     def test_quadratic(self):
-        assert phi_eval(NFunctionPD(2.0), 3.0) == pytest.approx(4.5, rel=1e-14)
+        assert NFunctionPD(2.0).phi(3.0) == pytest.approx(4.5, rel=1e-14)
 
     @pytest.mark.parametrize("p,delta,t", [(1.2, 0.1, 3.0), (1.5, 1.0, 1e-5),
                                            (1.8, 2.0, 7.0), (2.0, 0.4, 0.3)])
     def test_matches_quadrature(self, p, delta, t):
         ref, _ = quad(lambda s: (delta + s) ** (p - 2.0) * s, 0.0, t,
                       epsabs=1e-300, epsrel=1e-13)
-        assert phi_eval(NFunctionPD(p, delta), t) == pytest.approx(ref, rel=1e-9)
+        assert NFunctionPD(p, delta).phi(t) == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("p", [1.01, 1.2, 1.5, 1.8, 2.0])
     def test_tiny_shift_is_the_pure_power(self, p):
         # at delta/t <= 1e-100 phi(t) is t^p/p to double precision; the log1p
         # form alone gave nan, inf or 0 there once delta fell below ~1e-100
-        for t in np.logspace(-100, 100, 21):
-            for ratio in (1e-100, 1e-150, 1e-200, 1e-300):
-                delta = ratio * t
-                if delta == 0.0:  # below the subnormal range
-                    continue
-                val = phi_eval(NFunctionPD(p, delta), t)
-                assert np.isfinite(val)
-                assert val == pytest.approx(t**p / p, rel=1e-12, abs=0.0), (t, delta)
-
-    def test_domain_errors(self):
-        nf = NFunctionPD(1.5)
-        with pytest.raises(ValueError):
-            phi_eval(nf, -1.0)
-        with pytest.raises(ValueError):
-            phi_eval(nf, float("inf"))
+        t = np.repeat(np.logspace(-100, 100, 21), 4)
+        delta = t * np.tile([1e-100, 1e-150, 1e-200, 1e-300], 21)
+        keep = delta > 0.0  # 0 below the subnormal range
+        val = orlicz._phi_closed(p, delta[keep], t[keep])
+        assert np.all(np.isfinite(val))
+        np.testing.assert_allclose(val, t[keep] ** p / p, rtol=1e-12, atol=0.0)
 
 
 class TestShiftedDensity:
+    # the derivative of the alpha-shifted density at t is op_A's first
+    # component at (t, 0)
     def test_quadratic_is_shift_free(self):
-        assert phi_shifted_prime(NFunctionPD(2.0), 5.0, 7.0) == pytest.approx(7.0)
+        assert op_A(NFunctionPD(2.0), 5.0, [7.0, 0.0])[0] == pytest.approx(7.0)
 
     def test_closed_form_vs_composition(self):
         # definition: phi'(alpha+t) t / (alpha+t)
         nf = NFunctionPD(1.5)
-        val = phi_shifted_prime(nf, 1.0, 1.0)
+        val = op_A(nf, 1.0, [1.0, 0.0])[0]
         assert val == pytest.approx(2.0**-0.5, rel=1e-14)
-        comp = float(nf.phi_prime(1.0 + 1.0)) * 1.0 / (1.0 + 1.0)
+        comp = op_A(nf, 0.0, [1.0 + 1.0, 0.0])[0] * 1.0 / (1.0 + 1.0)
         assert val == pytest.approx(comp, rel=1e-14)
 
     def test_vanishes_at_zero(self):
-        assert phi_shifted_prime(NFunctionPD(1.2, 0.3), 0.7, 0.0) == 0.0
+        np.testing.assert_array_equal(op_A(NFunctionPD(1.2, 0.3), 0.7, [0.0, 0.0]), 0.0)
 
     def test_negative_inputs_rejected(self):
-        nf = NFunctionPD(1.5)
         with pytest.raises(ValueError):
-            phi_shifted_prime(nf, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            phi_shifted_prime(nf, 1.0, -1.0)
+            NFunctionPD(1.5).shifted(-1.0)
 
     def test_shifted_phi_by_quadrature(self, rng):
         nf = NFunctionPD(1.4, 0.05)
@@ -105,7 +98,7 @@ class TestShiftedDensity:
             t = float(rng.uniform(0.0, 5.0))
             ref, _ = quad(lambda s: (nf.delta + alpha + s) ** (nf.p - 2.0) * s,
                           0.0, t, epsabs=1e-300, epsrel=1e-13)
-            assert phi_shifted(nf, alpha, t) == pytest.approx(ref, rel=1e-9, abs=1e-14)
+            assert nf.shifted(alpha).phi(t) == pytest.approx(ref, rel=1e-9, abs=1e-14)
 
 
 class TestVectorOperators:
@@ -164,128 +157,119 @@ class TestVectorOperators:
 
 
 class TestUniformEpsBound:
+    @staticmethod
+    def check(p, delta, eps, a):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        with kernel_errstate():  # rhs depends on p, delta and eps alone
+            return np.broadcast_arrays(*orlicz._uniform_eps_bound(p, delta, eps, a,
+                                                                  orlicz.vnorm(a)))
+
     def test_p2_trivial(self):
-        lhs, rhs, holds = check_uniform_eps_bound(NFunctionPD(2.0), [1.0, 1.0], 0.5)
-        assert lhs == 0.0 and rhs == 0.0 and holds
+        lhs, rhs, holds = self.check(2.0, 0.0, 0.5, [1.0, 1.0])
+        assert lhs[0] == 0.0 and rhs[0] == 0.0 and holds[0]
 
     def test_scalar_example(self):
-        lhs, rhs, holds = check_uniform_eps_bound(NFunctionPD(1.5), [1.0, 0.0], 0.01)
-        assert lhs == pytest.approx(abs(1.01**-0.5 - 1.0), rel=1e-12)
-        assert rhs == pytest.approx(0.05, rel=1e-12)
-        assert holds
+        lhs, rhs, holds = self.check(1.5, 0.0, 0.01, [1.0, 0.0])
+        assert lhs[0] == pytest.approx(abs(1.01**-0.5 - 1.0), rel=1e-12)
+        assert rhs[0] == pytest.approx(0.05, rel=1e-12)
+        assert holds[0]
 
     def test_zero_vector(self):
-        lhs, _, holds = check_uniform_eps_bound(NFunctionPD(1.3, 0.1), [0.0, 0.0], 0.2)
-        assert lhs == 0.0 and holds
-
-    def test_requires_positive_eps(self):
-        with pytest.raises(ValueError):
-            check_uniform_eps_bound(NFunctionPD(1.5), [1.0, 0.0], 0.0)
+        lhs, _, holds = self.check(1.3, 0.1, 0.2, [0.0, 0.0])
+        assert lhs[0] == 0.0 and holds[0]
 
 
 class TestOrliczStability:
+    @staticmethod
+    def check(p, delta, eps, a, b):
+        a, ra, b, rb, s = pairs(a, b)
+        with kernel_errstate():
+            return orlicz._orlicz_stability(p, delta + eps, a, ra, b, rb, s)
+
     def test_equal_arguments(self):
         a = [0.7, -0.3]
-        lhs, rhs, holds = check_orlicz_stability(NFunctionPD(1.4, 0.05), a, a, 0.2)
-        assert lhs == pytest.approx(0.0, abs=1e-14)
-        assert rhs == pytest.approx(0.0, abs=1e-14)
-        assert holds
+        lhs, rhs, holds = self.check(1.4, 0.05, 0.2, a, a)
+        assert lhs[0] == pytest.approx(0.0, abs=1e-14)
+        assert rhs[0] == pytest.approx(0.0, abs=1e-14)
+        assert holds[0]
 
     def test_quadratic_identity(self):
         # p = 2 makes the inequality an algebraic identity:
         # b.(b-a) = |b|^2/2 - |a|^2/2 + |b-a|^2/2
-        lhs, rhs, holds = check_orlicz_stability(NFunctionPD(2.0), [1.0, 0.0],
-                                                 [2.0, 0.0], 0.0)
-        assert lhs == pytest.approx(2.0, rel=1e-14)
-        assert rhs == pytest.approx(2.0, rel=1e-14)
-        assert holds
+        lhs, rhs, holds = self.check(2.0, 0.0, 0.0, [1.0, 0.0], [2.0, 0.0])
+        assert lhs[0] == pytest.approx(2.0, rel=1e-14)
+        assert rhs[0] == pytest.approx(2.0, rel=1e-14)
+        assert holds[0]
 
     def test_example_holds(self):
-        _, _, holds = check_orlicz_stability(NFunctionPD(1.5), [1.0, 0.0],
-                                             [0.5, 0.0], 0.1)
-        assert holds
+        assert self.check(1.5, 0.0, 0.1, [1.0, 0.0], [0.5, 0.0])[2][0]
 
     def test_randomized(self, rng):
-        for _ in range(2000):
-            p = float(rng.choice([1.2, 1.5, 1.8, 2.0]))
-            delta = float(rng.choice([0.0, 0.1]))
-            eps = float(rng.uniform(1e-6, 1.0))
-            a = rng.uniform(-10, 10, 2)
-            b = rng.uniform(-10, 10, 2)
-            _, _, holds = check_orlicz_stability(NFunctionPD(p, delta), a, b, eps)
-            assert holds
+        n = 2000
+        p = rng.choice(orlicz.P_GRID, size=n)
+        delta = rng.choice(orlicz.DELTA_GRID, size=n)
+        eps = rng.uniform(1e-6, 1.0, size=n)
+        holds = self.check(p, delta, eps, rng.uniform(-10, 10, (n, 2)),
+                           rng.uniform(-10, 10, (n, 2)))[2]
+        assert holds.all()
 
 
 class TestLaggedWeight:
+    @staticmethod
+    def ratio(p, delta, eps, a, b):
+        a, ra, _, rb, s = pairs(a, b)
+        with kernel_errstate():
+            return orlicz._lagged_weight(p, delta + eps, a, ra, rb, s)
+
     def test_equal_arguments(self):
         a = [1.0, 2.0]
-        lhs, _, ratio = check_lagged_weight_estimate(NFunctionPD(1.5), a, a, 0.05)
-        assert lhs == pytest.approx(0.0, abs=1e-14)
-        assert ratio == 0.0
+        assert self.ratio(1.5, 0.0, 0.05, a, a)[0] == 0.0
 
     def test_constant_weight_at_p2(self, rng):
-        nf = NFunctionPD(2.0)
-        for _ in range(20):
-            a = rng.uniform(-5, 5, 2)
-            b = rng.uniform(-5, 5, 2)
-            if np.linalg.norm(b) == 0.0:
-                continue
-            lhs, _, ratio = check_lagged_weight_estimate(nf, a, b, float(rng.uniform(0, 1)))
-            assert lhs == pytest.approx(0.0, abs=1e-14)
-            assert ratio == pytest.approx(0.0, abs=1e-12)
+        n = 20
+        ratio = self.ratio(2.0, 0.0, rng.uniform(0, 1, n), rng.uniform(-5, 5, (n, 2)),
+                           rng.uniform(-5, 5, (n, 2)))
+        np.testing.assert_allclose(ratio, 0.0, rtol=0.0, atol=1e-12)
 
     def test_ratio_below_frozen_constant(self, rng):
-        worst = 0.0
-        for _ in range(5000):
-            p = float(rng.choice([1.2, 1.5, 1.8, 2.0]))
-            delta = float(rng.choice([0.0, 0.1]))
-            nf = NFunctionPD(p, delta)
-            a = rng.uniform(-10, 10, 2)
-            b = rng.uniform(-10, 10, 2)
-            if np.linalg.norm(b) < 1e-12:
-                continue
-            _, _, ratio = check_lagged_weight_estimate(nf, a, b, float(rng.uniform(0, 1)))
-            worst = max(worst, ratio)
-        assert worst <= orlicz.LAGGED_WEIGHT_RATIO_MAX
-
-    def test_rejects_zero_b(self):
-        with pytest.raises(ValueError):
-            check_lagged_weight_estimate(NFunctionPD(1.5), [1.0, 0.0], [0.0, 0.0], 0.1)
+        n = 5000
+        p = rng.choice(orlicz.P_GRID, size=n)
+        delta = rng.choice(orlicz.DELTA_GRID, size=n)
+        ratio = self.ratio(p, delta, rng.uniform(0, 1, n), rng.uniform(-10, 10, (n, 2)),
+                           rng.uniform(-10, 10, (n, 2)))
+        assert ratio.max() <= orlicz.LAGGED_WEIGHT_RATIO_MAX
 
 
 class TestMonotonicityEquivalence:
+    @staticmethod
+    def forms(p, shift, a, b):
+        with kernel_errstate():
+            return orlicz._monotone_forms(p, shift, *pairs(a, b))
+
     def test_quadratic_example(self):
-        inner, shifted, quotient = check_monotonicity_equivalence(
-            NFunctionPD(2.0), [1.0, 0.0], [0.0, 1.0], 0.0)
-        assert inner == pytest.approx(2.0, rel=1e-12)
-        assert quotient == pytest.approx(2.0, rel=1e-12)
-        assert shifted == pytest.approx(1.0, rel=1e-9)
+        inner, shifted, quotient = self.forms(2.0, 0.0, [1.0, 0.0], [0.0, 1.0])
+        assert inner[0] == pytest.approx(2.0, rel=1e-12)
+        assert quotient[0] == pytest.approx(2.0, rel=1e-12)
+        assert shifted[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_antipodal(self):
-        inner, _, _ = check_monotonicity_equivalence(
-            NFunctionPD(2.0), [1.0, 0.0], [-1.0, 0.0], 0.0)
-        assert inner == pytest.approx(4.0, rel=1e-12)
-
-    def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            check_monotonicity_equivalence(NFunctionPD(1.5), [1.0, 2.0], [1.0, 2.0], 0.0)
+        inner = self.forms(2.0, 0.0, [1.0, 0.0], [-1.0, 0.0])[0]
+        assert inner[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_sampled_ratios_in_frozen_intervals(self, rng):
         nf = NFunctionPD(1.5, 0.1)
-        for _ in range(3000):
-            a = rng.uniform(-10, 10, 2)
-            b = rng.uniform(-10, 10, 2)
-            alpha = float(rng.uniform(0.0, 5.0))
-            if np.linalg.norm(a - b) < 1e-9:
-                continue
-            inner, shifted, quotient = check_monotonicity_equivalence(nf, a, b, alpha)
-            assert inner > 0.0 and shifted > 0.0 and quotient > 0.0
-            lo, hi = orlicz.MONOTONE_RATIO_BOUNDS["inner-over-shifted"]
-            assert lo <= inner / shifted <= hi
-            lo, hi = orlicz.MONOTONE_RATIO_BOUNDS["inner-over-quotient"]
-            assert lo <= inner / quotient <= hi
-            lo, hi = orlicz.MONOTONE_RATIO_BOUNDS["shifted-over-quotient"]
-            assert lo <= shifted / quotient <= hi
+        n = 3000
+        a = rng.uniform(-10, 10, (n, 2))
+        b = rng.uniform(-10, 10, (n, 2))
+        alpha = rng.uniform(0.0, 5.0, n)
+        assert np.all(orlicz.vnorm(a - b) > 0.0)
+        inner, shifted, quotient = self.forms(nf.p, nf.delta + alpha, a, b)
+        assert np.all(inner > 0.0) and np.all(shifted > 0.0) and np.all(quotient > 0.0)
+        for key, ratio in (("inner-over-shifted", inner / shifted),
+                           ("inner-over-quotient", inner / quotient),
+                           ("shifted-over-quotient", shifted / quotient)):
+            lo, hi = orlicz.MONOTONE_RATIO_BOUNDS[key]
+            assert np.all((lo <= ratio) & (ratio <= hi)), key
 
 
 def test_kappa_bracket_closed_form(rng):
@@ -295,7 +279,7 @@ def test_kappa_bracket_closed_form(rng):
         delta = float(rng.uniform(0.0, 2.0))
         r = float(rng.uniform(1e-6, 50.0))
         nf = NFunctionPD(p, delta)
-        pp = float(nf.phi_prime(r))
+        pp = op_A(nf, 0.0, [r, 0.0])[0]
         bracket = r * float(nf.phi_prime2(r))
         assert bracket >= (p - 1.0) * pp - 1e-12 * max(1.0, pp)
         assert bracket <= pp + 1e-12 * max(1.0, pp)
@@ -307,8 +291,8 @@ def test_weight_monotone(rng):
         delta = float(rng.choice([0.0, 0.1]))
         nf = NFunctionPD(p, delta)
         r1, r2 = sorted(rng.uniform(1e-9, 10.0, 2))
-        w1 = float(nf.phi_prime(r1)) / r1
-        w2 = float(nf.phi_prime(r2)) / r2
+        w1 = op_A(nf, 0.0, [r1, 0.0])[0] / r1
+        w2 = op_A(nf, 0.0, [r2, 0.0])[0] / r2
         assert w1 >= w2 - 1e-12 * max(1.0, w2)
 
 
@@ -321,6 +305,24 @@ def test_certification_small_run_no_violations():
             "s-eps-difference-quotient"} <= names
     for r in results:
         assert r.violations == 0, f"{r.name}: {r.violations} violations ({r.stats})"
+
+
+@pytest.mark.parametrize("delta", orlicz.DELTA_GRID)
+@pytest.mark.parametrize("p", orlicz.P_GRID)
+def test_coincident_and_zero_pairs_certify_without_violations(p, delta):
+    # a == b (also at 0), |b| = 0 and a = 0: each check masks such a pair or
+    # holds at it, and no floating-point warning escapes the kernels
+    a = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [3.0, -1.0], [0.0, 0.0], [-0.5, 0.25]])
+    b = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 1.0], [-0.5, 0.25]])
+    alpha = np.array([0.0, 0.0, 1.0, 2.0, 0.0, 0.3])
+    n = len(a)
+    fold = orlicz._Fold()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with kernel_errstate():
+            orlicz._certify_block(fold, np.full(n, p), np.full(n, delta), np.full(n, 0.5),
+                                  alpha, a, b)
+    assert fold.violations == dict.fromkeys(orlicz._CHECKS, 0)
 
 
 def test_certification_is_deterministic():
@@ -484,5 +486,6 @@ def test_operators_and_checks_reject_non_planar_vectors():
         op_A(nf, 0.1, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="2 components"):
         op_S_eps(1.5, 0.1, [[1.0], [2.0]])
+    a = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="2 components"):
-        check_uniform_eps_bound(nf, [1.0, 2.0, 3.0], 0.1)
+        orlicz._uniform_eps_bound(nf.p, nf.delta, 0.1, a, np.linalg.norm(a))

@@ -61,7 +61,7 @@ class TestConfigValidation:
 class TestSemiImplicitStep:
     def test_zero_fixed_point(self, mesh4):
         cfg = make_cfg(mesh4)
-        out, stats = semi_implicit_step(FemFunction.zeros(mesh4), cfg, 1)
+        out, stats = semi_implicit_step(FemFunction(mesh4, np.zeros(mesh4.n_interior)), cfg, 1)
         np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-15)
         assert stats.iterations == 1
 
@@ -89,7 +89,7 @@ class TestSemiImplicitStep:
 class TestImplicitStep:
     def test_zero_fixed_point_one_iteration(self, mesh4):
         cfg = make_cfg(mesh4, scheme="implicit")
-        out, stats = implicit_step(FemFunction.zeros(mesh4), cfg, 1)
+        out, stats = implicit_step(FemFunction(mesh4, np.zeros(mesh4.n_interior)), cfg, 1)
         np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-15)
         assert stats.iterations == 1
 
@@ -237,7 +237,7 @@ class TestAndersonMixing:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=r"residual history \[0\.0, 0\.0, 0\.0, 0\.0\]"):
-                implicit_step(FemFunction.zeros(mesh4), cfg, 1)
+                implicit_step(FemFunction(mesh4, np.zeros(mesh4.n_interior)), cfg, 1)
 
 
 GRID_P = (1.1, 1.2, 1.5, 1.8, 2.0)
@@ -308,15 +308,16 @@ class TestRunEvolution:
 
     def test_k_zero(self, mesh4):
         cfg = make_cfg(mesh4, K=0, T=0.0)
-        u0 = FemFunction.zeros(mesh4)
+        u0 = FemFunction(mesh4, np.zeros(mesh4.n_interior))
         traj = run_evolution(u0, cfg)
         assert len(traj.iterates) == 1
         assert traj.iterates[0] is u0
 
     def test_wrong_mesh_rejected(self, mesh4):
         cfg = make_cfg(mesh4)
+        other = unit_square_mesh(4)
         with pytest.raises(ValueError, match="mesh"):
-            run_evolution(FemFunction.zeros(unit_square_mesh(4)), cfg)
+            run_evolution(FemFunction(other, np.zeros(other.n_interior)), cfg)
 
     def test_energy_decay_random_data(self, mesh8, rng):
         # f = 0, zero coefficient: the regularized energy never increases
