@@ -5,6 +5,9 @@ lemma in check-lemmas; 2 a violated energy ledger or study assertion, or a
 command line that argparse rejects.  All file outputs are deterministic
 for a fixed config and seed (CSV with LF endings and '.' decimals, JSON
 with sorted keys, floats written with full round-trip precision).
+
+check-lemmas imports numpy alone; the other commands import the FEM stack
+(scipy, mesh, assembly, schemes, diagnostics) when they are called.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, orlicz
-from .config import ConfigError, example_config, load_run_config
-from .mesh import export_csv, export_vtk, interpolate_nodal
-from .schemes import SolverError, run_evolution
+from . import orlicz
 
 RUN_SCHEMA = "plapflow/run-report/v1"
 STUDY_SCHEMA = "plapflow/study-report/v1"
@@ -62,13 +62,25 @@ def _trajectory_csv(traj, columns, path):
     _write_lines(path, lines)
 
 
-def cmd_run(args):
-    setup = load_run_config(args.config)
-    cfg = setup.scheme_config
-    u0 = interpolate_nodal(setup.initial, cfg.mesh)
+def _run_setup(args, want_study=False):
+    """The setup args.config describes, or None once its config error is printed."""
+    from .config import ConfigError, load_run_config
     try:
-        traj = run_evolution(u0, cfg)
-    except (SolverError, ValueError) as exc:
+        return load_run_config(args.config, want_study=want_study)
+    except ConfigError as exc:  # only load_run_config raises it
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_run(args):
+    from . import diagnostics, mesh, schemes
+    if (setup := _run_setup(args)) is None:
+        return 1
+    cfg = setup.scheme_config
+    u0 = mesh.interpolate_nodal(setup.initial, cfg.mesh)
+    try:
+        traj = schemes.run_evolution(u0, cfg)
+    except (schemes.SolverError, ValueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
@@ -89,14 +101,16 @@ def cmd_run(args):
     _write_json(base + "_report.json", report)
     if args.snapshots:
         for k, u in enumerate(traj.iterates):
-            export_csv(u, f"{base}_u{k:04d}.csv")
+            mesh.export_csv(u, f"{base}_u{k:04d}.csv")
     print(f"run finished: {traj.K} steps, ledgers "
           f"{'passed' if ledgers.passed else 'VIOLATED'}")
     return 0 if ledgers.passed else 2
 
 
 def cmd_study(args):
-    setup = load_run_config(args.config, want_study=True)
+    from . import diagnostics
+    if (setup := _run_setup(args, want_study=True)) is None:
+        return 1
     report = diagnostics.run_study(setup.study)
 
     os.makedirs(setup.out_dir, exist_ok=True)
@@ -142,30 +156,32 @@ def cmd_check_lemmas(args):
         for key, val in sorted(r.stats.items()):
             print(f"    {key}: {val}")
     total = sum(r.violations for r in results)
-    if args.json:
-        payload = {
-            "schema": LEMMA_SCHEMA,
-            "samples": args.samples,
-            "seed": args.seed,
-            "total_violations": total,
-            "checks": [{"name": r.name, "samples": r.samples,
-                        "violations": r.violations,
-                        "stats": {k: v for k, v in sorted(r.stats.items())}}
-                       for r in results],
-        }
-        _write_json(args.json, payload)
+    if args.json:  # _write_json sorts the keys, the stats' too
+        checks = [{"name": r.name, "samples": r.samples, "violations": r.violations,
+                   "stats": r.stats} for r in results]
+        _write_json(args.json, {"schema": LEMMA_SCHEMA, "samples": args.samples,
+                                "seed": args.seed, "total_violations": total,
+                                "checks": checks})
     print(f"total violations: {total}")
     return 0 if total == 0 else 1
 
 
 def cmd_export_mesh(args):
-    setup = load_run_config(args.config)
+    from .mesh import export_vtk, interpolate_nodal
+    if (setup := _run_setup(args)) is None:
+        return 1
     mesh = setup.scheme_config.mesh
     u0 = interpolate_nodal(setup.initial, mesh)
     os.makedirs(setup.out_dir, exist_ok=True)
     path = os.path.join(setup.out_dir, setup.prefix + "_mesh.vtk")
     export_vtk(mesh, path, point_data={"u0": u0.full_values()})
     print(f"wrote {path}")
+    return 0
+
+
+def cmd_example_config(args):
+    from .config import example_config
+    print(example_config(), end="")
     return 0
 
 
@@ -198,14 +214,10 @@ def main(argv=None):
     p_mesh.set_defaults(func=cmd_export_mesh)
 
     p_ex = sub.add_parser("example-config", help="print an annotated example config")
-    p_ex.set_defaults(func=lambda args: (print(example_config(), end=""), 0)[1])
+    p_ex.set_defaults(func=cmd_example_config)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:  # only load_run_config raises it
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # here, or numpy imports it lazily inside the first certify_lemmas
 
 ADDITIVE_SHIFT = "additive-shift"
 QUADRATIC_NORM = "quadratic-norm"
@@ -188,12 +189,6 @@ def _op_S(p, eps, a, r2):
     return np.where(np.isinf(w), 0.0, w)[..., None] * a
 
 
-def op_A(nf, alpha, a):
-    """Vector operator of the alpha-shifted density, A_alpha(0) = 0."""
-    a = np.asarray(a, dtype=float)
-    return _op_A(nf.p, nf.delta + alpha, a, vnorm(a))
-
-
 def op_S_eps(p, eps, a):
     """Quadratic-norm operator a * (|a|^2 + eps^2)^((p-2)/2); S(0) = 0 at eps = 0."""
     if not 1.0 < p <= 2.0:
@@ -207,7 +202,7 @@ def op_S_eps(p, eps, a):
 def diffusion_weight(nf, eps, kind, t):
     """Diffusion weight at gradient magnitude t for the chosen regularization.
 
-    additive-shift: (delta + eps + t)^(p-2), so w(|g|) g = op_A(nf, eps, g);
+    additive-shift: (delta + eps + t)^(p-2), so w(|g|) g = _op_A(p, delta + eps, g, |g|);
     quadratic-norm: (t^2 + eps^2)^((p-2)/2), so w(|g|) g = op_S_eps(p, eps, g).
     Raises DegenerateWeightError where the weight is unbounded.
     """
@@ -417,7 +412,7 @@ def _certify_block(fold, p, delta, eps, alpha, a, b):
     # --- sandwich for the shifted density -----------------------------------
     q = ((_phi_closed(p, shift, ra) + eps**p + delta**p)
          / (ra**p + eps**p + delta**p))
-    for pv in np.unique(p).tolist():
+    for pv in P_GRID:  # p holds P_GRID values; one no sample drew records nothing
         qs = q[p == pv]
         lo, hi = EQUI_SANDWICH_BOUNDS[pv]
         fold.count("shifted-density-sandwich", (qs < lo) | (qs > hi))

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +402,16 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "config error: [solver] unknown key 'linear'\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["study", "export-mesh"])
+    def test_config_error_stops_the_command(self, command, tmp_path, capsys):
+        text = MINIMAL + "\n[solver]\nlinear = cholesky\n"
+        cfg = write_config(tmp_path, text, out=tmp_path / "out")
+        assert main([command, cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_admissibility_warning_is_issued_once(self, tmp_path):
         cfg = write_config(tmp_path, LOWER_ORDER, out=tmp_path / "out",
                            lower="kind = power\nr = 3.5")
@@ -435,3 +449,27 @@ def test_example_config_parses(tmp_path, capsys):
     setup = load_run_config(str(path), want_study=True)
     assert setup.scheme_config.nf.p == 1.5
     assert setup.study.levels == 4
+
+
+IMPORT_PROBE = """\
+import json, sys
+import plapflow
+bare = [name for name in sys.modules if name.startswith("plapflow.")]
+from plapflow.cli import main
+code = main(["check-lemmas", "--samples", "1000", "--seed", "3"])
+print(json.dumps({"bare": bare, "code": code, "loaded": sorted(sys.modules)}))
+"""
+
+
+def test_check_lemmas_imports_no_fem_module():
+    # a fresh interpreter, so that no other test's imports are loaded
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    probe = json.loads(out.splitlines()[-1])
+    assert probe["bare"] == []  # plain `import plapflow` loads no submodule
+    assert probe["code"] == 0
+    heavy = ["scipy"] + [f"plapflow.{m}" for m in
+                         ("mesh", "assembly", "schemes", "config", "diagnostics")]
+    assert [name for name in heavy if name in probe["loaded"]] == []
