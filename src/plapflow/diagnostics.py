@@ -15,14 +15,16 @@ with D_k = int w^{k-1} |grad d u^k|^2 the lagged dissipation.  Every sum
 above is over per-iterate and per-step quantities that one walk over the
 iterates computes (``_walk``).  The ledgers hand its columns back, and the
 run CSV and the study's norms and discrepancy totals read them instead of
-computing them again.
+computing them again; ``discrepancy_total`` takes the D_k column.
 
 The semi-implicit iterates also solve the unregularized implicit equation up
 to two residual fields per step: a regularization error bounded cellwise by
 (2-p) eps^(p-1), and a lag error controlled by the dissipation.  Their
 balanced total must decay along parameter sequences with tau = o(eps^(2-p)),
 which the coupled refinement studies verify empirically; an anti-coupled
-control run guards against vacuously passing assertions.
+control run guards against vacuously passing assertions.  A study runs its
+levels one at a time and keeps one earlier run, the previous level's
+semi-implicit run, as the coarse side of the next Cauchy difference.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .lower_order import IMPLICIT, SEMI_IMPLICIT
 from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
 from .orlicz import (NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight,
                      op_S_eps, vdot, vnorm)
-from .schemes import SchemeConfig, SolverError, interpolant_eval, run_evolution
+from .schemes import SchemeConfig, SolverError, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
 
@@ -89,9 +91,9 @@ class LedgerReport:
 
 def _walk(traj):
     """The columns of traj in one pass over its iterates, with the cell
-    gradients and diffusion weights of two iterates live at a time.  Each
-    iterate's gradients are evaluated once and shared by its energy,
-    seminorm and dissipation terms."""
+    gradients, diffusion weights and midpoint values of two iterates live at
+    a time.  Each iterate's gradients are evaluated once and shared by its
+    energy, seminorm and dissipation terms, and its midpoint values once."""
     cfg = traj.config
     K, mesh = traj.K, cfg.mesh
     areas = mesh.areas
@@ -99,6 +101,7 @@ def _walk(traj):
     cols = TrajectoryColumns(*(np.empty(K + 1) for _ in range(3)),
                              *(np.zeros(K) for _ in range(6)))
     us = traj.iterates
+    lower = not cfg.coeff.is_zero
     prev = None
     for k, u in enumerate(us):
         g = assembly.gradients(u)
@@ -106,11 +109,12 @@ def _walk(traj):
         cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
         cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p, g)
         w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
+        uv = assembly.values_at_midpoints(u) if lower else None
         if k:
             i, tau = k - 1, cfg.tau
             d = (u.coeffs - us[i].coeffs) / tau
             cols.dtau_l2_sq[i] = d @ (mass @ d)
-            g_prev, w_prev = prev
+            g_prev, w_prev, uv_prev = prev
             gd = (g - g_prev) / tau
             cols.diss_dtau[i] = np.sum(areas * w_prev * vdot(gd, gd))
             g2 = vdot(g, g)
@@ -118,11 +122,10 @@ def _walk(traj):
             cols.diss_u_cur[i] = np.sum(areas * w * g2)
             if cfg.source is not None:
                 cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
-            if not cfg.coeff.is_zero:
-                dv = lower_order.d_eval(cfg.coeff, assembly.values_at_midpoints(us[i]))
-                uv = assembly.values_at_midpoints(u)
+            if lower:
+                dv = lower_order.d_eval(cfg.coeff, uv_prev)
                 cols.lower[i] = np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv)
-        prev = g, w
+        prev = g, w, uv
     return cols
 
 
@@ -189,26 +192,9 @@ def _regularization_residual(p, eps, g):
     return vnorm(op_S_eps(p, 0.0, g) - op_S_eps(p, eps, g))
 
 
-def _dissipation_sum(tau, diss_dtau):
-    # summed one step after the other, as the steps were taken
-    return tau * tau * sum(diss_dtau.tolist())
-
-
-def _discrepancy_total(cfg, diss_dtau):
-    """discrepancy_total of the semi-implicit run under cfg whose lagged
-    dissipations D_k are diss_dtau."""
-    _require_semi_quadratic(cfg)
-    p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
-    alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
-    diss = _dissipation_sum(tau, diss_dtau)
-    c = S_EPS_LIPSCHITZ_MAX
-    return ((2.0 - p) * eps ** (p - 1.0)
-            + c * c * alpha_eps * diss
-            + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
-
-
-def discrepancy_total(traj):
-    """Balanced upper bound for the integrated discrepancy pairing.
+def discrepancy_total(cfg, diss_dtau):
+    """Balanced upper bound for the integrated discrepancy pairing of the
+    semi-implicit run under cfg whose lagged dissipations D_k are diss_dtau.
 
     With the balance alpha = (tau eps^(p-2))^(1/2) the total is
 
@@ -218,7 +204,14 @@ def discrepancy_total(traj):
     function normalization.  Along tau = o(eps^(2-p)) sequences it decays;
     with tau fixed it eventually grows.
     """
-    return _discrepancy_total(traj.config, _walk(traj).diss_dtau)
+    _require_semi_quadratic(cfg)
+    p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
+    alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
+    diss = tau * tau * sum(diss_dtau.tolist())  # left to right, as the steps were taken
+    c = S_EPS_LIPSCHITZ_MAX
+    return ((2.0 - p) * eps ** (p - 1.0)
+            + c * c * alpha_eps * diss
+            + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
 
 
 def cell_bound_satisfied(traj):
@@ -248,10 +241,12 @@ COUPLINGS = (DEFAULT_COUPLING, FIXED_TAU)
 class StudyConfig:
     """A refinement study: levels of simultaneous (h, tau, eps) refinement.
 
-    The default coupling halves h and eps per level and sets
-    tau_n = tau_0 (eps_n/eps_0)^(2-p) 2^(-n/2), which realizes
-    tau = o(eps^(2-p)).  The fixed-tau coupling keeps tau = tau_0 (violating
-    the condition on purpose); it is used as the negative control.
+    Each level halves h and eps, and the coupling sets the step by one rule,
+    tau_n = tau_0 (eps_n/eps_0)^alpha.  The default coupling takes
+    alpha = 5/2 - p, which realizes tau = o(eps^(2-p)).  The fixed-tau
+    coupling takes alpha = 0, keeping tau = tau_0 and violating the
+    condition on purpose; it is used as the negative control.  A coupling
+    with alpha <= 2 - p is anti-coupled.
     """
 
     base: SchemeConfig
@@ -274,19 +269,21 @@ class StudyConfig:
             raise ValueError("a study bounds the discrepancy, which requires the "
                              f"quadratic-norm regularization, got {self.base.kind!r}")
 
+    @property
+    def tau_exponent(self):
+        """alpha in tau_n = tau_0 (eps_n/eps_0)^alpha."""
+        return 0.0 if self.coupling == FIXED_TAU else 2.5 - self.base.nf.p
+
     def parameter_sequence(self):
-        """(eps_n, K_n) for n = 0..levels-1 under the coupling rule."""
-        p = self.base.nf.p
+        """(eps_n, K_n) for n = 0..levels-1, K_n the step count nearest to
+        T / tau_n and at least 1."""
         eps0, tau0, T = self.base.eps, self.base.tau, self.base.T
+        alpha = self.tau_exponent
         out = []
         for n in range(self.levels):
             eps_n = eps0 * 2.0 ** (-n)
-            if self.coupling == FIXED_TAU:
-                K_n = self.base.K
-            else:
-                target = tau0 * (eps_n / eps0) ** (2.0 - p) * 2.0 ** (-n / 2.0)
-                K_n = max(1, int(round(T / target)))
-            out.append((eps_n, K_n))
+            tau_n = tau0 * (eps_n / eps0) ** alpha
+            out.append((eps_n, max(1, int(round(T / tau_n)))))
         return out
 
 
@@ -356,14 +353,18 @@ def _strictly_decreasing(xs):
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _cauchy_difference(coarse, fine, fine_mesh, p):
-    """Distance of consecutive-level runs on the finer space-time grid."""
-    tau_f = fine.config.tau
-    linf = 0.0
-    acc = 0.0
-    for j in range(fine.K + 1):
-        uc = prolong(interpolant_eval(coarse, j * tau_f), fine_mesh)
-        diff = FemFunction(fine_mesh, fine.iterates[j].coeffs - uc.coeffs)
+def _cauchy_difference(coarse, fine, p):
+    """Distance of consecutive-level runs on the finer space-time grid.
+
+    The coarse run enters through its piecewise-constant time interpolant:
+    u^k on (t_{k-1}, t_k], and u^0 at t = 0.  Both runs end at T, so the
+    fine time j T/K_f lies in the coarse interval with k = ceil(j K_c/K_f),
+    which integer division gives exactly."""
+    mesh, tau_f = fine.config.mesh, fine.config.tau
+    linf = acc = 0.0
+    for j, u in enumerate(fine.iterates):
+        uc = prolong(coarse.iterates[-(-j * coarse.K // fine.K)], mesh)
+        diff = FemFunction(mesh, u.coeffs - uc.coeffs)
         linf = max(linf, assembly.norm_L2(diff))
         if j >= 1:
             acc += tau_f * assembly.seminorm_W1p(diff, p) ** p
@@ -378,68 +379,76 @@ def _scheme_gap(traj_a, traj_b):
     return gap
 
 
+def _measure_level(level, semi, u0):
+    """Fill level from its semi-implicit run, then from the implicit run from
+    the same u0, which lives only while its gap and ledgers are taken."""
+    cfg = semi.config
+    p = cfg.nf.p
+    level.ledgers_semi = check_energy_ledgers(semi)
+    cols = level.ledgers_semi.columns
+    level.discrepancy_total = discrepancy_total(cfg, cols.diss_dtau)
+    level.linf_l2 = float(np.max(np.sqrt(cols.l2_sq)))
+    level.lp_w1p = sum(cfg.tau * s ** p for s in cols.seminorm[1:].tolist()) ** (1.0 / p)
+    level.e_cell_ratio = cell_bound_satisfied(semi)
+    try:
+        impl = run_evolution(u0, replace(cfg, scheme=IMPLICIT))
+    except SolverError as exc:
+        level.error = f"level {level.n}: {exc}"
+        return
+    level.gap = _scheme_gap(semi, impl)
+    level.ledgers_implicit = check_energy_ledgers(impl)
+
+
+def _run_levels(sc, u0):
+    """The study's levels, and the Cauchy differences of consecutive ones.
+
+    Level n runs on the red refinement of level n-1's mesh, from the
+    prolonged initial data.  Its pair with level n-1 is taken as soon as its
+    semi-implicit run ends; from then on that run is the only one kept."""
+    levels, cauchy = [], []
+    coarse = None  # the previous level's semi-implicit run, if it ran
+    for n, (eps_n, K_n) in enumerate(sc.parameter_sequence()):
+        if n:
+            u0 = prolong(u0, refine_red(u0.mesh))
+        cfg = replace(sc.base, mesh=u0.mesh, eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
+        level = LevelResult(n=n, h=u0.mesh.h, eps=eps_n, tau=cfg.tau, K=K_n)
+        levels.append(level)
+        try:
+            semi = run_evolution(u0, cfg)
+        except SolverError as exc:
+            level.error = f"level {n}: {exc}"
+            semi = None
+        if n:
+            linf = lp = np.nan
+            if coarse is not None and semi is not None:
+                linf, lp = _cauchy_difference(coarse, semi, cfg.nf.p)
+            cauchy.append({"linf_l2": linf, "lp_w1p": lp})
+        coarse = semi
+        if semi is not None:
+            _measure_level(level, semi, u0)
+    return levels, cauchy
+
+
 def run_study(sc):
     """Run both schemes on every level and certify the coupled decay claims.
 
-    Per-level failures are recorded and the remaining levels still run; a
-    level whose implicit run fails keeps its semi-implicit run.  The
-    report always carries the anti-coupled control totals so that a passing
-    study demonstrably depends on the coupling.
+    The levels run one at a time.  Per-level failures are recorded and the
+    remaining levels still run; a level whose implicit run fails keeps its
+    semi-implicit run.  The report always carries the anti-coupled control
+    totals so that a passing study demonstrably depends on the coupling.
     """
     base = sc.base
-    p = base.nf.p
-    meshes = [base.mesh]
-    for _ in range(sc.levels - 1):
-        meshes.append(refine_red(meshes[-1]))
-    u0s = [interpolate_nodal(sc.initial, meshes[0])]
-    for n in range(1, sc.levels):
-        u0s.append(prolong(u0s[-1], meshes[n]))
-
-    levels = []
-    semis = []
-    semi0_total = np.nan  # level 0's semi-implicit run is also the control run at m = 0
-    for n, (eps_n, K_n) in enumerate(sc.parameter_sequence()):
-        cfg = replace(base, mesh=meshes[n], eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
-        level = LevelResult(n=n, h=meshes[n].h, eps=eps_n, tau=cfg.tau, K=K_n)
-        levels.append(level)
-        try:
-            semi = run_evolution(u0s[n], cfg)
-        except SolverError as exc:
-            level.error = f"level {n}: {exc}"
-            semis.append(None)
-            continue
-        semis.append(semi)
-        level.ledgers_semi = check_energy_ledgers(semi)
-        cols = level.ledgers_semi.columns
-        level.discrepancy_total = _discrepancy_total(cfg, cols.diss_dtau)
-        if n == 0:
-            semi0_total = level.discrepancy_total
-        level.linf_l2 = float(np.max(np.sqrt(cols.l2_sq)))
-        level.lp_w1p = sum(cfg.tau * s ** p for s in cols.seminorm[1:].tolist()) ** (1.0 / p)
-        level.e_cell_ratio = cell_bound_satisfied(semi)
-        try:
-            impl = run_evolution(u0s[n], replace(cfg, scheme=IMPLICIT))
-        except SolverError as exc:
-            level.error = f"level {n}: {exc}"
-            continue
-        level.gap = _scheme_gap(semi, impl)
-        level.ledgers_implicit = check_energy_ledgers(impl)
-
-    cauchy = []
-    for n in range(len(semis) - 1):
-        linf = lp = np.nan
-        if semis[n] is not None and semis[n + 1] is not None:
-            linf, lp = _cauchy_difference(semis[n], semis[n + 1], meshes[n + 1], p)
-        cauchy.append({"linf_l2": linf, "lp_w1p": lp})
-
+    u0 = interpolate_nodal(sc.initial, base.mesh)
+    levels, cauchy = _run_levels(sc, u0)
     products = [lv.tau * float(base.nf.phi_prime2(lv.eps)) for lv in levels]
 
-    # anti-coupled control: mesh and tau pinned, eps halving
-    control_totals = [semi0_total][:sc.control_levels]
+    # anti-coupled control: mesh and tau pinned, eps halving; level 0's
+    # semi-implicit run is also the control run at m = 0
+    control_totals = [levels[0].discrepancy_total]
     for m in range(1, sc.control_levels):
         cfg = replace(base, eps=base.eps * 2.0 ** (-m), scheme=SEMI_IMPLICIT)
         try:
-            control_totals.append(discrepancy_total(run_evolution(u0s[0], cfg)))
+            control_totals.append(discrepancy_total(cfg, _walk(run_evolution(u0, cfg)).diss_dtau))
         except SolverError:
             control_totals.append(np.nan)
 
@@ -458,7 +467,7 @@ def run_study(sc):
             [t for t in control_totals if np.isfinite(t)]),
     }
     return StudyReport(levels, cauchy, products, control_totals, assertions,
-                       anti_coupled=sc.coupling == FIXED_TAU)
+                       anti_coupled=sc.tau_exponent <= 2.0 - base.nf.p)
 
 
 # ---------------------------------------------------------------------------

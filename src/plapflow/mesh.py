@@ -174,9 +174,6 @@ class FemFunction:
         full[self.mesh.interior] = self.coeffs
         return full
 
-    def copy(self):
-        return FemFunction(self.mesh, self.coeffs.copy())
-
 
 def unit_square_mesh(n):
     """Structured triangulation of (0,1)^2: n x n squares, each split along

@@ -527,14 +527,3 @@ def run_evolution(u0, cfg):
         stats.append(st)
     return Trajectory(cfg, iterates, stats)
 
-
-def interpolant_eval(traj, t):
-    """The piecewise-constant time interpolant of the iterates at t in [0, T]:
-    u^k on (t_{k-1}, t_k], and u^0 at t = 0."""
-    cfg = traj.config
-    if not -1e-12 <= t <= cfg.T * (1.0 + 1e-12) + 1e-300:
-        raise ValueError(f"t = {t} outside [0, {cfg.T}]")
-    if traj.K == 0 or t <= 0.0:
-        return traj.iterates[0].copy()
-    k = int(np.ceil(t / cfg.tau - 1e-12))
-    return traj.iterates[min(max(k, 1), traj.K)].copy()

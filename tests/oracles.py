@@ -8,10 +8,11 @@ The einsum/bincount kernels and the midpoint prolongation at the end sum
 exactly as the package's cached sparse operators do, and pin that those
 change no bit.
 
-The lemma certification and energy ledger oracles are the package's earlier
-versions on its own kernels: every check on arrays of all samples at once,
-and the gradients and weights of all iterates held at once.  They pin that
-the memory-lean versions change no bit.
+The lemma certification, energy ledger and study oracles are the package's
+earlier versions on its own kernels: every check on arrays of all samples at
+once, the gradients and weights of all iterates held at once, and every
+study level's run held at once, its coarse iterates read by a float time
+rule.  They pin that the memory-lean versions change no bit.
 """
 
 from dataclasses import replace
@@ -19,9 +20,11 @@ from dataclasses import replace
 import numpy as np
 
 from plapflow import assembly, diagnostics, lower_order, orlicz
-from plapflow.lower_order import IMPLICIT
+from plapflow.lower_order import IMPLICIT, SEMI_IMPLICIT
+import plapflow.mesh
+from plapflow.mesh import FemFunction, interpolate_nodal, prolong
 from plapflow.orlicz import CheckResult
-from plapflow.schemes import KACANOV, implicit_step, semi_implicit_step
+from plapflow.schemes import KACANOV, implicit_step, run_evolution, semi_implicit_step
 
 def dense_mass(nodes, cells):
     n = len(nodes)
@@ -315,7 +318,7 @@ def check_energy_ledgers(traj):
     diss_u_lag = np.empty(K)
     diss_u_cur = np.empty(K)
     fq_sq = np.zeros(K)
-    du_sq = np.zeros(K)
+    du_sq = lower_pairing(traj)
     for k in range(1, K + 1):
         d = (us[k].coeffs - us[k - 1].coeffs) / tau
         dtau_l2_sq[k - 1] = float(d @ (mass @ d))
@@ -324,10 +327,6 @@ def check_energy_ledgers(traj):
         diss_u_cur[k - 1] = float(np.sum(areas * weights[k] * gk2))
         if cfg.source is not None:
             fq_sq[k - 1] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
-        if not cfg.coeff.is_zero:
-            dv = lower_order.d_eval(cfg.coeff, assembly.values_at_midpoints(us[k - 1]))
-            uv = assembly.values_at_midpoints(us[k])
-            du_sq[k - 1] = float(np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv))
 
     entries = []
     cum_dtau = np.cumsum(dtau_l2_sq)
@@ -352,6 +351,79 @@ def check_energy_ledgers(traj):
         rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
         entries.append(diagnostics._ledger_entry("apriori-implicit", lhs, rhs))
     return diagnostics.LedgerReport(entries)
+
+
+def lower_pairing(traj):
+    """(d(u^{k-1})^2, (u^k)^2) for k = 1..K, both midpoint evaluations made
+    afresh at every step."""
+    cfg, us = traj.config, traj.iterates
+    areas = cfg.mesh.areas
+    out = np.zeros(traj.K)
+    if not cfg.coeff.is_zero:
+        for k in range(1, traj.K + 1):
+            dv = lower_order.d_eval(cfg.coeff, assembly.values_at_midpoints(us[k - 1]))
+            uv = assembly.values_at_midpoints(us[k])
+            out[k - 1] = float(np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv))
+    return out
+
+
+# --- refinement studies --------------------------------------------------------
+
+def interpolant_index(T, K, t):
+    """The iterate k that the piecewise-constant time interpolant of a K-step
+    run on [0, T] takes at t, u^k on (t_{k-1}, t_k] and u^0 at t = 0, by the
+    float rule ceil(t / tau - 1e-12) clamped to 1..K."""
+    if not -1e-12 <= t <= T * (1.0 + 1e-12) + 1e-300:
+        raise ValueError(f"t = {t} outside [0, {T}]")
+    if K == 0 or t <= 0.0:
+        return 0
+    return min(max(int(np.ceil(t / (T / K) - 1e-12)), 1), K)
+
+
+def cauchy_difference(coarse, fine, p):
+    """diagnostics._cauchy_difference with the coarse iterate read at each
+    fine time by interpolant_index."""
+    mesh, tau_f = fine.config.mesh, fine.config.tau
+    linf = acc = 0.0
+    for j in range(fine.K + 1):
+        k = interpolant_index(coarse.config.T, coarse.K, j * tau_f)
+        uc = prolong(coarse.iterates[k], mesh)
+        diff = FemFunction(mesh, fine.iterates[j].coeffs - uc.coeffs)
+        linf = max(linf, assembly.norm_L2(diff))
+        if j >= 1:
+            acc += tau_f * assembly.seminorm_W1p(diff, p) ** p
+    return linf, acc ** (1.0 / p)
+
+
+def study_cauchy(sc):
+    """run_study's Cauchy differences with every level's mesh, initial data
+    and semi-implicit run built before the first difference is taken."""
+    meshes = [sc.base.mesh]
+    for _ in range(sc.levels - 1):
+        meshes.append(plapflow.mesh.refine_red(meshes[-1]))
+    u0s = [interpolate_nodal(sc.initial, meshes[0])]
+    for m in meshes[1:]:
+        u0s.append(prolong(u0s[-1], m))
+    semis = [run_evolution(u0, replace(sc.base, mesh=m, eps=eps, K=K, scheme=SEMI_IMPLICIT))
+             for u0, m, (eps, K) in zip(u0s, meshes, sc.parameter_sequence())]
+    return [dict(zip(("linf_l2", "lp_w1p"), cauchy_difference(c, f, sc.base.nf.p)))
+            for c, f in zip(semis, semis[1:])]
+
+
+def coupled_step_counts(p, eps0, T, K, coupling, levels):
+    """K_n of a study under the earlier two-branch coupling rule: K under
+    fixed-tau, else the step count nearest to
+    T / (tau_0 (eps_n/eps_0)^(2-p) 2^(-n/2)) and at least 1."""
+    tau0 = T / K
+    out = []
+    for n in range(levels):
+        eps_n = eps0 * 2.0 ** (-n)
+        if coupling == diagnostics.FIXED_TAU:
+            out.append(K)
+        else:
+            target = tau0 * (eps_n / eps0) ** (2.0 - p) * 2.0 ** (-n / 2.0)
+            out.append(max(1, int(round(T / target))))
+    return out
 
 
 # --- finite element kernels, one cell at a time ------------------------------

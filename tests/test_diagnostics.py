@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -25,6 +27,11 @@ def make_cfg(mesh, **kw):
 
 def random_u(mesh, rng, scale=1.0):
     return FemFunction(mesh, scale * rng.uniform(-1, 1, mesh.n_interior))
+
+
+def total_of(traj):
+    """The discrepancy total of traj, from the dissipations of its ledger walk."""
+    return discrepancy_total(traj.config, check_energy_ledgers(traj).columns.diss_dtau)
 
 
 class TestLedgers:
@@ -72,6 +79,20 @@ class TestLedgers:
         check_energy_ledgers(traj)
         assert len(calls) == traj.K + 1
 
+    @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
+    def test_one_midpoint_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
+        cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
+                       coeff=LowerOrderCoeff.shifted_power(2.5, 0.5))
+        traj = run_evolution(random_u(mesh8, rng), cfg)
+        expect = oracles.lower_pairing(traj)
+        calls = []
+        values = assembly.values_at_midpoints
+        monkeypatch.setattr(assembly, "values_at_midpoints",
+                            lambda u: calls.append(u) or values(u))
+        lower = check_energy_ledgers(traj).columns.lower
+        assert len(calls) == traj.K + 1
+        np.testing.assert_array_equal(lower, expect)
+
     def test_implicit_ledger(self, mesh8, rng):
         cfg = make_cfg(mesh8, scheme="implicit",
                        source=fields.make_source("bump"))
@@ -82,7 +103,8 @@ class TestLedgers:
     def test_corrupted_trajectory_fails(self, mesh8, rng):
         cfg = make_cfg(mesh8)
         traj = run_evolution(random_u(mesh8, rng), cfg)
-        bad = Trajectory(cfg, [u.copy() for u in traj.iterates], traj.stats)
+        bad = Trajectory(cfg, [FemFunction(mesh8, u.coeffs.copy()) for u in traj.iterates],
+                         traj.stats)
         bad.iterates[-1].coeffs *= 10.0  # energy jump breaks the decay
         rep = check_energy_ledgers(bad)
         assert not rep.passed
@@ -141,7 +163,8 @@ class TestDiscrepancy:
     def test_steady_state_lag_field_vanishes(self, mesh8, rng):
         cfg = make_cfg(mesh8, K=2, T=0.02)
         u = random_u(mesh8, rng)
-        steady = Trajectory(cfg, [u, u.copy(), u.copy()], [])
+        copies = [FemFunction(mesh8, u.coeffs.copy()) for _ in range(2)]
+        steady = Trajectory(cfg, [u, *copies], [])
         assert cell_bound_satisfied(steady) <= 1.0 + 1e-10
 
     def test_cell_bound_scalar_oracle(self, mesh8, rng):
@@ -169,7 +192,7 @@ class TestDiscrepancy:
         shift = make_cfg(mesh4, kind=ADDITIVE_SHIFT)
         traj = run_evolution(random_u(mesh4, rng), shift)
         with pytest.raises(ValueError, match="quadratic-norm"):
-            discrepancy_total(traj)
+            total_of(traj)
 
 
 class TestDiscrepancyTotal:
@@ -182,14 +205,14 @@ class TestDiscrepancyTotal:
         expect = ((2.0 - p) * eps ** (p - 1.0)
                   + S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
                   + tau * eps ** (p - 2.0) / (2.0 * alpha))
-        assert discrepancy_total(traj) == pytest.approx(expect, rel=1e-13)
+        assert total_of(traj) == pytest.approx(expect, rel=1e-13)
 
     def test_p2_specialization(self, mesh8, rng):
         # the regularization residual vanishes and the balanced tail term is
         # sqrt(tau)/2: pure square-root-of-tau decay
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), K=4, T=0.04)
         traj = run_evolution(random_u(mesh8, rng), cfg)
-        total = discrepancy_total(traj)
+        total = total_of(traj)
         assert cell_bound_satisfied(traj) == 0.0
         alpha = np.sqrt(cfg.tau)
         tail = cfg.tau / (2.0 * alpha)
@@ -307,6 +330,67 @@ class TestStudy:
                         control_levels=control_levels)
 
 
+STUDY_BASE = dict(nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2, kind=QUADRATIC_NORM)
+
+
+@pytest.mark.parametrize("p, coupling", [(1.5, "default"), (1.5, "fixed-tau"),
+                                         (1.2, "default")])
+def test_cauchy_differences_match_the_float_time_rule(p, coupling):
+    # at p = 1.2 the default coupling makes K_n = 4, 10, 24: no fine step
+    # count is a multiple of the coarse one
+    base = SchemeConfig(mesh=unit_square_mesh(2), **{**STUDY_BASE, "nf": NFunctionPD(p)})
+    sc = StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=3,
+                     coupling=coupling, control_levels=2)
+    rep = run_study(sc)
+    if p == 1.2:
+        assert [lv.K for lv in rep.levels] == [4, 10, 24]
+    assert rep.cauchy == oracles.study_cauchy(sc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.floats(1e-3, 1e3), K_c=st.integers(1, 256), K_f=st.integers(1, 256),
+       data=st.data())
+def test_integer_time_index_is_the_float_rule(T, K_c, K_f, data):
+    # both runs end at T, so the fine time j T/K_f lies in the coarse step
+    # ceil(j K_c / K_f)
+    j = data.draw(st.integers(0, K_f), "j")
+    assert -(-j * K_c // K_f) == oracles.interpolant_index(T, K_c, j * (T / K_f))
+
+
+def test_a_study_keeps_one_earlier_run_alive(monkeypatch):
+    # a level's semi-implicit run lives until the next level is compared with
+    # it, its implicit run until it is measured
+    earlier, alive = [], []
+
+    def tracking_run_evolution(u0, cfg):
+        alive.append(sum(ref() is not None for ref in earlier))
+        traj = run_evolution(u0, cfg)
+        earlier.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(diagnostics, "run_evolution", tracking_run_evolution)
+    base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
+    run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=4,
+                          control_levels=3))
+    assert len(alive) == 2 * 4 + 3 - 1
+    assert max(alive) == 1, alive
+
+
+@pytest.mark.parametrize("p", np.linspace(1.01, 2.0, 13))
+def test_one_coupling_rule_gives_the_two_branch_step_counts(p):
+    mesh = unit_square_mesh(1)
+    for T in (0.01, 0.05, 0.1, 0.2, 1.0, 3.0):
+        for eps0 in (0.9, 0.5, 0.1, 1e-3):
+            for K in range(1, 41):
+                base = SchemeConfig(mesh=mesh, nf=NFunctionPD(p), eps=eps0, K=K, T=T,
+                                    kind=QUADRATIC_NORM)
+                for coupling in ("default", "fixed-tau"):
+                    sc = StudyConfig(base=base, initial=None, levels=8, coupling=coupling)
+                    K_n = [k for _, k in sc.parameter_sequence()]
+                    assert K_n == oracles.coupled_step_counts(p, eps0, T, K, coupling, 8), (
+                        p, T, eps0, K, coupling)
+
+
 def test_example_study_at_p_1_2_passes(tmp_path):
     # the example config with only p changed, under the default solver; plain
     # Kacanov failed all-levels-ran and the three decrease assertions here
@@ -386,7 +470,7 @@ def test_level_0_semi_run_is_the_first_control_run(monkeypatch):
         rep = run_study(StudyConfig(base=base, initial=initial, levels=3, control_levels=4))
         assert len(calls) == 2 * 3 + 4 - 1
         assert calls.count("implicit") == 3
-        alone = discrepancy_total(run_evolution(interpolate_nodal(initial, base.mesh), base))
+        alone = total_of(run_evolution(interpolate_nodal(initial, base.mesh), base))
         assert rep.control_totals[0] == alone
         assert (rep.levels[0].error is None) == (max_iter == 60)
 

@@ -9,7 +9,7 @@ from plapflow.lower_order import LowerOrderCoeff
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
 from plapflow.schemes import (AdmissibilityWarning, SchemeConfig, SolverError, implicit_step,
-                              interpolant_eval, run_evolution, semi_implicit_step)
+                              run_evolution, semi_implicit_step)
 
 import oracles
 
@@ -356,30 +356,3 @@ class TestRunEvolution:
         assert len(traj.stats) == 3
         assert all(s.residual < 1e-10 for s in traj.stats)
 
-
-class TestInterpolants:
-    @pytest.fixture
-    def traj(self, mesh4, rng):
-        cfg = make_cfg(mesh4, K=4, T=0.4)
-        u0 = FemFunction(mesh4, rng.uniform(-1, 1, mesh4.n_interior))
-        return run_evolution(u0, cfg)
-
-    def test_nodes_agree(self, traj):
-        tau = traj.config.tau
-        for k in range(traj.K + 1):
-            u = interpolant_eval(traj, k * tau)
-            np.testing.assert_allclose(u.coeffs, traj.iterates[k].coeffs, atol=1e-13)
-
-    def test_constant_between_nodes(self, traj):
-        # u^k on (t_{k-1}, t_k]
-        tau = traj.config.tau
-        u = interpolant_eval(traj, 2.5 * tau)
-        np.testing.assert_array_equal(u.coeffs, traj.iterates[3].coeffs)
-        u = interpolant_eval(traj, 0.5 * tau)
-        np.testing.assert_array_equal(u.coeffs, traj.iterates[1].coeffs)
-
-    def test_outside_domain_rejected(self, traj):
-        with pytest.raises(ValueError):
-            interpolant_eval(traj, -0.1)
-        with pytest.raises(ValueError):
-            interpolant_eval(traj, traj.config.T + 0.1)
