@@ -35,9 +35,7 @@ import scipy.sparse as sp
 
 from . import lower_order
 from .mesh import EDGE_ENDS, FemFunction, per_mesh
-# DegenerateWeightError is re-exported: callers of the assemblers catch it here.
-from .orlicz import (QUADRATIC_NORM, REGULARIZATION_KINDS, DegenerateWeightError,  # noqa: F401
-                     diffusion_weight, vnorm)
+from .orlicz import QUADRATIC_NORM, diffusion_weight, vnorm
 
 # Degree-5 rule: barycentric coordinates and weights (normalized to 1).
 _S15 = np.sqrt(15.0)
@@ -418,12 +416,8 @@ def energy(u, nf, eps, kind, grads=None):
 
     grads, if given, are u's cell gradients, gradients(u), already computed.
     """
-    if kind not in REGULARIZATION_KINDS:
-        raise ValueError(f"unknown regularization kind {kind!r}")
     gn = vnorm(gradients(u) if grads is None else grads)
     if kind == QUADRATIC_NORM:
-        if nf.delta != 0.0:
-            raise ValueError("quadratic-norm regularization requires delta = 0")
         vals = (gn * gn + eps * eps) ** (nf.p / 2.0) / nf.p
     else:
         vals = nf.shifted(eps).phi(gn)

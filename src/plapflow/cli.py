@@ -80,7 +80,7 @@ def cmd_run(args):
     u0 = mesh.interpolate_nodal(setup.initial, cfg.mesh)
     try:
         traj = schemes.run_evolution(u0, cfg)
-    except (schemes.SolverError, ValueError) as exc:
+    except schemes.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 

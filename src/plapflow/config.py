@@ -181,11 +181,11 @@ def load_run_config(path, want_study=False):
     lo_kind = lo.get("kind", "zero")
     with _invalid_in("lower-order"):
         if lo_kind == "zero":
-            coeff = LowerOrderCoeff.zero()
+            coeff = LowerOrderCoeff()
         elif lo_kind == "power":
-            coeff = LowerOrderCoeff.power(lo.get("r"))
+            coeff = LowerOrderCoeff(lo.get("r"))
         elif lo_kind == "shifted-power":
-            coeff = LowerOrderCoeff.shifted_power(lo.get("r"), lo.get("c"))
+            coeff = LowerOrderCoeff(lo.get("r"), lo.get("c"))
         else:
             raise ConfigError(f"[lower-order] kind = {lo_kind!r} is not in the registry")
 

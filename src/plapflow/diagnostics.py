@@ -29,6 +29,7 @@ semi-implicit run, as the coarse side of the next Cauchy difference.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from .lower_order import IMPLICIT, SEMI_IMPLICIT
 from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
 from .orlicz import (NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight,
                      op_S_eps, vdot, vnorm)
-from .schemes import SchemeConfig, SolverError, run_evolution
+from .schemes import AdmissibilityWarning, SchemeConfig, SolverError, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
 
@@ -179,13 +180,6 @@ def check_energy_ledgers(traj):
 # Discrepancy of the semi-implicit scheme
 # ---------------------------------------------------------------------------
 
-def _require_semi_quadratic(cfg):
-    if cfg.scheme != SEMI_IMPLICIT:
-        raise ValueError("the discrepancy bounds are defined for semi-implicit trajectories")
-    if cfg.kind != QUADRATIC_NORM:
-        raise ValueError("the discrepancy bounds require the quadratic-norm regularization")
-
-
 def _regularization_residual(p, eps, g):
     """|E| = |S_0(g) - S_eps(g)| per cell at the cell gradients g of an iterate, by
     which a semi-implicit step misses the unregularized implicit equation."""
@@ -202,9 +196,9 @@ def discrepancy_total(cfg, diss_dtau):
 
     with c the frozen empirical difference-quotient constant and unit test
     function normalization.  Along tau = o(eps^(2-p)) sequences it decays;
-    with tau fixed it eventually grows.
+    with tau fixed it eventually grows.  cfg must be semi-implicit with the
+    quadratic-norm regularization, as every config of a StudyConfig's run is.
     """
-    _require_semi_quadratic(cfg)
     p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
     alpha_eps = float(np.sqrt(tau * eps ** (p - 2.0)))
     diss = tau * tau * sum(diss_dtau.tolist())  # left to right, as the steps were taken
@@ -215,9 +209,10 @@ def discrepancy_total(cfg, diss_dtau):
 
 
 def cell_bound_satisfied(traj):
-    """Max over steps of (max-cell |E^k|) / ((2-p) eps^(p-1)); must stay <= 1."""
+    """Max over steps of (max-cell |E^k|) / ((2-p) eps^(p-1)); must stay <= 1.
+    traj must be semi-implicit with the quadratic-norm regularization, as
+    every run of a StudyConfig is."""
     cfg = traj.config
-    _require_semi_quadratic(cfg)
     p, eps = cfg.nf.p, cfg.eps
     bound = (2.0 - p) * eps ** (p - 1.0)
     worst = 0.0
@@ -237,7 +232,7 @@ FIXED_TAU = "fixed-tau"
 COUPLINGS = (DEFAULT_COUPLING, FIXED_TAU)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     """A refinement study: levels of simultaneous (h, tau, eps) refinement.
 
@@ -268,6 +263,14 @@ class StudyConfig:
         if self.base.kind != QUADRATIC_NORM:
             raise ValueError("a study bounds the discrepancy, which requires the "
                              f"quadratic-norm regularization, got {self.base.kind!r}")
+        # every run's config passes if the one with the smallest eps does
+        finest = self.base.eps * 2.0 ** (-(max(self.levels, self.control_levels) - 1))
+        with warnings.catch_warnings():  # the base config has warned about r already
+            warnings.simplefilter("ignore", AdmissibilityWarning)
+            try:
+                replace(self.base, eps=finest, scheme=SEMI_IMPLICIT)
+            except ValueError as exc:
+                raise ValueError(f"at its smallest eps: {exc}") from None
 
     @property
     def tau_exponent(self):

@@ -111,6 +111,16 @@ class TestRunCommand:
         assert main(["run", cfg]) == 1
         assert "eps" in capsys.readouterr().err
 
+    def test_unbounded_weight_is_a_config_error(self, tmp_path, capsys):
+        # eps^2 underflows to 0: the weight at a zero gradient would be unbounded
+        text = MINIMAL.replace("p = 2.0", "p = 1.5").replace("eps = 0.5", "eps = 1e-170")
+        cfg = write_config(tmp_path, text, out=tmp_path / "out")
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [run] ")
+        assert err.endswith(" eps = 1e-170 and delta = 0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_solver_failure_exits_1(self, tmp_path, capsys):
         # one Kacanov sweep cannot reach tol-res
         cfg = write_config(tmp_path, IMPLICIT + "\n[solver]\nmax-iter = 1\n",
@@ -372,6 +382,16 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$") as info:
             load_run_config(cfg, want_study=True)
         assert str(info.value).count("[study]") == 1
+
+    def test_study_checks_its_smallest_eps(self, tmp_path):
+        # the base run is valid, but eps_0 2^-9 of the tenth control level squares to 0
+        text = (STUDY.replace("eps = 0.5", "eps = 1e-160")
+                .replace("control-levels = 4", "control-levels = 10"))
+        cfg = write_config(tmp_path, text, out=tmp_path / "out", coupling="default")
+        load_run_config(cfg)
+        message = r"^\[study\] at its smallest eps: .* eps = 1\.95312e-163 and delta = 0$"
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(cfg, want_study=True)
 
     @pytest.mark.parametrize("extra,message", [
         ("[solver]\nlinear = cg", "[solver] unknown key 'linear'"),

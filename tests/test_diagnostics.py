@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from hypothesis import assume, given, settings, strategies as st
 
 from plapflow import assembly, diagnostics, fields
@@ -51,7 +51,7 @@ class TestLedgers:
 
     def test_with_source_and_coefficient(self, mesh8, rng):
         cfg = make_cfg(mesh8, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
-                       coeff=LowerOrderCoeff.power(2.5),
+                       coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
         rep = check_energy_ledgers(run_evolution(random_u(mesh8, rng), cfg))
         assert [e.name for e in rep.entries] == ["apriori", "ener-bound"]
@@ -60,7 +60,7 @@ class TestLedgers:
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_walking_two_iterates_at_a_time_changes_no_bit(self, mesh8, rng, scheme):
         cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
-                       coeff=LowerOrderCoeff.power(2.5),
+                       coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
         traj = run_evolution(random_u(mesh8, rng), cfg)
         report = check_energy_ledgers(traj)
@@ -70,7 +70,7 @@ class TestLedgers:
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_one_gradient_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
         cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
-                       coeff=LowerOrderCoeff.power(2.5),
+                       coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
         traj = run_evolution(random_u(mesh8, rng), cfg)
         calls = []
@@ -82,7 +82,7 @@ class TestLedgers:
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_one_midpoint_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
         cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
-                       coeff=LowerOrderCoeff.shifted_power(2.5, 0.5))
+                       coeff=LowerOrderCoeff(2.5, 0.5))
         traj = run_evolution(random_u(mesh8, rng), cfg)
         expect = oracles.lower_pairing(traj)
         calls = []
@@ -127,15 +127,15 @@ class TestLedgers:
     def test_random_runs_pass_every_ledger(self, data, scheme, kind, p, eps, tau, K, n,
                                            initial, amplitude, seed, source, lower):
         if lower == "zero":
-            coeff = LowerOrderCoeff.zero()
+            coeff = LowerOrderCoeff()
         else:
             # r anywhere in the scheme's admissible interval, c7 tau <= 0.95
             r_max = 2.0 * p if scheme == "implicit" else p + 1.0
             assume(r_max > 2.0)  # no double lies in (2, r_max] when p is within an ulp of 1
             r = data.draw(st.floats(2.0, r_max, exclude_min=True,
                                     exclude_max=scheme == "semi-implicit" and p == 2.0), "r")
-            coeff = (LowerOrderCoeff.power(r) if lower == "power" else
-                     LowerOrderCoeff.shifted_power(r, data.draw(st.floats(-1.0, 1.9), "c")))
+            coeff = (LowerOrderCoeff(r) if lower == "power" else
+                     LowerOrderCoeff(r, data.draw(st.floats(-1.0, 1.9), "c")))
         assert admissibility(coeff, p, scheme)
         delta = 0.0 if kind == QUADRATIC_NORM else data.draw(st.floats(0.0, 1.0), "delta")
         mesh = unit_square_mesh(n)
@@ -183,16 +183,6 @@ class TestDiscrepancy:
         bound = (2.0 - p) * eps ** (p - 1.0)
         assert cell_bound_satisfied(traj) == pytest.approx(worst / bound, rel=1e-12)
         assert worst <= bound + 1e-12
-
-    def test_requires_semi_implicit_quadratic_norm(self, mesh4, rng):
-        impl = make_cfg(mesh4, scheme="implicit")
-        traj = run_evolution(random_u(mesh4, rng), impl)
-        with pytest.raises(ValueError, match="semi-implicit"):
-            cell_bound_satisfied(traj)
-        shift = make_cfg(mesh4, kind=ADDITIVE_SHIFT)
-        traj = run_evolution(random_u(mesh4, rng), shift)
-        with pytest.raises(ValueError, match="quadratic-norm"):
-            total_of(traj)
 
 
 class TestDiscrepancyTotal:
@@ -319,6 +309,12 @@ class TestStudy:
         with pytest.raises(ValueError, match="requires the quadratic-norm regularization, "
                                              "got 'additive-shift'$"):
             StudyConfig(base=base, initial=fields.make_field("sin-product"))
+
+    def test_a_built_study_is_frozen(self):
+        base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2)
+        sc = StudyConfig(base=base, initial=fields.make_field("sin-product"))
+        with pytest.raises(FrozenInstanceError):
+            sc.levels = 1
 
     @pytest.mark.parametrize("control_levels", [0, 1])
     def test_negative_control_needs_two_levels(self, control_levels):

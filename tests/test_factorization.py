@@ -23,7 +23,7 @@ from plapflow.schemes import SchemeConfig, SolverError
 
 import oracles
 
-LOWER = LowerOrderCoeff.shifted_power(2.5, 0.5)
+LOWER = LowerOrderCoeff(2.5, 0.5)
 
 
 def jittered(n, refinements, seed):

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plapflow import assembly, fields, schemes
-from plapflow.lower_order import LowerOrderCoeff
+from plapflow.lower_order import SCHEMES, SEMI_IMPLICIT, LowerOrderCoeff
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
-from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD
+from plapflow.orlicz import (ADDITIVE_SHIFT, QUADRATIC_NORM, REGULARIZATION_KINDS, NFunctionPD,
+                             diffusion_weight)
 from plapflow.schemes import (AdmissibilityWarning, SchemeConfig, SolverError, implicit_step,
                               run_evolution, semi_implicit_step)
 
@@ -47,13 +49,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg(mesh4, K=-1)
 
+    @pytest.mark.parametrize("field,value", [("scheme", "explicit"),
+                                             ("kind", "cubic"), ("nonlinear", "picard")])
+    def test_unknown_choice_rejected(self, mesh4, field, value):
+        with pytest.raises(ValueError, match=f"^unknown .* '{value}'$"):
+            make_cfg(mesh4, **{field: value})
+
+    def test_weight_at_a_zero_gradient_must_be_finite(self, mesh4):
+        # eps^2 underflows to 0, so the quadratic-norm weight at a zero gradient is inf
+        with pytest.raises(ValueError, match="eps = 1e-170 and delta = 0$"):
+            make_cfg(mesh4, eps=1e-170)
+        # (delta + eps)^(p-2) overflows
+        with pytest.raises(ValueError, match="unbounded"):
+            make_cfg(mesh4, scheme="implicit", eps=0.0, nf=NFunctionPD(1.01, 5e-324),
+                     kind=ADDITIVE_SHIFT)
+        make_cfg(mesh4, eps=1e-160)  # eps^2 = 1e-320 is subnormal but not 0
+
+    def test_a_built_config_is_frozen(self, mesh4):
+        cfg = make_cfg(mesh4)
+        with pytest.raises(FrozenInstanceError):
+            cfg.eps = 0.2
+        assert cfg.eps == 0.1
+
     def test_inadmissible_r_warns_not_raises(self, mesh4):
         with pytest.warns(AdmissibilityWarning):
-            cfg = make_cfg(mesh4, coeff=LowerOrderCoeff.power(2.6))
+            cfg = make_cfg(mesh4, coeff=LowerOrderCoeff(2.6))
         assert cfg.outside_theory
 
     def test_admissible_r_is_silent(self, mesh4, recwarn):
-        cfg = make_cfg(mesh4, coeff=LowerOrderCoeff.power(2.5))
+        cfg = make_cfg(mesh4, coeff=LowerOrderCoeff(2.5))
         assert not cfg.outside_theory
         assert not any(isinstance(w.message, AdmissibilityWarning) for w in recwarn.list)
 
@@ -101,7 +125,7 @@ class TestImplicitStep:
 
     def test_kacanov_and_newton_agree(self, mesh8, rng):
         u_prev = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
-        for coeff in (LowerOrderCoeff.zero(), LowerOrderCoeff.power(2.5)):
+        for coeff in (LowerOrderCoeff(), LowerOrderCoeff(2.5)):
             cfg = make_cfg(mesh8, scheme="implicit", coeff=coeff,
                            source=fields.make_source("bump"))
             uk, _ = implicit_step(u_prev, cfg, 1)
@@ -125,7 +149,7 @@ class TestImplicitStep:
         # additive shift with a lower-order term: both stop at the same residual
         # tolerance, and this step is well enough conditioned that they agree to it
         cfg = make_cfg(mesh8, scheme="implicit", nf=NFunctionPD(1.5, 0.1), kind=ADDITIVE_SHIFT,
-                       eps=0.05, coeff=LowerOrderCoeff.shifted_power(2.5, 0.5),
+                       eps=0.05, coeff=LowerOrderCoeff(2.5, 0.5),
                        source=fields.make_source("bump", decay=1.0))
         u_prev = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
         uk, sk = implicit_step(u_prev, cfg, 1)
@@ -240,6 +264,29 @@ class TestAndersonMixing:
                 implicit_step(FemFunction(mesh4, np.zeros(mesh4.n_interior)), cfg, 1)
 
 
+MESH2 = unit_square_mesh(2)
+# eps, or delta, as 10^x: from 1 down past 1.5e-162, where eps^2 underflows, to 0
+_TINY = st.one_of(st.just(0.0), st.floats(-330.0, 0.0).map(lambda x: 10.0**x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1.01, 2.0), delta=_TINY, eps=_TINY,
+       kind=st.sampled_from(REGULARIZATION_KINDS), scheme=st.sampled_from(SCHEMES))
+@example(p=1.5, delta=0.0, eps=1e-170, kind=QUADRATIC_NORM, scheme=SEMI_IMPLICIT)
+@example(p=1.01, delta=5e-324, eps=0.0, kind=ADDITIVE_SHIFT, scheme="implicit")
+def test_an_accepted_config_has_a_finite_weight(p, delta, eps, kind, scheme):
+    # the invariant that lets the assemblers use the weight unchecked
+    nf = NFunctionPD(p, 0.0 if kind == QUADRATIC_NORM else delta)
+    try:
+        cfg = SchemeConfig(mesh=MESH2, nf=nf, eps=eps, K=1, T=1.0, scheme=scheme, kind=kind)
+    except ValueError:
+        assume(False)
+    t = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 61)])
+    with np.errstate(over="ignore"):  # t^2 overflows beyond 1e154 and the weight rounds to 0
+        w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, t)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+
+
 GRID_P = (1.1, 1.2, 1.5, 1.8, 2.0)
 GRID_EPS = (1e-1, 1e-2, 1e-3)
 
@@ -297,7 +344,7 @@ class TestRunEvolution:
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_iterates_are_the_public_step(self, mesh8, rng, scheme):
         cfg = make_cfg(mesh8, scheme=scheme, K=3, T=0.03,
-                       coeff=LowerOrderCoeff.power(2.5),
+                       coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", decay=1.0))
         u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
         traj = run_evolution(u0, cfg)

@@ -5,6 +5,12 @@ from pathlib import Path
 
 import plapflow
 
+# The registries of model choices, and the only functions that may read them:
+# a config checks each choice once, when it is built.  config.py, which reads
+# the INI files, may read them too.
+REGISTRIES = {"REGULARIZATION_KINDS", "SCHEMES", "NONLINEAR_SOLVERS", "COUPLINGS"}
+READERS = {"SchemeConfig.__post_init__", "StudyConfig.__post_init__"}
+
 # Definitions no code in the package refers to, each with why it stays.
 UNREFERENCED = {
     "heat_manufactured_error": "ROADMAP item 5 replaces the heat section",
@@ -29,3 +35,30 @@ def test_every_definition_is_referenced_in_the_package():
                 referenced.add(node.name)  # the name imported, whatever it is bound to
     unreferenced = {name: where for name, where in defined.items() if name not in referenced}
     assert unreferenced.keys() == UNREFERENCED.keys(), unreferenced
+
+
+def _registry_reads(node, scope=()):
+    """(qualified name of the enclosing definition, registry) per read below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _registry_reads(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        else:
+            name = None
+        if name in REGISTRIES:
+            yield ".".join(scope), name
+        yield from _registry_reads(child, scope)
+
+
+def test_only_the_config_constructors_read_the_registries():
+    # a kernel that re-checks a choice a config has checked tests nothing
+    reads = set()
+    for path in sorted(Path(plapflow.__file__).parent.glob("*.py")):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text(), filename=path.name)
+            reads |= {(path.name, scope, name) for scope, name in _registry_reads(tree)}
+    assert {scope for _, scope, _ in reads} == READERS, sorted(reads)
