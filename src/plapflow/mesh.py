@@ -88,9 +88,10 @@ class TriMesh:
         # the mesh's one sort of its edge keys lo n + hi, renumbered from key
         # order to order of first appearance along the cells' edges EDGE_ENDS
         ends = self.cells[:, EDGE_ENDS]  # (M, 3, 2)
-        keys, first, inverse, counts = np.unique(
-            (ends.min(axis=2) * n + ends.max(axis=2)).ravel(), return_index=True,
-            return_inverse=True, return_counts=True)
+        keys = (ends.min(axis=2) * n + ends.max(axis=2)).ravel()
+        del ends  # freed before np.unique's sort, which sets the mesh's peak memory
+        keys, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                                 return_counts=True)
         order = np.argsort(first)
         rank = np.empty(order.size, dtype=np.int32)
         rank[order] = np.arange(order.size, dtype=np.int32)

@@ -22,7 +22,7 @@ regimes fixed by the mesh:
 - from REUSE_DOFS on it keeps the last factor and solves the next system by
   conjugate gradients preconditioned with it; a solve that needs more than
   REUSE_CG_ITERS iterations retires the factor, and a solve that fails
-  refactors at once;
+  refactors at once; CG runs in the mesh's numbering, the factor in its own;
 - on a red-refined mesh of at least MG_DOFS unknowns it solves by CG
   preconditioned with a multigrid V-cycle on the refinement hierarchy,
   rebuilt for every system, and factors nothing larger than the coarsest
@@ -31,7 +31,8 @@ regimes fixed by the mesh:
 
 MG_DOFS sits at the measured crossover of the last two: on 10-step runs the
 V-cycle was faster for the semi-implicit scheme from 3969 unknowns on, and
-for warm-started Kacanov from about 12 000.
+for warm-started Kacanov from about 12 000.  Both CG regimes run _cg, the
+arithmetic of scipy's ``cg`` without its per-call wrapping.
 """
 
 from __future__ import annotations
@@ -59,17 +60,22 @@ ANDERSON_DEPTH = 3
 _DEPENDENT = 1e-10
 
 # Systems with at least this many unknowns reuse the last factor as a CG
-# preconditioner.  Below it factoring every system was as fast or faster:
-# 10-step runs on unit_square_mesh(n) broke even at 256 unknowns (n = 17) for
-# the semi-implicit scheme and gained from 289 (n = 18) for both schemes.
-REUSE_DOFS = 289
-# A preconditioned solve that took more iterations than this retires the factor.
-REUSE_CG_ITERS = 8
-# CG stops at ||b - A x|| <= _CG_RTOL ||b||.  A solve still short of that
+# preconditioner: the semi-implicit break-even.  10-step runs from sin-product
+# (p = 1.5, eps = 0.1) on unit_square_mesh(n), time reusing / time factoring:
+#   unknowns         49    81   121   144   169   196   225   289
+#   semi-implicit  1.24  1.18  1.07  1.02  1.00  0.89  0.89  0.84
+#   Kacanov        0.96  0.88  0.77  0.72  0.69  0.62  0.57  0.49
+REUSE_DOFS = 169
+# A preconditioned solve that took more iterations than this retires the
+# factor.  The same runs at caps 4, 6, 8, 12: semi-implicit 0.99 1.00 1.01
+# 1.15 at 169 unknowns and 0.85 0.85 0.80 0.85 at 289; Kacanov 0.65 0.68 0.74
+# 0.91 at 169 and 0.47 0.48 0.51 0.59 at 289.
+REUSE_CG_ITERS = 6
+# CG stops at ||b - A x|| < _CG_RTOL ||b||.  A solve still short of that
 # after _CG_MAXITER iterations, which cost more than a factorization, is
 # abandoned and its system factored.
 _CG_RTOL = 1e-12
-_CG_MAXITER = 4 * REUSE_CG_ITERS
+_CG_MAXITER = 32
 # Red-refined meshes with at least this many unknowns solve by CG preconditioned
 # with a multigrid V-cycle.  10-step runs from sin-product (p = 1.5, eps = 0.1)
 # on unit_square_mesh(4) refined 3-5 times, against the kept-factor regime:
@@ -177,34 +183,36 @@ class _SpdSolver:
 
     - A mesh with a parent (a red refinement) and at least MG_DOFS unknowns,
       about where the V-cycle overtook the kept factor on Kacanov runs,
-      solves by ``cg`` preconditioned with one multigrid V(1,1)-cycle on its
+      solves by CG preconditioned with one multigrid V(1,1)-cycle on its
       refinement hierarchy (_multigrid).  A solve that does not converge in
       _CG_MAXITER iterations factors its own system, and the object goes
       over to the kept-factor regime for the rest of the run: on tangents of
       strongly anisotropic Newton steps (p = 1.2, eps = 0.01) every V-cycle
       solve hit the cap, and retrying each one doubled the solve time.
     - Any other mesh factors with ``splu`` (SuperLU LU with partial
-      pivoting), its unknowns permuted to the nested-dissection ordering that
-      ``assembly.nested_dissection`` caches per mesh, so SuperLU computes no
-      ordering of its own.  Below REUSE_DOFS unknowns every system is
-      factored.
+      pivoting) a CSC copy of A permuted to the nested-dissection ordering
+      that ``assembly.nested_dissection`` caches per mesh, so SuperLU
+      computes no ordering of its own.  The copy is built only to factor.
+      Below REUSE_DOFS unknowns every system is factored.
     - From REUSE_DOFS on the last factor is kept, and the next system is
-      solved by ``cg`` preconditioned with it.  A solve that took more than
-      REUSE_CG_ITERS iterations keeps its answer but retires the factor, so
-      the next call factors; a solve that did not converge in _CG_MAXITER
-      iterations factors its own system.
+      solved by CG on A itself preconditioned with r -> the factor's solve
+      of r permuted, mapped back (a _vcycle without levels).  A solve that
+      took more than REUSE_CG_ITERS iterations keeps its answer but retires
+      the factor, so the next call factors; a solve that did not converge
+      in _CG_MAXITER iterations factors its own system.
 
-    CG starts at x0 = guess + M^-1 (b - A guess), M^-1 the preconditioner and
-    guess 0 if none is given, and stops at ||b - A x|| <= 1e-12 ||b||.  Every
-    choice depends on sizes and iteration counts only, so the answers are
-    deterministic.  A kept factor lives as long as the object: one run.
+    CG (_cg) starts at x0 = guess + M^-1 (b - A guess), M^-1 the
+    preconditioner and guess 0 if none is given, and stops at
+    ||b - A x|| < 1e-12 ||b||.  Every choice depends on sizes and iteration
+    counts only, so the answers are deterministic.  A kept factor lives as
+    long as the object: one run.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.hierarchy = _hierarchy(cfg.mesh) if cfg.mesh.n_interior >= MG_DOFS else []
         self.reuse = cfg.mesh.n_interior >= REUSE_DOFS
-        self.lu = None  # the factor kept for reuse, in the permuted ordering
+        self.lu = None  # the kept factor, as the map r -> (its A)^-1 r
 
     def __call__(self, A, b, guess=None):
         """The solution of A x = b; guess, if given, is where CG starts from."""
@@ -213,22 +221,19 @@ class _SpdSolver:
             if x is not None:
                 return x
             self.hierarchy = []  # the rest of the run factors
-        perm, indptr, indices, gather = assembly.nested_dissection(self.cfg.mesh)
-        B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
-        B.has_canonical_format = True
-        y = None
+        x = None
         if self.lu is not None:
-            y, iterations = _cg(B, b[perm], self.lu.solve,
-                                None if guess is None else guess[perm])
-            if y is None or iterations > REUSE_CG_ITERS:
+            x, iterations = _cg(A, b, self.lu, guess)
+            if x is None or iterations > REUSE_CG_ITERS:
                 self.lu = None
-        if y is None:
-            lu = self._factor(B)
-            y = lu.solve(b[perm])
+        if x is None:
+            perm, indptr, indices, gather = assembly.nested_dissection(self.cfg.mesh)
+            B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
+            B.has_canonical_format = True
+            lu = partial(_vcycle, [], self._factor(B), perm)  # no levels: the LU solve
+            x = lu(b)
             if self.reuse:
                 self.lu = lu
-        x = np.empty_like(b)
-        x[perm] = y
         return x
 
     def _factor(self, B):
@@ -295,20 +300,32 @@ def _cg(A, b, precond, guess=None):
     """CG on A x = b preconditioned with the map precond, started at
     x0 = guess + precond(b - A guess), or precond(b) without a guess.
 
-    Returns x and the iteration count; x is None if ||b - A x|| <= 1e-12 ||b||
-    was not reached in _CG_MAXITER iterations.
+    Returns x and the iteration count; x is None if ||b - A x|| < 1e-12 ||b||
+    was not reached in _CG_MAXITER iterations.  The loop is scipy's ``cg``
+    step for step (the stop test at the top of each iteration, the same
+    updates in the same order), so x and the count are scipy's to the bit.
     """
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x0 = precond(b) if guess is None else guess + precond(b - A @ guess)
-    M = spla.LinearOperator(A.shape, matvec=precond, dtype=A.dtype)
-    x, info = spla.cg(A, b, x0=x0, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAXITER, M=M,
-                      callback=count)
-    return (x if info == 0 else None), iterations
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return b.copy(), 0
+    x = precond(b) if guess is None else guess + precond(b - A @ guess)
+    r = b - A @ x
+    for iteration in range(_CG_MAXITER):
+        if np.linalg.norm(r) < _CG_RTOL * norm_b:
+            return x, iteration
+        z = precond(r)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return None, _CG_MAXITER
 
 
 def _system_matrix(v, cfg):
@@ -432,13 +449,10 @@ def implicit_step(u_prev, cfg, k, solve=None):
     carry the residuals and every line search.
 
     Every linear system goes through solve, the run's _SpdSolver (None gives
-    a fresh one).  Below REUSE_DOFS unknowns it factors each system; from
-    REUSE_DOFS on it factors only when the kept factor of an earlier sweep
-    or step stops paying, and solves the other systems by CG preconditioned
-    with that factor, or with a multigrid V-cycle on red-refined meshes of
-    MG_DOFS unknowns or more.  Kacanov's CG starts from the sweep's iterate
-    v_j, whose image g_j is close to it near convergence; Newton's from
-    none, since its corrections shrink to 0.
+    a fresh one), so a factor kept by an earlier sweep or step may
+    precondition CG here.  Kacanov's CG starts from the sweep's iterate v_j,
+    whose image g_j is close to it near convergence; Newton's from none,
+    since its corrections shrink to 0.
     """
     mesh = cfg.mesh
     if solve is None:

@@ -13,13 +13,17 @@ earlier versions on its own kernels: every check on arrays of all samples at
 once, the gradients and weights of all iterates held at once, and every
 study level's run held at once, its coarse iterates read by a float time
 rule.  They pin that the memory-lean versions change no bit.
+
+scipy_cg is the package's CG solve done by scipy's ``cg``, and pins that the
+package's own loop changes no bit of x or of the iteration count.
 """
 
 from dataclasses import replace
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from plapflow import assembly, diagnostics, lower_order, orlicz
+from plapflow import assembly, diagnostics, lower_order, orlicz, schemes
 from plapflow.lower_order import IMPLICIT, SEMI_IMPLICIT
 import plapflow.mesh
 from plapflow.mesh import FemFunction, interpolate_nodal, prolong
@@ -569,3 +573,20 @@ def first_kacanov_equals_semi_implicit(u_prev, cfg):
     scale = 1.0 + float(np.max(np.abs(semi.coeffs))) if semi.coeffs.size else 1.0
     diff = float(np.max(np.abs(semi.coeffs - v1.coeffs))) if semi.coeffs.size else 0.0
     return diff <= 1e-12 * scale
+
+
+def scipy_cg(A, b, precond, guess=None):
+    """schemes._cg as scipy's ``cg``: the same start, the preconditioner
+    wrapped as a LinearOperator and the iterations counted by a callback.
+    Reads schemes' tolerance and cap when called."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x0 = precond(b) if guess is None else guess + precond(b - A @ guess)
+    M = spla.LinearOperator(A.shape, matvec=precond, dtype=A.dtype)
+    x, info = spla.cg(A, b, x0=x0, rtol=schemes._CG_RTOL, atol=0.0,
+                      maxiter=schemes._CG_MAXITER, M=M, callback=count)
+    return (x if info == 0 else None), iterations

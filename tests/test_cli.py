@@ -160,13 +160,13 @@ class TestRunCommand:
         cfg = write_config(tmp_path, IMPLICIT, out=tmp_path / "out")
         assert load_run_config(cfg).scheme_config.mesh.n_interior >= schemes.REUSE_DOFS
         cg_calls = []
-        cg = schemes.spla.cg
+        cg = schemes._cg
 
         def counted_cg(*args, **kwargs):
             cg_calls.append(1)
             return cg(*args, **kwargs)
 
-        monkeypatch.setattr(schemes.spla, "cg", counted_cg)
+        monkeypatch.setattr(schemes, "_cg", counted_cg)
         outputs = []
         for _ in range(2):
             assert main(["run", cfg]) == 0

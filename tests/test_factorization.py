@@ -171,8 +171,13 @@ class TestSolveSpd:
                 schemes._SpdSolver(cfg)(self.singular(m), b)
 
 
+# schemes' CG before any test wraps it
+CG = schemes._cg
+
+
 class Counted:
-    """schemes.spla with splu and cg wrapped to count their calls, as perfbench wraps them."""
+    """schemes.spla.splu and schemes._cg wrapped to count their calls.  Each
+    instance wraps the originals, never an earlier instance's wrappers."""
 
     def __init__(self, monkeypatch):
         self.splu = self.cg = 0
@@ -184,10 +189,11 @@ class Counted:
 
         def cg(*args, **kwargs):
             self.cg += 1
-            return spla.cg(*args, **kwargs)
+            return CG(*args, **kwargs)
 
-        proxy.splu, proxy.cg = splu, cg
+        proxy.splu = splu
         monkeypatch.setattr(schemes, "spla", proxy)
+        monkeypatch.setattr(schemes, "_cg", cg)
 
 
 def evolve(u0, cfg, monkeypatch, reuse_dofs):
@@ -262,6 +268,92 @@ class TestFactorReuse:
             with pytest.raises(SolverError, match="^direct factorization failed"):
                 solve(TestSolveSpd.singular(m), b)
         assert (calls.splu, calls.cg) == (2, 1)
+
+    def test_a_permuted_copy_is_built_only_to_factor(self, mesh8, monkeypatch):
+        # CG runs on A itself; the nested-dissection CSC copy feeds splu alone
+        copies = []
+        proxy = types.SimpleNamespace(**vars(sp))
+
+        def csc_matrix(*args, **kwargs):
+            copies.append(1)
+            return sp.csc_matrix(*args, **kwargs)
+
+        proxy.csc_matrix = csc_matrix
+        monkeypatch.setattr(schemes, "sp", proxy)
+        cfg = make_cfg(mesh8, K=5, T=0.05, **self.CASES["kacanov"])
+        u0 = FemFunction(mesh8, np.random.default_rng(2).uniform(-1, 1, mesh8.n_interior))
+        traj, calls = evolve(u0, cfg, monkeypatch, 0)
+        assert len(copies) == calls.splu < sum(st.iterations for st in traj.stats)
+        assert calls.cg > 0
+
+
+class TestCg:
+    """schemes._cg performs scipy's cg arithmetic step for step, so its x and
+    iteration count are scipy's to the bit."""
+
+    @staticmethod
+    def system(mesh, precond, monkeypatch, seed=3):
+        """A(v) at a random v, a right-hand side, and the preconditioner a run
+        would use for A: the factor kept from A(v0) at another random v0, or a
+        V-cycle."""
+        rng = np.random.default_rng(seed)
+        cfg = make_cfg(mesh, coeff=LOWER)
+        A0, A = (schemes._system_matrix(FemFunction(mesh, rng.uniform(-1, 1, mesh.n_interior)),
+                                        cfg) for _ in range(2))
+        b = rng.standard_normal(mesh.n_interior)
+        if precond == "v-cycle":
+            monkeypatch.setattr(schemes, "MG_DOFS", 0)
+            return A, b, schemes._SpdSolver(cfg)._multigrid(A)
+        monkeypatch.setattr(schemes, "REUSE_DOFS", 0)
+        solve = schemes._SpdSolver(cfg)
+        solve(A0, b)
+        return A, b, solve.lu
+
+    @pytest.mark.parametrize("with_guess", [False, True])
+    @pytest.mark.parametrize("precond", ["kept-factor", "v-cycle"])
+    def test_equals_scipy_cg_to_the_bit(self, refined, monkeypatch, precond, with_guess):
+        A, b, M = self.system(refined, precond, monkeypatch)
+        guess = np.random.default_rng(4).uniform(-1, 1, b.size) if with_guess else None
+        x, iterations = schemes._cg(A, b, M, guess)
+        ref, ref_iterations = oracles.scipy_cg(A, b, M, guess)
+        assert iterations == ref_iterations > 0
+        assert x.tobytes() == ref.tobytes()
+
+    def test_zero_right_hand_side(self, refined, monkeypatch):
+        A, b, M = self.system(refined, "kept-factor", monkeypatch)
+        x, iterations = schemes._cg(A, np.zeros_like(b), M, b)
+        ref, ref_iterations = oracles.scipy_cg(A, np.zeros_like(b), M, b)
+        assert iterations == ref_iterations == 0
+        assert x.tobytes() == ref.tobytes() == np.zeros_like(b).tobytes()
+
+    @pytest.mark.parametrize("precond", ["kept-factor", "v-cycle"])
+    def test_capped_solve_returns_none(self, refined, monkeypatch, precond):
+        A, b, M = self.system(refined, precond, monkeypatch)
+        monkeypatch.setattr(schemes, "_CG_MAXITER", 2)
+        assert schemes._cg(A, b, M) == oracles.scipy_cg(A, b, M) == (None, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1), with_guess=st.booleans())
+    def test_jacobi_cg_equals_scipy_cg_with_a_sparse_preconditioner(self, n, seed, with_guess):
+        # scipy is given M as a sparse diagonal matrix, so no LinearOperator is
+        # involved; both converge, or from about n = 17 on both miss _CG_MAXITER
+        mesh = unit_square_mesh(n)
+        rng = np.random.default_rng(seed)
+        A = schemes._system_matrix(FemFunction(mesh, rng.uniform(-1, 1, mesh.n_interior)),
+                                   make_cfg(mesh, coeff=LOWER))
+        b = rng.standard_normal(mesh.n_interior)
+        d = 1.0 / A.diagonal()
+        guess = rng.uniform(-1, 1, b.size) if with_guess else None
+        x0 = d * b if guess is None else guess + d * (b - A @ guess)
+        steps = []
+        ref, info = spla.cg(A, b, x0=x0, rtol=schemes._CG_RTOL, atol=0.0,
+                            maxiter=schemes._CG_MAXITER, M=sp.diags(d),
+                            callback=lambda _: steps.append(1))
+        x, iterations = schemes._cg(A, b, lambda r: d * r, guess)
+        assert iterations == len(steps)
+        assert (x is None) == (info != 0)
+        if x is not None:
+            assert x.tobytes() == ref.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -377,20 +469,22 @@ class TestSolveLifetime:
     operators, Jacobi weights), as soon as the solve returns."""
 
     # the schemes constants each regime sets, and the (splu, cg) calls of its
-    # three solves, which show that the regime was reached
+    # three solves, which show that the regime was reached; the V-cycle
+    # regimes keep the refined mesh's 225 unknowns below REUSE_DOFS
     REGIMES = {"factor-every": ({}, (3, 0)),
                "kept-factor": ({}, (2, 1)),
-               "v-cycle": ({"MG_DOFS": 0}, (3, 3)),
-               "v-cycle-fallback": ({"MG_DOFS": 0, "_CG_MAXITER": 1}, (2 + 2, 1))}
+               "v-cycle": ({"MG_DOFS": 0, "REUSE_DOFS": 226}, (3, 3)),
+               "v-cycle-fallback": ({"MG_DOFS": 0, "REUSE_DOFS": 226, "_CG_MAXITER": 1},
+                                    (2 + 2, 1))}
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_a_run_and_its_ledgers_leave_no_reference_cycle(self, regime, mesh8, refined,
                                                             monkeypatch):
         mesh = {"factor-every": mesh8, "kept-factor": unit_square_mesh(18)}.get(regime, refined)
-        assert (mesh.n_interior >= schemes.REUSE_DOFS) == (regime == "kept-factor")
         constants, expected = self.REGIMES[regime]
         for name, value in constants.items():
             monkeypatch.setattr(schemes, name, value)
+        assert (mesh.n_interior >= schemes.REUSE_DOFS) == (regime == "kept-factor")
         calls = Counted(monkeypatch)
         assert unreachable_after(lambda: audited_run(mesh)) == 0
         assert (calls.splu, calls.cg) == expected

@@ -62,3 +62,17 @@ def test_only_the_config_constructors_read_the_registries():
             tree = ast.parse(path.read_text(), filename=path.name)
             reads |= {(path.name, scope, name) for scope, name in _registry_reads(tree)}
     assert {scope for _, scope, _ in reads} == READERS, sorted(reads)
+
+
+def test_no_scipy_cg_in_the_package():
+    # schemes._cg is scipy's CG arithmetic without scipy's per-call wrapping
+    # of the matrix and the preconditioner; neither comes back
+    uses = []
+    for path in sorted(Path(plapflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in {"cg", "LinearOperator"}:
+                uses.append(f"{path.name}:{node.lineno} {name}")
+    assert not uses, uses
