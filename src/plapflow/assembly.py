@@ -23,9 +23,9 @@ their products sum into the shared CSR pattern in cell order, exactly as
 the load vector.  P is only built on meshes whose run has a source or a
 lower-order term, and Q on those with a lower-order term.
 
-The energy and the norms at the end are the per-iterate quantities of a
-trajectory; ``diagnostics`` evaluates them in one walk over its iterates, so
-each is computed once per iterate.
+The energy and the norms at the end are the per-iterate quantities of a run;
+``diagnostics.Walk`` folds them over its iterates as the run hands them out,
+so each is computed once per iterate, and not at all for a control run.
 """
 
 from __future__ import annotations

@@ -49,14 +49,14 @@ def _write_json(path, payload):
 def _trajectory_csv(traj, columns, path):
     cfg = traj.config
     lines = ["k,t_k,L2_norm,W1p_seminorm,energy_eps,dtau_L2,solver_iters,residual"]
-    for k in range(traj.K + 1):
+    for k in range(cfg.K + 1):
         if k == 0:
             dtau, iters, res = 0.0, 0, 0.0
         else:
             dtau = np.sqrt(columns.dtau_l2_sq[k - 1])
             iters, res = traj.stats[k - 1].iterations, traj.stats[k - 1].residual
         lines.append(",".join([
-            str(k), _fmt(k * cfg.tau if traj.K else 0.0),
+            str(k), _fmt(k * cfg.tau if cfg.K else 0.0),
             _fmt(np.sqrt(columns.l2_sq[k])), _fmt(columns.seminorm[k]),
             _fmt(columns.energy[k]), _fmt(dtau), str(iters), _fmt(res)]))
     _write_lines(path, lines)
@@ -78,13 +78,14 @@ def cmd_run(args):
         return 1
     cfg = setup.scheme_config
     u0 = mesh.interpolate_nodal(setup.initial, cfg.mesh)
+    iterates = []
     try:
-        traj = schemes.run_evolution(u0, cfg)
+        traj = schemes.run_evolution(u0, cfg, iterates.append)
     except schemes.SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
-    ledgers = diagnostics.check_energy_ledgers(traj)
+    ledgers = diagnostics.check_energy_ledgers(diagnostics.Walk(cfg, iterates))
     cols = ledgers.columns
     os.makedirs(setup.out_dir, exist_ok=True)
     base = os.path.join(setup.out_dir, setup.prefix)
@@ -100,9 +101,9 @@ def cmd_run(args):
     }
     _write_json(base + "_report.json", report)
     if args.snapshots:
-        for k, u in enumerate(traj.iterates):
+        for k, u in enumerate(iterates):
             mesh.export_csv(u, f"{base}_u{k:04d}.csv")
-    print(f"run finished: {traj.K} steps, ledgers "
+    print(f"run finished: {cfg.K} steps, ledgers "
           f"{'passed' if ledgers.passed else 'VIOLATED'}")
     return 0 if ledgers.passed else 2
 

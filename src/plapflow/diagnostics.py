@@ -12,8 +12,8 @@ mass-type terms use the same quadrature as the scheme):
                      <= E[u^0] + tau sum ||f_k||^2 + tau sum (d(u^{k-1})^2, (u^k)^2)
 
 with D_k = int w^{k-1} |grad d u^k|^2 the lagged dissipation.  Every sum
-above is over per-iterate and per-step quantities that one walk over the
-iterates computes (``_walk``).  The ledgers hand its columns back, and the
+above is over per-iterate and per-step quantities that one fold over the
+iterates computes (``Walk``).  The ledgers hand its columns back, and the
 run CSV and the study's norms and discrepancy totals read them instead of
 computing them again; ``discrepancy_total`` takes the D_k column.
 
@@ -23,8 +23,9 @@ to two residual fields per step: a regularization error bounded cellwise by
 balanced total must decay along parameter sequences with tau = o(eps^(2-p)),
 which the coupled refinement studies verify empirically; an anti-coupled
 control run guards against vacuously passing assertions.  A study runs its
-levels one at a time and keeps one earlier run, the previous level's
-semi-implicit run, as the coarse side of the next Cauchy difference.
+levels one at a time and measures each run in the one pass that makes it,
+so at most two lists of iterates are alive at once: level n's semi-implicit
+iterates and, while they are made, level n-1's (``_run_levels``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class LedgerEntry:
 
 @dataclass
 class TrajectoryColumns:
-    """What one walk over a trajectory's iterates computes: per iterate
+    """What one walk over a run's iterates computes: per iterate
     (k = 0..K) and per step (k = 1..K).  The ledgers, the run CSV and the
     study's norms and discrepancy total all read these."""
 
@@ -90,44 +91,51 @@ class LedgerReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-def _walk(traj):
-    """The columns of traj in one pass over its iterates, with the cell
-    gradients, diffusion weights and midpoint values of two iterates live at
-    a time.  Each iterate's gradients are evaluated once and shared by its
-    energy, seminorm and dissipation terms, and its midpoint values once."""
-    cfg = traj.config
-    K, mesh = traj.K, cfg.mesh
-    areas = mesh.areas
-    mass = assembly.mass_matrix(mesh)
-    cols = TrajectoryColumns(*(np.empty(K + 1) for _ in range(3)),
-                             *(np.zeros(K) for _ in range(6)))
-    us = traj.iterates
-    lower = not cfg.coeff.is_zero
-    prev = None
-    for k, u in enumerate(us):
+class Walk:
+    """The columns of a run under cfg, folded over u^0..u^K as push receives
+    them (those in iterates at once), with the cell gradients, weights and
+    midpoint values of two iterates live at a time.  Each iterate's
+    gradients are evaluated once and shared by its energy, seminorm and
+    dissipation terms, and its midpoint values once.  A walk that is not
+    full, as a control run's, fills the D_k column alone."""
+
+    def __init__(self, cfg, iterates=(), full=True):
+        self.cfg, self.full, self.k, self.prev = cfg, full, 0, None
+        self.mass = assembly.mass_matrix(cfg.mesh)
+        self.cols = TrajectoryColumns(*(np.empty(cfg.K + 1) for _ in range(3)),
+                                      *(np.zeros(cfg.K) for _ in range(6)))
+        for u in iterates:
+            self.push(u)
+
+    def push(self, u):
+        cfg, cols, k, full, mass = self.cfg, self.cols, self.k, self.full, self.mass
+        mesh, areas = cfg.mesh, cfg.mesh.areas
+        lower = full and not cfg.coeff.is_zero
         g = assembly.gradients(u)
-        cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind, g)
-        cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
-        cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p, g)
+        if full:
+            cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind, g)
+            cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
+            cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p, g)
         w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
         uv = assembly.values_at_midpoints(u) if lower else None
         if k:
             i, tau = k - 1, cfg.tau
-            d = (u.coeffs - us[i].coeffs) / tau
-            cols.dtau_l2_sq[i] = d @ (mass @ d)
-            g_prev, w_prev, uv_prev = prev
+            u_prev, g_prev, w_prev, uv_prev = self.prev
             gd = (g - g_prev) / tau
             cols.diss_dtau[i] = np.sum(areas * w_prev * vdot(gd, gd))
-            g2 = vdot(g, g)
-            cols.diss_u_lag[i] = np.sum(areas * w_prev * g2)
-            cols.diss_u_cur[i] = np.sum(areas * w * g2)
-            if cfg.source is not None:
-                cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
+            if full:
+                d = (u.coeffs - u_prev.coeffs) / tau
+                cols.dtau_l2_sq[i] = d @ (mass @ d)
+                g2 = vdot(g, g)
+                cols.diss_u_lag[i] = np.sum(areas * w_prev * g2)
+                cols.diss_u_cur[i] = np.sum(areas * w * g2)
+                if cfg.source is not None:
+                    cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
             if lower:
                 dv = lower_order.d_eval(cfg.coeff, uv_prev)
                 cols.lower[i] = np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv)
-        prev = g, w, uv
-    return cols
+        self.prev = u, g, w, uv
+        self.k += 1
 
 
 def _ledger_entry(name, lhs, rhs):
@@ -137,14 +145,10 @@ def _ledger_entry(name, lhs, rhs):
     return LedgerEntry(name, worst <= LEDGER_REL_SLACK, worst)
 
 
-def check_energy_ledgers(traj):
-    """Audit a trajectory against every applicable energy inequality.
-
-    The report also carries the columns of the walk that the entries were
-    built from."""
-    cfg = traj.config
-    K = traj.K
-    cols = _walk(traj)
+def check_energy_ledgers(walk):
+    """Audit the run that walk has folded against every applicable energy
+    inequality.  The report also carries the walk's columns."""
+    cfg, cols, K = walk.cfg, walk.cols, walk.cfg.K
     if K == 0:
         return LedgerReport([], cols)
     tau = cfg.tau
@@ -208,19 +212,15 @@ def discrepancy_total(cfg, diss_dtau):
             + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
 
 
-def cell_bound_satisfied(traj):
-    """Max over steps of (max-cell |E^k|) / ((2-p) eps^(p-1)); must stay <= 1.
-    traj must be semi-implicit with the quadratic-norm regularization, as
-    every run of a StudyConfig is."""
-    cfg = traj.config
+def cell_bound_satisfied(cfg, u):
+    """(max-cell |E|) / ((2-p) eps^(p-1)) at the iterate u of a run under cfg;
+    must stay <= 1.  cfg must be semi-implicit with the quadratic-norm
+    regularization, as every config of a StudyConfig's run is."""
     p, eps = cfg.nf.p, cfg.eps
     bound = (2.0 - p) * eps ** (p - 1.0)
-    worst = 0.0
-    if bound > 0.0:
-        for u in traj.iterates[1:]:
-            e_max = float(np.max(_regularization_residual(p, eps, assembly.gradients(u))))
-            worst = max(worst, e_max / bound)
-    return worst
+    if bound == 0.0:  # p = 2, where the residual vanishes
+        return 0.0
+    return float(np.max(_regularization_residual(p, eps, assembly.gradients(u)))) / bound
 
 
 # ---------------------------------------------------------------------------
@@ -356,49 +356,38 @@ def _strictly_decreasing(xs):
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _cauchy_difference(coarse, fine, p):
-    """Distance of consecutive-level runs on the finer space-time grid.
-
-    The coarse run enters through its piecewise-constant time interpolant:
-    u^k on (t_{k-1}, t_k], and u^0 at t = 0.  Both runs end at T, so the
-    fine time j T/K_f lies in the coarse interval with k = ceil(j K_c/K_f),
-    which integer division gives exactly."""
-    mesh, tau_f = fine.config.mesh, fine.config.tau
-    linf = acc = 0.0
-    for j, u in enumerate(fine.iterates):
-        uc = prolong(coarse.iterates[-(-j * coarse.K // fine.K)], mesh)
-        diff = FemFunction(mesh, u.coeffs - uc.coeffs)
-        linf = max(linf, assembly.norm_L2(diff))
-        if j >= 1:
-            acc += tau_f * assembly.seminorm_W1p(diff, p) ** p
-    return linf, acc ** (1.0 / p)
+def _cauchy_difference(coarse, cfg, j, u):
+    """The L2 norm and, for j >= 1, the W^{1,p} seminorm of u - u_c(t_j), u
+    the iterate u^j of a level's run under cfg and u_c the previous level's
+    iterates coarse, u_c^k on (t_{k-1}, t_k] and u_c^0 at t = 0.  Both runs
+    end at T, so t_j lies in the coarse step k = ceil(j K_c/K_f), which
+    integer division gives exactly."""
+    uc = prolong(coarse[-(-j * (len(coarse) - 1) // cfg.K)], cfg.mesh)
+    diff = FemFunction(cfg.mesh, u.coeffs - uc.coeffs)
+    return assembly.norm_L2(diff), assembly.seminorm_W1p(diff, cfg.nf.p) if j else 0.0
 
 
-def _scheme_gap(traj_a, traj_b):
-    mesh = traj_a.config.mesh
-    gap = 0.0
-    for ua, ub in zip(traj_a.iterates, traj_b.iterates):
-        gap = max(gap, assembly.norm_L2(FemFunction(mesh, ua.coeffs - ub.coeffs)))
-    return gap
-
-
-def _measure_level(level, semi, u0):
-    """Fill level from its semi-implicit run, then from the implicit run from
-    the same u0, which lives only while its gap and ledgers are taken."""
-    cfg = semi.config
-    p = cfg.nf.p
-    level.ledgers_semi = check_energy_ledgers(semi)
-    cols = level.ledgers_semi.columns
+def _measure_level(level, walk, ratios, semi, u0):
+    """Fill level from its semi-implicit run's walk, cell-bound ratios and
+    iterates semi, then from an implicit run from u0 that keeps no iterate."""
+    cfg, cols, p = walk.cfg, walk.cols, walk.cfg.nf.p
+    level.ledgers_semi = check_energy_ledgers(walk)
     level.discrepancy_total = discrepancy_total(cfg, cols.diss_dtau)
     level.linf_l2 = float(np.max(np.sqrt(cols.l2_sq)))
     level.lp_w1p = sum(cfg.tau * s ** p for s in cols.seminorm[1:].tolist()) ** (1.0 / p)
-    level.e_cell_ratio = cell_bound_satisfied(semi)
+    level.e_cell_ratio = max([0.0, *ratios])
+    impl = Walk(replace(cfg, scheme=IMPLICIT))
+    gaps = []
+
+    def gap(u):
+        gaps.append(assembly.norm_L2(FemFunction(cfg.mesh, semi[len(gaps)].coeffs - u.coeffs)))
+
     try:
-        impl = run_evolution(u0, replace(cfg, scheme=IMPLICIT))
+        run_evolution(u0, impl.cfg, impl.push, gap)
     except SolverError as exc:
         level.error = f"level {level.n}: {exc}"
         return
-    level.gap = _scheme_gap(semi, impl)
+    level.gap = max([0.0, *gaps])
     level.ledgers_implicit = check_energy_ledgers(impl)
 
 
@@ -406,38 +395,47 @@ def _run_levels(sc, u0):
     """The study's levels, and the Cauchy differences of consecutive ones.
 
     Level n runs on the red refinement of level n-1's mesh, from the
-    prolonged initial data.  Its pair with level n-1 is taken as soon as its
-    semi-implicit run ends; from then on that run is the only one kept."""
+    prolonged initial data.  Its semi-implicit run feeds its walk, its cell
+    bound, its Cauchy difference against level n-1's iterates, and a list of
+    its own iterates, which replaces level n-1's once the run ends."""
     levels, cauchy = [], []
-    coarse = None  # the previous level's semi-implicit run, if it ran
+    coarse = None  # the previous level's semi-implicit iterates, if its run finished
     for n, (eps_n, K_n) in enumerate(sc.parameter_sequence()):
         if n:
             u0 = prolong(u0, refine_red(u0.mesh))
         cfg = replace(sc.base, mesh=u0.mesh, eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
         level = LevelResult(n=n, h=u0.mesh.h, eps=eps_n, tau=cfg.tau, K=K_n)
         levels.append(level)
+        walk, semi, ratios, terms = Walk(cfg), [], [], []
+        observers = [walk.push, semi.append,  # no cell bound at u^0, which no step made
+                     lambda u: u is u0 or ratios.append(cell_bound_satisfied(cfg, u))]
+        if coarse is not None:
+            observers.append(
+                lambda u: terms.append(_cauchy_difference(coarse, cfg, len(terms), u)))
         try:
-            semi = run_evolution(u0, cfg)
+            run_evolution(u0, cfg, *observers)
         except SolverError as exc:
             level.error = f"level {n}: {exc}"
             semi = None
         if n:
             linf = lp = np.nan
             if coarse is not None and semi is not None:
-                linf, lp = _cauchy_difference(coarse, semi, cfg.nf.p)
+                linf = max([0.0, *(norm for norm, _ in terms)])
+                lp = sum(cfg.tau * s ** cfg.nf.p for _, s in terms[1:]) ** (1.0 / cfg.nf.p)
             cauchy.append({"linf_l2": linf, "lp_w1p": lp})
         coarse = semi
         if semi is not None:
-            _measure_level(level, semi, u0)
+            _measure_level(level, walk, ratios, semi, u0)
     return levels, cauchy
 
 
 def run_study(sc):
     """Run both schemes on every level and certify the coupled decay claims.
 
-    The levels run one at a time.  Per-level failures are recorded and the
+    The levels run one at a time, each semi-implicit run before its implicit
+    run, and the control runs last.  Per-level failures are recorded and the
     remaining levels still run; a level whose implicit run fails keeps its
-    semi-implicit run.  The report always carries the anti-coupled control
+    semi-implicit measurements.  The report always carries the anti-coupled control
     totals so that a passing study demonstrably depends on the coupling.
     """
     base = sc.base
@@ -450,8 +448,10 @@ def run_study(sc):
     control_totals = [levels[0].discrepancy_total]
     for m in range(1, sc.control_levels):
         cfg = replace(base, eps=base.eps * 2.0 ** (-m), scheme=SEMI_IMPLICIT)
+        walk = Walk(cfg, full=False)
         try:
-            control_totals.append(discrepancy_total(cfg, _walk(run_evolution(u0, cfg)).diss_dtau))
+            run_evolution(u0, cfg, walk.push)
+            control_totals.append(discrepancy_total(cfg, walk.cols.diss_dtau))
         except SolverError:
             control_totals.append(np.nan)
 
@@ -488,9 +488,10 @@ def heat_run_error(n, K, T, scheme=SEMI_IMPLICIT):
     cfg = SchemeConfig(mesh=mesh, nf=NFunctionPD(2.0), eps=0.5, K=K, T=T,
                        scheme=scheme, kind=QUADRATIC_NORM)
     u0 = interpolate_nodal(lambda x, y: heat_exact(x, y, 0.0), mesh)
-    traj = run_evolution(u0, cfg)
-    return max(assembly.l2_error(traj.iterates[k], heat_exact, t=k * cfg.tau)
-               for k in range(traj.K + 1))
+    errors = []
+    run_evolution(u0, cfg, lambda u: errors.append(
+        assembly.l2_error(u, heat_exact, t=len(errors) * cfg.tau)))
+    return max(errors)
 
 
 def heat_manufactured_error(n=4, K=4, T=0.05, levels=3):

@@ -165,15 +165,11 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Iterates u^0..u^K of one run, with per-step solver statistics."""
+    """What a run returns: its config and per-step solver statistics.  The
+    iterates went to the run's observers; K is config.K."""
 
     config: SchemeConfig
-    iterates: list
     stats: list
-
-    @property
-    def K(self):
-        return len(self.iterates) - 1
 
 
 class _SpdSolver:
@@ -522,25 +518,27 @@ def _line_searches(searches):
     return f"line search per iteration (step: trial residual) [{'], ['.join(per_iteration)}]"
 
 
-def run_evolution(u0, cfg):
-    """Apply the configured step for k = 1..K from the initial iterate u0.
-
-    All linear solves of the run share one _SpdSolver, so a factor kept for
-    reuse carries over from step to step.
+def run_evolution(u0, cfg, *observers):
+    """Apply the configured step for k = 1..K from the initial iterate u0,
+    and hand each iterate u^0..u^K, as soon as it exists, to every observer
+    (a callable taking it) in the order given.  The run keeps no iterate, so
+    an observer keeps what it needs.  All linear solves of the run share one
+    _SpdSolver, so a factor kept for reuse carries over from step to step.
     """
     if u0.mesh is not cfg.mesh:
         raise ValueError("initial data lives on a different mesh than the config")
     step = semi_implicit_step if cfg.scheme == SEMI_IMPLICIT else implicit_step
     solve = _SpdSolver(cfg)
-    iterates = [u0]
-    stats = []
+    u, stats = u0, []
+    for observe in observers:
+        observe(u)
     for k in range(1, cfg.K + 1):
         try:
-            u, st = step(iterates[-1], cfg, k, solve)
+            u, st = step(u, cfg, k, solve)
         except SolverError as exc:
             raise SolverError(f"{cfg.scheme} step {k} (t = {k * cfg.tau:g}; p = {cfg.nf.p:g}, "
                               f"eps = {cfg.eps:g}, tau = {cfg.tau:g}) failed: {exc}") from exc
-        iterates.append(u)
         stats.append(st)
-    return Trajectory(cfg, iterates, stats)
-
+        for observe in observers:
+            observe(u)
+    return Trajectory(cfg, stats)

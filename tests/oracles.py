@@ -16,8 +16,13 @@ rule.  They pin that the memory-lean versions change no bit.
 
 scipy_cg is the package's CG solve done by scipy's ``cg``, and pins that the
 package's own loop changes no bit of x or of the iteration count.
+
+kept_run is run_evolution with its iterates collected by a list observer:
+the whole trajectory that these oracles and the tests that compare iterates
+read, and that the package no longer keeps.
 """
 
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +34,14 @@ import plapflow.mesh
 from plapflow.mesh import FemFunction, interpolate_nodal, prolong
 from plapflow.orlicz import CheckResult
 from plapflow.schemes import KACANOV, implicit_step, run_evolution, semi_implicit_step
+
+def kept_run(u0, cfg):
+    """run_evolution from u0 under cfg, with config, stats, K and the
+    iterates u^0..u^K that a list observer collected."""
+    iterates = []
+    traj = run_evolution(u0, cfg, iterates.append)
+    return types.SimpleNamespace(config=cfg, stats=traj.stats, K=cfg.K, iterates=iterates)
+
 
 def dense_mass(nodes, cells):
     n = len(nodes)
@@ -408,7 +421,7 @@ def study_cauchy(sc):
     u0s = [interpolate_nodal(sc.initial, meshes[0])]
     for m in meshes[1:]:
         u0s.append(prolong(u0s[-1], m))
-    semis = [run_evolution(u0, replace(sc.base, mesh=m, eps=eps, K=K, scheme=SEMI_IMPLICIT))
+    semis = [kept_run(u0, replace(sc.base, mesh=m, eps=eps, K=K, scheme=SEMI_IMPLICIT))
              for u0, m, (eps, K) in zip(u0s, meshes, sc.parameter_sequence())]
     return [dict(zip(("linf_l2", "lp_w1p"), cauchy_difference(c, f, sc.base.nf.p)))
             for c, f in zip(semis, semis[1:])]

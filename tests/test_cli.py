@@ -15,6 +15,8 @@ from plapflow.config import KEYS, ConfigError, example_config, load_run_config
 from plapflow.mesh import FemFunction, interpolate_nodal
 from plapflow.schemes import AdmissibilityWarning
 
+import oracles
+
 MINIMAL = """\
 [run]
 scheme = semi-implicit
@@ -192,7 +194,7 @@ class TestRunCommand:
         assert main(["run", cfg]) == 0
         setup = load_run_config(cfg)
         sc = setup.scheme_config
-        traj = schemes.run_evolution(interpolate_nodal(setup.initial, sc.mesh), sc)
+        traj = oracles.kept_run(interpolate_nodal(setup.initial, sc.mesh), sc)
         rows = (tmp_path / "out" / "run_trajectory.csv").read_text().splitlines()
         assert rows[0] == "k,t_k,L2_norm,W1p_seminorm,energy_eps,dtau_L2,solver_iters,residual"
         assert len(rows) == 1 + traj.K + 1

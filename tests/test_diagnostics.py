@@ -1,3 +1,4 @@
+import types
 import weakref
 
 import numpy as np
@@ -7,15 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from plapflow import assembly, diagnostics, fields
 from plapflow.config import example_config, load_run_config
-from plapflow.diagnostics import (LevelResult, StudyConfig, cell_bound_satisfied,
+from plapflow.diagnostics import (LevelResult, StudyConfig, Walk, cell_bound_satisfied,
                                   check_energy_ledgers, discrepancy_total, heat_exact,
                                   heat_manufactured_error, heat_run_error, run_study)
 from plapflow.lower_order import LowerOrderCoeff, admissibility
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, S_EPS_LIPSCHITZ_MAX
-from plapflow.schemes import SchemeConfig, Trajectory, run_evolution
+from plapflow.schemes import SchemeConfig, run_evolution
 
 import oracles
+from oracles import kept_run
 
 
 def make_cfg(mesh, **kw):
@@ -29,15 +31,25 @@ def random_u(mesh, rng, scale=1.0):
     return FemFunction(mesh, scale * rng.uniform(-1, 1, mesh.n_interior))
 
 
+def ledgers(traj):
+    """The ledger report of a kept trajectory, its walk pushed from the list."""
+    return check_energy_ledgers(Walk(traj.config, traj.iterates))
+
+
 def total_of(traj):
     """The discrepancy total of traj, from the dissipations of its ledger walk."""
-    return discrepancy_total(traj.config, check_energy_ledgers(traj).columns.diss_dtau)
+    return discrepancy_total(traj.config, ledgers(traj).columns.diss_dtau)
+
+
+def cell_ratio(traj):
+    """The study's e_cell_ratio of traj: the largest cell-bound ratio over steps."""
+    return max([0.0, *(cell_bound_satisfied(traj.config, u) for u in traj.iterates[1:])])
 
 
 class TestLedgers:
     def test_pure_flow_all_ledgers_pass(self, mesh8, rng):
         cfg = make_cfg(mesh8)
-        rep = check_energy_ledgers(run_evolution(random_u(mesh8, rng), cfg))
+        rep = ledgers(kept_run(random_u(mesh8, rng), cfg))
         names = [e.name for e in rep.entries]
         assert names == ["energy-stability", "apriori", "ener-bound"]
         assert rep.passed
@@ -46,14 +58,14 @@ class TestLedgers:
         for tau in (10.0, 0.01):
             for eps in (0.5, 0.01):
                 cfg = make_cfg(mesh8, eps=eps, K=5, T=5 * tau)
-                rep = check_energy_ledgers(run_evolution(random_u(mesh8, rng), cfg))
+                rep = ledgers(kept_run(random_u(mesh8, rng), cfg))
                 assert rep.passed, (tau, eps, [e.to_dict() for e in rep.entries])
 
     def test_with_source_and_coefficient(self, mesh8, rng):
         cfg = make_cfg(mesh8, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
                        coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
-        rep = check_energy_ledgers(run_evolution(random_u(mesh8, rng), cfg))
+        rep = ledgers(kept_run(random_u(mesh8, rng), cfg))
         assert [e.name for e in rep.entries] == ["apriori", "ener-bound"]
         assert rep.passed
 
@@ -62,57 +74,63 @@ class TestLedgers:
         cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
                        coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
-        traj = run_evolution(random_u(mesh8, rng), cfg)
-        report = check_energy_ledgers(traj)
+        u0 = random_u(mesh8, rng)
+        traj = kept_run(u0, cfg)
+        report = ledgers(traj)
         assert report.to_dict() == oracles.check_energy_ledgers(traj).to_dict()
         np.testing.assert_array_equal(report.columns.diss_dtau, oracles.lagged_dissipation(traj)[2])
+        # the same run again, walked as it goes instead of from the kept list
+        walk = Walk(cfg)
+        run_evolution(u0, cfg, walk.push)
+        assert check_energy_ledgers(walk).to_dict() == report.to_dict()
+        for name, column in vars(report.columns).items():
+            np.testing.assert_array_equal(getattr(walk.cols, name), column)
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_one_gradient_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
         cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
                        coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", amplitude=2.0))
-        traj = run_evolution(random_u(mesh8, rng), cfg)
+        traj = kept_run(random_u(mesh8, rng), cfg)
         calls = []
         gradients = assembly.gradients
         monkeypatch.setattr(assembly, "gradients", lambda u: calls.append(u) or gradients(u))
-        check_energy_ledgers(traj)
+        ledgers(traj)
         assert len(calls) == traj.K + 1
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
     def test_one_midpoint_evaluation_per_iterate(self, mesh8, rng, monkeypatch, scheme):
         cfg = make_cfg(mesh8, scheme=scheme, nf=NFunctionPD(1.5, 0.05), kind=ADDITIVE_SHIFT,
                        coeff=LowerOrderCoeff(2.5, 0.5))
-        traj = run_evolution(random_u(mesh8, rng), cfg)
+        traj = kept_run(random_u(mesh8, rng), cfg)
         expect = oracles.lower_pairing(traj)
         calls = []
         values = assembly.values_at_midpoints
         monkeypatch.setattr(assembly, "values_at_midpoints",
                             lambda u: calls.append(u) or values(u))
-        lower = check_energy_ledgers(traj).columns.lower
+        lower = ledgers(traj).columns.lower
         assert len(calls) == traj.K + 1
         np.testing.assert_array_equal(lower, expect)
 
     def test_implicit_ledger(self, mesh8, rng):
         cfg = make_cfg(mesh8, scheme="implicit",
                        source=fields.make_source("bump"))
-        rep = check_energy_ledgers(run_evolution(random_u(mesh8, rng), cfg))
+        rep = ledgers(kept_run(random_u(mesh8, rng), cfg))
         assert [e.name for e in rep.entries] == ["apriori-implicit"]
         assert rep.passed
 
     def test_corrupted_trajectory_fails(self, mesh8, rng):
         cfg = make_cfg(mesh8)
-        traj = run_evolution(random_u(mesh8, rng), cfg)
-        bad = Trajectory(cfg, [FemFunction(mesh8, u.coeffs.copy()) for u in traj.iterates],
-                         traj.stats)
-        bad.iterates[-1].coeffs *= 10.0  # energy jump breaks the decay
-        rep = check_energy_ledgers(bad)
+        traj = kept_run(random_u(mesh8, rng), cfg)
+        bad = [FemFunction(mesh8, u.coeffs.copy()) for u in traj.iterates]
+        bad[-1].coeffs *= 10.0  # energy jump breaks the decay
+        rep = check_energy_ledgers(Walk(cfg, bad))
         assert not rep.passed
 
     def test_k_zero_trivial(self, mesh4):
         cfg = make_cfg(mesh4, K=0, T=0.0)
         u0 = FemFunction(mesh4, np.zeros(mesh4.n_interior))
-        rep = check_energy_ledgers(run_evolution(u0, cfg))
+        rep = ledgers(kept_run(u0, cfg))
         assert rep.passed and rep.entries == []
 
     @settings(max_examples=100, deadline=None)
@@ -147,31 +165,31 @@ class TestLedgers:
             u0 = random_u(mesh, np.random.default_rng(seed), scale=amplitude)
         else:
             u0 = interpolate_nodal(fields.make_field(initial, amplitude), mesh)
-        rep = check_energy_ledgers(run_evolution(u0, cfg))
+        rep = ledgers(kept_run(u0, cfg))
         assert rep.passed, [e.to_dict() for e in rep.entries]
 
 
 class TestDiscrepancy:
     def test_p2_both_fields_vanish(self, mesh8, rng):
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0))
-        traj = run_evolution(random_u(mesh8, rng), cfg)
+        traj = kept_run(random_u(mesh8, rng), cfg)
         for u in traj.iterates[1:]:
             e_abs = diagnostics._regularization_residual(2.0, cfg.eps, assembly.gradients(u))
             assert np.max(e_abs) == pytest.approx(0.0, abs=1e-14)
-        assert cell_bound_satisfied(traj) == 0.0
+        assert cell_ratio(traj) == 0.0
 
     def test_steady_state_lag_field_vanishes(self, mesh8, rng):
         cfg = make_cfg(mesh8, K=2, T=0.02)
         u = random_u(mesh8, rng)
         copies = [FemFunction(mesh8, u.coeffs.copy()) for _ in range(2)]
-        steady = Trajectory(cfg, [u, *copies], [])
-        assert cell_bound_satisfied(steady) <= 1.0 + 1e-10
+        steady = types.SimpleNamespace(config=cfg, iterates=[u, *copies])
+        assert cell_ratio(steady) <= 1.0 + 1e-10
 
     def test_cell_bound_scalar_oracle(self, mesh8, rng):
         # per-cell |E| = |S_0(g) - S_eps(g)| <= (2-p) eps^(p-1), recomputed
         # cell by cell from scalar gradient data of every step
         cfg = make_cfg(mesh8, eps=0.2)
-        traj = run_evolution(random_u(mesh8, rng), cfg)
+        traj = kept_run(random_u(mesh8, rng), cfg)
         p, eps = cfg.nf.p, cfg.eps
         worst = 0.0
         for u in traj.iterates[1:]:
@@ -181,17 +199,17 @@ class TestDiscrepancy:
                 se = np.array([gx, gy]) * (r2 + eps * eps) ** ((p - 2.0) / 2.0)
                 worst = max(worst, float(np.hypot(*(s0 - se))))
         bound = (2.0 - p) * eps ** (p - 1.0)
-        assert cell_bound_satisfied(traj) == pytest.approx(worst / bound, rel=1e-12)
+        assert cell_ratio(traj) == pytest.approx(worst / bound, rel=1e-12)
         assert worst <= bound + 1e-12
 
 
 class TestDiscrepancyTotal:
     def test_formula_recomputation(self, mesh8, rng):
         cfg = make_cfg(mesh8, eps=0.3, K=4, T=0.04)
-        traj = run_evolution(random_u(mesh8, rng), cfg)
+        traj = kept_run(random_u(mesh8, rng), cfg)
         p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
         alpha = np.sqrt(tau * eps ** (p - 2.0))
-        diss = tau * tau * np.sum(check_energy_ledgers(traj).columns.diss_dtau)
+        diss = tau * tau * np.sum(ledgers(traj).columns.diss_dtau)
         expect = ((2.0 - p) * eps ** (p - 1.0)
                   + S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
                   + tau * eps ** (p - 2.0) / (2.0 * alpha))
@@ -201,14 +219,14 @@ class TestDiscrepancyTotal:
         # the regularization residual vanishes and the balanced tail term is
         # sqrt(tau)/2: pure square-root-of-tau decay
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), K=4, T=0.04)
-        traj = run_evolution(random_u(mesh8, rng), cfg)
+        traj = kept_run(random_u(mesh8, rng), cfg)
         total = total_of(traj)
-        assert cell_bound_satisfied(traj) == 0.0
+        assert cell_ratio(traj) == 0.0
         alpha = np.sqrt(cfg.tau)
         tail = cfg.tau / (2.0 * alpha)
         assert tail == pytest.approx(np.sqrt(cfg.tau) / 2.0, rel=1e-14)
         assert total >= tail
-        diss = cfg.tau**2 * np.sum(check_energy_ledgers(traj).columns.diss_dtau)
+        diss = cfg.tau**2 * np.sum(ledgers(traj).columns.diss_dtau)
         middle = S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
         assert total == pytest.approx(tail + middle, rel=1e-13)
 
@@ -216,14 +234,14 @@ class TestDiscrepancyTotal:
         # tau^2 sum_k D_k <= 2 E[u^0] for the pure flow (energy stability)
         cfg = make_cfg(mesh8, K=8, T=0.08)
         u0 = random_u(mesh8, rng)
-        traj = run_evolution(u0, cfg)
+        traj = kept_run(u0, cfg)
         e0 = assembly.energy(u0, cfg.nf, cfg.eps, cfg.kind)
-        diss = cfg.tau**2 * np.sum(check_energy_ledgers(traj).columns.diss_dtau)
+        diss = cfg.tau**2 * np.sum(ledgers(traj).columns.diss_dtau)
         assert diss <= 2.0 * e0 * (1.0 + 1e-9)
 
     def test_cell_bound_satisfied_ratio(self, mesh8, rng):
-        traj = run_evolution(random_u(mesh8, rng), make_cfg(mesh8))
-        assert 0.0 <= cell_bound_satisfied(traj) <= 1.0 + 1e-10
+        traj = kept_run(random_u(mesh8, rng), make_cfg(mesh8))
+        assert 0.0 <= cell_ratio(traj) <= 1.0 + 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -354,22 +372,73 @@ def test_integer_time_index_is_the_float_rule(T, K_c, K_f, data):
 
 
 def test_a_study_keeps_one_earlier_run_alive(monkeypatch):
-    # a level's semi-implicit run lives until the next level is compared with
-    # it, its implicit run until it is measured
-    earlier, alive = [], []
+    # each run's iterates u^1..u^K are tracked by weakrefs from an observer
+    # that sees each iterate after the study's own observers: no implicit or
+    # control iterate is alive past its push, and at most the previous and
+    # the current level's semi-implicit iterates are alive at any time
+    levels, control_levels = 4, 3
+    runs = []  # per run: whether it is a level's semi-implicit run, and its weakrefs
+    semi_alive = []  # per push: the semi-implicit runs with an iterate alive
 
-    def tracking_run_evolution(u0, cfg):
-        alive.append(sum(ref() is not None for ref in earlier))
-        traj = run_evolution(u0, cfg)
-        earlier.append(weakref.ref(traj))
-        return traj
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def tracking_run_evolution(u0, cfg, *observers):
+        semi = len(runs) < 2 * levels and cfg.scheme == "semi-implicit"
+        refs = []
+        runs.append((semi, refs))
+
+        def track(u):
+            if u is not u0:
+                refs.append(weakref.ref(u))
+            for is_semi, earlier in runs:
+                if not is_semi:
+                    assert alive(earlier) <= (earlier is refs), len(runs)
+            semi_alive.append(sum(alive(earlier) > 0 for is_semi, earlier in runs if is_semi))
+
+        return run_evolution(u0, cfg, *observers, track)
 
     monkeypatch.setattr(diagnostics, "run_evolution", tracking_run_evolution)
     base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
-    run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=4,
-                          control_levels=3))
-    assert len(alive) == 2 * 4 + 3 - 1
-    assert max(alive) == 1, alive
+    run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=levels,
+                          control_levels=control_levels))
+    assert len(runs) == 2 * levels + control_levels - 1
+    assert [semi for semi, _ in runs] == [True, False] * levels + [False] * (control_levels - 1)
+    assert all(refs for _, refs in runs)
+    # a level's semi-implicit iterates outlive its run, for its implicit
+    # run's gap and the next level's Cauchy difference, and no longer
+    assert max(semi_alive) == 2, semi_alive
+    assert all(alive(refs) == 0 for _, refs in runs)
+
+
+def test_control_runs_fold_the_dissipation_alone(monkeypatch):
+    # energy and seminorm are evaluated once per iterate of each level's two
+    # runs (whose u^0 is the same object), and never on a control run's
+    # iterates, which feed D_k alone; the Cauchy differences take seminorms
+    # of differences, which are no iterate
+    runs, calls = [], {"energy": [], "seminorm_W1p": []}
+
+    def collecting_run_evolution(u0, cfg, *observers):
+        runs.append([])
+        return run_evolution(u0, cfg, *observers, runs[-1].append)
+
+    def recording(seen, f):
+        return lambda u, *args: seen.append(u) or f(u, *args)
+
+    monkeypatch.setattr(diagnostics, "run_evolution", collecting_run_evolution)
+    for name, seen in calls.items():
+        monkeypatch.setattr(assembly, name, recording(seen, getattr(assembly, name)))
+    base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
+    rep = run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=3,
+                                control_levels=4))
+    levels, controls = runs[:6], runs[6:]
+    assert len(controls) == 3 and all(len(run) == base.K + 1 for run in controls)
+    level_ids = sorted(id(u) for run in levels for u in run)
+    assert len(level_ids) == 2 * sum(lv.K + 1 for lv in rep.levels)
+    assert sorted(id(u) for u in calls["energy"]) == level_ids
+    assert sorted(id(u) for u in calls["seminorm_W1p"] if id(u) in level_ids) == level_ids
+    control_ids = {id(u) for run in controls for u in run[1:]}
+    assert not control_ids & {id(u) for seen in calls.values() for u in seen}
 
 
 @pytest.mark.parametrize("p", np.linspace(1.01, 2.0, 13))
@@ -453,9 +522,9 @@ def test_level_0_semi_run_is_the_first_control_run(monkeypatch):
     # also when level 0's implicit run fails
     calls = []
 
-    def counting_run_evolution(u0, cfg):
+    def counting_run_evolution(u0, cfg, *observers):
         calls.append(cfg.scheme)
-        return run_evolution(u0, cfg)
+        return run_evolution(u0, cfg, *observers)
 
     monkeypatch.setattr(diagnostics, "run_evolution", counting_run_evolution)
     initial = fields.make_field("sin-product")
@@ -466,7 +535,7 @@ def test_level_0_semi_run_is_the_first_control_run(monkeypatch):
         rep = run_study(StudyConfig(base=base, initial=initial, levels=3, control_levels=4))
         assert len(calls) == 2 * 3 + 4 - 1
         assert calls.count("implicit") == 3
-        alone = total_of(run_evolution(interpolate_nodal(initial, base.mesh), base))
+        alone = total_of(kept_run(interpolate_nodal(initial, base.mesh), base))
         assert rep.control_totals[0] == alone
         assert (rep.levels[0].error is None) == (max_iter == 60)
 

@@ -200,7 +200,7 @@ def evolve(u0, cfg, monkeypatch, reuse_dofs):
     """run_evolution with REUSE_DOFS set, and the solver calls it made."""
     monkeypatch.setattr(schemes, "REUSE_DOFS", reuse_dofs)
     calls = Counted(monkeypatch)
-    return schemes.run_evolution(u0, cfg), calls
+    return oracles.kept_run(u0, cfg), calls
 
 
 class TestFactorReuse:
@@ -459,8 +459,8 @@ def audited_run(mesh, K=3):
     """The trajectory of a K-step semi-implicit run on mesh, its ledgers checked."""
     cfg = make_cfg(mesh, K=K, T=0.01 * K)
     u0 = FemFunction(mesh, np.random.default_rng(9).uniform(-1, 1, mesh.n_interior))
-    traj = schemes.run_evolution(u0, cfg)
-    assert diagnostics.check_energy_ledgers(traj).passed
+    traj = oracles.kept_run(u0, cfg)
+    assert diagnostics.check_energy_ledgers(diagnostics.Walk(cfg, traj.iterates)).passed
     return traj
 
 

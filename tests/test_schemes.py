@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import FrozenInstanceError, replace
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plapflow import assembly, fields, schemes
 from plapflow.lower_order import SCHEMES, SEMI_IMPLICIT, LowerOrderCoeff
@@ -92,7 +92,7 @@ class TestSemiImplicitStep:
     def test_p2_equals_backward_euler_heat(self, mesh8):
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), eps=0.5, K=20, T=0.1)
         u0 = interpolate_nodal(fields.make_field("sin-product"), mesh8)
-        traj = run_evolution(u0, cfg)
+        traj = oracles.kept_run(u0, cfg)
         ref = oracles.heat_backward_euler(mesh8.nodes, mesh8.cells,
                                           mesh8.boundary_node, u0.full_values(),
                                           cfg.tau, cfg.K)
@@ -269,18 +269,40 @@ MESH2 = unit_square_mesh(2)
 _TINY = st.one_of(st.just(0.0), st.floats(-330.0, 0.0).map(lambda x: 10.0**x))
 
 
+def _accepted_config(p, delta, eps, kind, scheme):
+    """The config of these fields with eps moved into the values that
+    SchemeConfig accepts with the others, an interval [lo, 1): every rule on
+    eps fails below some value, as the weight at a zero gradient falls while
+    eps grows, and eps = 1/2 passes all of them.  lo is found by bisection
+    on the bit patterns of the nonnegative doubles, which order them."""
+    nf = NFunctionPD(p, 0.0 if kind == QUADRATIC_NORM else delta)
+
+    def build(bits):
+        e = float(np.int64(bits).view(np.float64))
+        return SchemeConfig(mesh=MESH2, nf=nf, eps=e, K=1, T=1.0, scheme=scheme, kind=kind)
+
+    lo, hi = 0, int(np.float64(0.5).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            build(mid)
+            hi = mid
+        except ValueError:
+            lo = mid + 1
+    eps = min(max(eps, float(np.int64(lo).view(np.float64))), np.nextafter(1.0, 0.0))
+    return build(int(np.float64(eps).view(np.int64)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=st.floats(1.01, 2.0), delta=_TINY, eps=_TINY,
        kind=st.sampled_from(REGULARIZATION_KINDS), scheme=st.sampled_from(SCHEMES))
 @example(p=1.5, delta=0.0, eps=1e-170, kind=QUADRATIC_NORM, scheme=SEMI_IMPLICIT)
 @example(p=1.01, delta=5e-324, eps=0.0, kind=ADDITIVE_SHIFT, scheme="implicit")
 def test_an_accepted_config_has_a_finite_weight(p, delta, eps, kind, scheme):
-    # the invariant that lets the assemblers use the weight unchecked
-    nf = NFunctionPD(p, 0.0 if kind == QUADRATIC_NORM else delta)
-    try:
-        cfg = SchemeConfig(mesh=MESH2, nf=nf, eps=eps, K=1, T=1.0, scheme=scheme, kind=kind)
-    except ValueError:
-        assume(False)
+    # the invariant that lets the assemblers use the weight unchecked; eps
+    # below the accepted values is raised to the smallest of them, so no draw
+    # is discarded and draws below 1.5e-162 test the quadratic-norm edge
+    cfg = _accepted_config(p, delta, eps, kind, scheme)
     t = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 61)])
     with np.errstate(over="ignore"):  # t^2 overflows beyond 1e154 and the weight rounds to 0
         w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, t)
@@ -334,8 +356,8 @@ class TestKacanovIdentity:
     def test_p2_trajectories_fully_coincide(self, mesh8, rng):
         cfg = make_cfg(mesh8, nf=NFunctionPD(2.0), K=5, T=0.05)
         u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
-        semi = run_evolution(u0, cfg)
-        impl = run_evolution(u0, replace(cfg, scheme="implicit"))
+        semi = oracles.kept_run(u0, cfg)
+        impl = oracles.kept_run(u0, replace(cfg, scheme="implicit"))
         for a, b in zip(semi.iterates, impl.iterates):
             np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-12)
 
@@ -347,16 +369,32 @@ class TestRunEvolution:
                        coeff=LowerOrderCoeff(2.5),
                        source=fields.make_source("bump", decay=1.0))
         u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
-        traj = run_evolution(u0, cfg)
+        traj = oracles.kept_run(u0, cfg)
         for k in range(1, traj.K + 1):
             step = implicit_step if scheme == "implicit" else semi_implicit_step
             u, _ = step(traj.iterates[k - 1], cfg, k)
             assert np.array_equal(u.coeffs, traj.iterates[k].coeffs)
 
+    def test_observers_see_each_iterate_as_it_comes(self, mesh4, rng):
+        # every observer gets u^0..u^K in order, the first before the second,
+        # and the run returns its stats alone; a failed step is observed by none
+        u0 = FemFunction(mesh4, rng.uniform(-1, 1, mesh4.n_interior))
+        seen = []
+        traj = run_evolution(u0, make_cfg(mesh4, K=3, T=0.03),
+                             lambda u: seen.append(("a", u)), lambda u: seen.append(("b", u)))
+        assert [name for name, _ in seen] == ["a", "b"] * 4 and seen[0][1] is u0
+        assert all(seen[i][1] is seen[i + 1][1] for i in range(0, 8, 2))
+        assert set(vars(traj)) == {"config", "stats"} and len(traj.stats) == 3
+        seen.clear()
+        cfg = make_cfg(mesh4, scheme="implicit", eps=0.01, max_iter=1, tol_res=1e-15)
+        with pytest.raises(SolverError, match="step 1"):
+            run_evolution(u0, cfg, seen.append)
+        assert seen == [u0]
+
     def test_k_zero(self, mesh4):
         cfg = make_cfg(mesh4, K=0, T=0.0)
         u0 = FemFunction(mesh4, np.zeros(mesh4.n_interior))
-        traj = run_evolution(u0, cfg)
+        traj = oracles.kept_run(u0, cfg)
         assert len(traj.iterates) == 1
         assert traj.iterates[0] is u0
 
@@ -371,7 +409,7 @@ class TestRunEvolution:
         cfg = make_cfg(mesh8, K=5, T=0.05)
         for _ in range(5):
             u0 = FemFunction(mesh8, rng.uniform(-1, 1, mesh8.n_interior))
-            traj = run_evolution(u0, cfg)
+            traj = oracles.kept_run(u0, cfg)
             es = [assembly.energy(u, cfg.nf, cfg.eps, cfg.kind)
                   for u in traj.iterates]
             assert all(b <= a * (1.0 + 1e-12) for a, b in zip(es, es[1:]))
@@ -380,7 +418,7 @@ class TestRunEvolution:
         mesh = unit_square_mesh(2)
         cfg = make_cfg(mesh, nf=NFunctionPD(2.0), K=4, T=0.04)
         u0 = FemFunction(mesh, np.array([0.7]))
-        traj = run_evolution(u0, cfg)
+        traj = oracles.kept_run(u0, cfg)
         m = assembly.mass_matrix(mesh).toarray()
         # at p = 2 the weight is exactly 1: the unweighted stiffness matrix
         k = assembly.weighted_stiffness(mesh, u0, cfg.nf, cfg.eps, cfg.kind).toarray()

@@ -37,11 +37,12 @@ def test_every_definition_is_referenced_in_the_package():
     assert unreferenced.keys() == UNREFERENCED.keys(), unreferenced
 
 
-def _registry_reads(node, scope=()):
-    """(qualified name of the enclosing definition, registry) per read below node."""
+def _reads(node, names, scope=()):
+    """(qualified name of the enclosing definition, name) per read below node
+    of a name in names, as a variable or an attribute."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _registry_reads(child, scope + (child.name,))
+            yield from _reads(child, names, scope + (child.name,))
             continue
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
             name = child.id
@@ -49,9 +50,9 @@ def _registry_reads(node, scope=()):
             name = child.attr
         else:
             name = None
-        if name in REGISTRIES:
+        if name in names:
             yield ".".join(scope), name
-        yield from _registry_reads(child, scope)
+        yield from _reads(child, names, scope)
 
 
 def test_only_the_config_constructors_read_the_registries():
@@ -60,7 +61,7 @@ def test_only_the_config_constructors_read_the_registries():
     for path in sorted(Path(plapflow.__file__).parent.glob("*.py")):
         if path.name != "config.py":
             tree = ast.parse(path.read_text(), filename=path.name)
-            reads |= {(path.name, scope, name) for scope, name in _registry_reads(tree)}
+            reads |= {(path.name, scope, name) for scope, name in _reads(tree, REGISTRIES)}
     assert {scope for _, scope, _ in reads} == READERS, sorted(reads)
 
 
@@ -76,3 +77,18 @@ def test_no_scipy_cg_in_the_package():
             if name in {"cg", "LinearOperator"}:
                 uses.append(f"{path.name}:{node.lineno} {name}")
     assert not uses, uses
+
+
+def test_one_step_loop_and_no_kept_trajectory():
+    # run_evolution is the one step loop, and it hands each iterate to its
+    # observers instead of keeping them: no module reads an .iterates
+    # attribute, and no function but run_evolution names a step to take it
+    iterates, steps = [], set()
+    for path in sorted(Path(plapflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        iterates += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "iterates"]
+        steps |= {(path.name, scope) for scope, _ in
+                  _reads(tree, {"semi_implicit_step", "implicit_step"})}
+    assert not iterates, iterates
+    assert steps == {("schemes.py", "run_evolution")}, steps
