@@ -58,7 +58,8 @@ kind = zero                   ; zero | power | shifted-power
 ; preconditioned with the last LU, refactoring when CG slows down or fails;
 ; large refined meshes use CG preconditioned with a multigrid V-cycle instead
 ; kacanov is Anderson-accelerated at depth 3; its first sweep is the
-; semi-implicit step
+; semi-implicit step, and the CG of each later sweep stops at a tenth of the
+; defect the sweep starts from (a factored system is solved exactly)
 nonlinear = kacanov           ; kacanov | newton
 tol-res = 1e-10
 max-iter = 60

@@ -212,15 +212,17 @@ def discrepancy_total(cfg, diss_dtau):
             + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
 
 
-def cell_bound_satisfied(cfg, u):
+def cell_bound_satisfied(cfg, u, grads=None):
     """(max-cell |E|) / ((2-p) eps^(p-1)) at the iterate u of a run under cfg;
     must stay <= 1.  cfg must be semi-implicit with the quadratic-norm
-    regularization, as every config of a StudyConfig's run is."""
+    regularization, as every config of a StudyConfig's run is.  grads, if
+    given, are u's cell gradients, assembly.gradients(u), already computed."""
     p, eps = cfg.nf.p, cfg.eps
     bound = (2.0 - p) * eps ** (p - 1.0)
     if bound == 0.0:  # p = 2, where the residual vanishes
         return 0.0
-    return float(np.max(_regularization_residual(p, eps, assembly.gradients(u)))) / bound
+    g = assembly.gradients(u) if grads is None else grads
+    return float(np.max(_regularization_residual(p, eps, g))) / bound
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +409,12 @@ def _run_levels(sc, u0):
         level = LevelResult(n=n, h=u0.mesh.h, eps=eps_n, tau=cfg.tau, K=K_n)
         levels.append(level)
         walk, semi, ratios, terms = Walk(cfg), [], [], []
-        observers = [walk.push, semi.append,  # no cell bound at u^0, which no step made
-                     lambda u: u is u0 or ratios.append(cell_bound_satisfied(cfg, u))]
+
+        def cell_bound(u):  # walk.push, observed first, left u's gradients in walk.prev
+            if u is not u0:  # no step made u^0
+                ratios.append(cell_bound_satisfied(cfg, u, walk.prev[1]))
+
+        observers = [walk.push, semi.append, cell_bound]
         if coarse is not None:
             observers.append(
                 lambda u: terms.append(_cauchy_difference(coarse, cfg, len(terms), u)))

@@ -29,10 +29,21 @@ regimes fixed by the mesh:
   mesh; a solve that fails factors its system, and the run continues in
   the kept-factor regime.
 
-MG_DOFS sits at the measured crossover of the last two: on 10-step runs the
-V-cycle was faster for the semi-implicit scheme from 3969 unknowns on, and
-for warm-started Kacanov from about 12 000.  Both CG regimes run _cg, the
-arithmetic of scipy's ``cg`` without its per-call wrapping.
+MG_DOFS sits where the V-cycle overtook the kept factor: on 10-step runs
+from 3969 unknowns on for the semi-implicit scheme, and from about 12 000
+for warm-started Kacanov with every CG solved to 1e-12.  With the forcing
+below, the kept factor gains as much as the V-cycle, and Kacanov broke even
+at about 16 000 to 20 000 unknowns.  Both CG regimes run _cg, the arithmetic
+of scipy's ``cg`` without its per-call wrapping.
+
+CG stops at ||b - A x|| < 1e-12 ||b||, except in Kacanov sweeps after the
+first: such a sweep starts from the iterate v_j, whose defect
+||A(v_j) v_j - b|| the sweep before computed, and that defect is the residual
+of the sweep's system at CG's guess v_j.  Its CG may stop once the residual
+is below KACANOV_FORCING times that defect (a constant forcing term, Eisenstat
+and Walker, SISC 1996), since the next sweep replaces its answer anyway.  The
+first sweep, semi-implicit steps and Newton tangents solve to 1e-12, and a
+factored system is solved exactly in every case.
 """
 
 from __future__ import annotations
@@ -58,18 +69,36 @@ NONLINEAR_SOLVERS = (KACANOV, NEWTON)
 ANDERSON_DEPTH = 3
 # Relative size below which a difference counts as dependent on newer ones.
 _DEPENDENT = 1e-10
+# From its second sweep on, a Kacanov sweep's CG may stop once its residual is
+# below KACANOV_FORCING times the nonlinear defect at the sweep's start point.
+# 10-step Kacanov runs: implicit-n64's config (3969 unknowns, kept factor) and
+# sin-product (p = 1.5, eps = 0.1) on unit_square_mesh(4) refined 5 times
+# (16129 unknowns, V-cycle); sweeps, factorizations, preconditioner
+# applications, and the range of two in-process medians (9-21 runs each):
+#   forcing              0          0.03       0.1        0.3
+#   3969    sweeps       113        114        111        110
+#           factors      6          5          5          5
+#           LU solves    445        238        196        176
+#           time, s      0.37-0.41  0.27-0.32  0.26-0.29  0.24-0.30
+#   16129   sweeps       119        122        124        132
+#           V-cycles     1106       477        374        376
+#           time, s      1.47-1.55  1.01-1.07  0.96-1.12  1.01-1.06
+# The times from 0.03 to 0.3 lie within each other's spread; 0.1 makes the
+# fewest V-cycles without the extra sweeps of 0.3.
+KACANOV_FORCING = 0.1
 
 # Systems with at least this many unknowns reuse the last factor as a CG
 # preconditioner: the semi-implicit break-even.  10-step runs from sin-product
-# (p = 1.5, eps = 0.1) on unit_square_mesh(n), time reusing / time factoring:
+# (p = 1.5, eps = 0.1) on unit_square_mesh(n), time reusing / time factoring
+# (Kacanov with KACANOV_FORCING = 0.1, the mean of two 25-run medians):
 #   unknowns         49    81   121   144   169   196   225   289
 #   semi-implicit  1.24  1.18  1.07  1.02  1.00  0.89  0.89  0.84
-#   Kacanov        0.96  0.88  0.77  0.72  0.69  0.62  0.57  0.49
+#   Kacanov        0.76  0.68  0.62  0.57  0.51  0.46  0.43  0.37
 REUSE_DOFS = 169
 # A preconditioned solve that took more iterations than this retires the
 # factor.  The same runs at caps 4, 6, 8, 12: semi-implicit 0.99 1.00 1.01
-# 1.15 at 169 unknowns and 0.85 0.85 0.80 0.85 at 289; Kacanov 0.65 0.68 0.74
-# 0.91 at 169 and 0.47 0.48 0.51 0.59 at 289.
+# 1.15 at 169 unknowns and 0.85 0.85 0.80 0.85 at 289; Kacanov (forcing 0.1)
+# 0.45 0.44 0.46 0.52 at 169 and 0.40 0.40 0.42 0.42 at 289.
 REUSE_CG_ITERS = 6
 # CG stops at ||b - A x|| < _CG_RTOL ||b||.  A solve still short of that
 # after _CG_MAXITER iterations, which cost more than a factorization, is
@@ -80,8 +109,11 @@ _CG_MAXITER = 32
 # with a multigrid V-cycle.  10-step runs from sin-product (p = 1.5, eps = 0.1)
 # on unit_square_mesh(4) refined 3-5 times, against the kept-factor regime:
 # semi-implicit 0.075 against 0.098 s at 3969 unknowns and 0.17 against 0.53 s
-# at 16129; Kacanov 0.73 against 0.59 s at 3969 and 1.85 against 2.30 s at
-# 16129, breaking even between 6241 and 12321 unknowns.
+# at 16129.  Kacanov with every CG solved to 1e-12 broke even between 6241 and
+# 12321 unknowns.  With KACANOV_FORCING = 0.1, the medians of 7 runs read 0.36
+# against 0.25 s at 3969, 0.89 against 0.78 s at 12321 (unit_square_mesh(7)
+# refined 4 times), 1.16 against 1.10 s at 16129 and 1.29 against 1.29 s at
+# 20449 (unit_square_mesh(9) refined 4 times).
 MG_DOFS = 10_000
 # Damping factor of the Jacobi smoother in the V-cycle.
 _JACOBI_DAMPING = 0.8
@@ -178,7 +210,7 @@ class _SpdSolver:
     Three regimes, fixed by the mesh:
 
     - A mesh with a parent (a red refinement) and at least MG_DOFS unknowns,
-      about where the V-cycle overtook the kept factor on Kacanov runs,
+      where the V-cycle overtook the kept factor on semi-implicit runs,
       solves by CG preconditioned with one multigrid V(1,1)-cycle on its
       refinement hierarchy (_multigrid).  A solve that does not converge in
       _CG_MAXITER iterations factors its own system, and the object goes
@@ -199,9 +231,11 @@ class _SpdSolver:
 
     CG (_cg) starts at x0 = guess + M^-1 (b - A guess), M^-1 the
     preconditioner and guess 0 if none is given, and stops at
-    ||b - A x|| < 1e-12 ||b||.  Every choice depends on sizes and iteration
-    counts only, so the answers are deterministic.  A kept factor lives as
-    long as the object: one run.
+    ||b - A x|| < max(1e-12 ||b||, atol), atol 0 unless the caller passes
+    one; a Kacanov sweep after the first passes KACANOV_FORCING times its
+    start's defect.  A factored system is solved exactly, whatever atol.
+    Every choice depends on sizes and iteration counts only, so the answers
+    are deterministic.  A kept factor lives as long as the object: one run.
     """
 
     def __init__(self, cfg):
@@ -210,16 +244,17 @@ class _SpdSolver:
         self.reuse = cfg.mesh.n_interior >= REUSE_DOFS
         self.lu = None  # the kept factor, as the map r -> (its A)^-1 r
 
-    def __call__(self, A, b, guess=None):
-        """The solution of A x = b; guess, if given, is where CG starts from."""
+    def __call__(self, A, b, guess=None, atol=0.0):
+        """The solution of A x = b; guess, if given, is where CG starts from,
+        and atol an absolute residual at which CG may stop (see _cg)."""
         if self.hierarchy:
-            x, _ = _cg(A, b, self._multigrid(A), guess)
+            x, _ = _cg(A, b, self._multigrid(A), guess, atol)
             if x is not None:
                 return x
             self.hierarchy = []  # the rest of the run factors
         x = None
         if self.lu is not None:
-            x, iterations = _cg(A, b, self.lu, guess)
+            x, iterations = _cg(A, b, self.lu, guess, atol)
             if x is None or iterations > REUSE_CG_ITERS:
                 self.lu = None
         if x is None:
@@ -292,22 +327,24 @@ def _hierarchy(mesh):
     return out
 
 
-def _cg(A, b, precond, guess=None):
+def _cg(A, b, precond, guess=None, atol=0.0):
     """CG on A x = b preconditioned with the map precond, started at
     x0 = guess + precond(b - A guess), or precond(b) without a guess.
 
-    Returns x and the iteration count; x is None if ||b - A x|| < 1e-12 ||b||
-    was not reached in _CG_MAXITER iterations.  The loop is scipy's ``cg``
-    step for step (the stop test at the top of each iteration, the same
-    updates in the same order), so x and the count are scipy's to the bit.
+    Returns x and the iteration count; x is None if
+    ||b - A x|| < max(_CG_RTOL ||b||, atol) was not reached in _CG_MAXITER
+    iterations.  The loop is scipy's ``cg`` step for step (the stop test at
+    the top of each iteration, the same updates in the same order, and the
+    same rule for rtol and atol), so x and the count are scipy's to the bit.
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return b.copy(), 0
+    stop = max(_CG_RTOL * norm_b, atol)
     x = precond(b) if guess is None else guess + precond(b - A @ guess)
     r = b - A @ x
     for iteration in range(_CG_MAXITER):
-        if np.linalg.norm(r) < _CG_RTOL * norm_b:
+        if np.linalg.norm(r) < stop:
             return x, iteration
         z = precond(r)
         rho = np.dot(r, z)
@@ -448,7 +485,11 @@ def implicit_step(u_prev, cfg, k, solve=None):
     a fresh one), so a factor kept by an earlier sweep or step may
     precondition CG here.  Kacanov's CG starts from the sweep's iterate v_j,
     whose image g_j is close to it near convergence; Newton's from none,
-    since its corrections shrink to 0.
+    since its corrections shrink to 0.  From the second sweep on, Kacanov's
+    CG may stop at KACANOV_FORCING times the defect ||A(v_j) v_j - b|| that
+    the sweep before computed, the residual of CG's guess; the first sweep
+    and Newton's tangents solve to 1e-12.  The stop on ||A(v) v - b|| above
+    is the same in every case.
     """
     mesh = cfg.mesh
     if solve is None:
@@ -460,13 +501,16 @@ def implicit_step(u_prev, cfg, k, solve=None):
     history = []
     if cfg.nonlinear == KACANOV:
         mix = _AndersonMixer()
+        atol = 0.0  # the first sweep is the semi-implicit step
         for j in range(1, cfg.max_iter + 1):
-            g = solve(_system_matrix(v, cfg), b, v.coeffs)
+            g = solve(_system_matrix(v, cfg), b, v.coeffs, atol)
             v = FemFunction(mesh, mix(v.coeffs, g))
             res = float(np.linalg.norm(_defect(v, b, cfg)))
             history.append(res)
             if res <= tol:
                 return v, StepStats(j, res)
+            # res is the residual of the next sweep's system at its guess v
+            atol = KACANOV_FORCING * res
         raise SolverError(
             f"Anderson-accelerated (depth {ANDERSON_DEPTH}) Kacanov iteration did not "
             f"reach {tol:.3e} in {cfg.max_iter} iterations; residual history {history}")

@@ -572,26 +572,27 @@ def midpoint_prolong(u, target):
     return child[target.interior]
 
 
-def first_kacanov_equals_semi_implicit(u_prev, cfg):
+def first_kacanov_equals_semi_implicit(u_prev, cfg, solvers=(None, None)):
     """The structural identity between the two schemes: the first Kacanov
     sweep of the implicit step from v0 = u_prev solves exactly the
     semi-implicit linear system, so the iterates must coincide to solver
-    accuracy, 1e-12 relative to 1 + max |u|."""
+    accuracy, 1e-12 relative to 1 + max |u|.  solvers are the _SpdSolvers
+    of the semi-implicit step and of the sweep; None gives a fresh one."""
     if cfg.eps <= 0.0:
         raise ValueError("comparison requires eps > 0")
-    semi, _ = semi_implicit_step(u_prev, cfg, 1)
+    semi, _ = semi_implicit_step(u_prev, cfg, 1, solvers[0])
     one_sweep = replace(cfg, scheme=IMPLICIT, nonlinear=KACANOV, max_iter=1,
                         tol_res=np.inf)
-    v1, _ = implicit_step(u_prev, one_sweep, 1)
+    v1, _ = implicit_step(u_prev, one_sweep, 1, solvers[1])
     scale = 1.0 + float(np.max(np.abs(semi.coeffs))) if semi.coeffs.size else 1.0
     diff = float(np.max(np.abs(semi.coeffs - v1.coeffs))) if semi.coeffs.size else 0.0
     return diff <= 1e-12 * scale
 
 
-def scipy_cg(A, b, precond, guess=None):
+def scipy_cg(A, b, precond, guess=None, atol=0.0):
     """schemes._cg as scipy's ``cg``: the same start, the preconditioner
     wrapped as a LinearOperator and the iterations counted by a callback.
-    Reads schemes' tolerance and cap when called."""
+    Reads schemes' tolerance and cap when called; atol is scipy's."""
     iterations = 0
 
     def count(_):
@@ -600,6 +601,6 @@ def scipy_cg(A, b, precond, guess=None):
 
     x0 = precond(b) if guess is None else guess + precond(b - A @ guess)
     M = spla.LinearOperator(A.shape, matvec=precond, dtype=A.dtype)
-    x, info = spla.cg(A, b, x0=x0, rtol=schemes._CG_RTOL, atol=0.0,
+    x, info = spla.cg(A, b, x0=x0, rtol=schemes._CG_RTOL, atol=atol,
                       maxiter=schemes._CG_MAXITER, M=M, callback=count)
     return (x if info == 0 else None), iterations

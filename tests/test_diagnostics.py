@@ -1,5 +1,6 @@
 import types
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -439,6 +440,35 @@ def test_control_runs_fold_the_dissipation_alone(monkeypatch):
     assert sorted(id(u) for u in calls["seminorm_W1p"] if id(u) in level_ids) == level_ids
     control_ids = {id(u) for run in controls for u in run[1:]}
     assert not control_ids & {id(u) for seen in calls.values() for u in seen}
+
+
+def test_the_cell_bound_reads_the_walks_gradients(monkeypatch):
+    # the study evaluates the gradients of each iterate u^1..u^K of a level's
+    # semi-implicit run once, in its walk, and the cell bound reads them from
+    # there (the scheme's own assembly is not the study's, so only the
+    # diagnostics' calls are counted); the Cauchy differences take gradients
+    # of differences, which are no iterate.  The ratios are those of the cell
+    # bound's own gradients.
+    runs, seen = [], []
+
+    def collecting_run_evolution(u0, cfg, *observers):
+        runs.append((cfg, []))
+        return run_evolution(u0, cfg, *observers, runs[-1][1].append)
+
+    counting = types.SimpleNamespace(**vars(assembly))
+    counting.gradients = lambda u: seen.append(u) or assembly.gradients(u)
+    monkeypatch.setattr(diagnostics, "run_evolution", collecting_run_evolution)
+    monkeypatch.setattr(diagnostics, "assembly", counting)
+    base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
+    rep = run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=3,
+                                control_levels=2))
+    semi = [(cfg, run) for cfg, run in runs[:6] if cfg.scheme == "semi-implicit"]
+    assert len(semi) == 3
+    counts = Counter(id(u) for u in seen)
+    assert all(counts[id(u)] == 1 for _, run in semi for u in run[1:])
+    monkeypatch.undo()
+    for level, (cfg, run) in zip(rep.levels, semi):
+        assert level.e_cell_ratio == max(cell_bound_satisfied(cfg, u) for u in run[1:]) > 0.0
 
 
 @pytest.mark.parametrize("p", np.linspace(1.01, 2.0, 13))

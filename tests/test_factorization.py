@@ -216,6 +216,9 @@ class TestFactorReuse:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_iterates_match_factoring_every_solve(self, mesh8, monkeypatch, case):
+        # every CG solved to 1e-12, so the regimes agree to that; the default
+        # forcing is tested in TestInexactSweeps
+        monkeypatch.setattr(schemes, "KACANOV_FORCING", 0.0)
         cfg = make_cfg(mesh8, K=5, T=0.05, **self.CASES[case])
         u0 = FemFunction(mesh8, np.random.default_rng(2).uniform(-1, 1, mesh8.n_interior))
         fresh, fresh_calls = evolve(u0, cfg, monkeypatch, mesh8.n_interior + 1)
@@ -309,15 +312,22 @@ class TestCg:
         solve(A0, b)
         return A, b, solve.lu
 
-    @pytest.mark.parametrize("with_guess", [False, True])
-    @pytest.mark.parametrize("precond", ["kept-factor", "v-cycle"])
-    def test_equals_scipy_cg_to_the_bit(self, refined, monkeypatch, precond, with_guess):
+    # atol 1e-6 ||b|| stops CG early; its ids end in "-atol"
+    @pytest.mark.parametrize("precond, with_guess, atol", [
+        pytest.param(precond, with_guess, atol,
+                     id=f"{precond}-{with_guess}" + ("-atol" if atol else ""))
+        for atol in (0.0, 1e-6) for precond in ("kept-factor", "v-cycle")
+        for with_guess in (False, True)])
+    def test_equals_scipy_cg_to_the_bit(self, refined, monkeypatch, precond, with_guess, atol):
         A, b, M = self.system(refined, precond, monkeypatch)
         guess = np.random.default_rng(4).uniform(-1, 1, b.size) if with_guess else None
-        x, iterations = schemes._cg(A, b, M, guess)
-        ref, ref_iterations = oracles.scipy_cg(A, b, M, guess)
+        atol *= np.linalg.norm(b)
+        x, iterations = schemes._cg(A, b, M, guess, atol)
+        ref, ref_iterations = oracles.scipy_cg(A, b, M, guess, atol)
         assert iterations == ref_iterations > 0
         assert x.tobytes() == ref.tobytes()
+        if atol:  # it stopped early
+            assert iterations < schemes._cg(A, b, M, guess)[1]
 
     def test_zero_right_hand_side(self, refined, monkeypatch):
         A, b, M = self.system(refined, "kept-factor", monkeypatch)
@@ -356,6 +366,77 @@ class TestCg:
             assert x.tobytes() == ref.tobytes()
 
 
+class TestInexactSweeps:
+    """From its second sweep on, a Kacanov sweep's CG stops at KACANOV_FORCING
+    times the defect at the sweep's start.  Only the CG regimes see it; the
+    runs here keep a factor, as REUSE_DOFS = 0 makes mesh8's do."""
+
+    CFG = dict(K=5, T=0.05, scheme="implicit", nf=NFunctionPD(1.5, 0.1), kind=ADDITIVE_SHIFT,
+               eps=0.05)
+
+    @staticmethod
+    def holding_a_factor(cfg):
+        """A solver that keeps the factor of A(w) for a random w."""
+        solve = schemes._SpdSolver(cfg)
+        w = FemFunction(cfg.mesh, np.random.default_rng(11).uniform(-1, 1, cfg.mesh.n_interior))
+        solve(schemes._system_matrix(w, cfg), np.ones(cfg.mesh.n_interior))
+        assert solve.lu is not None
+        return solve
+
+    @pytest.mark.parametrize("regime", ["kept-factor", "v-cycle"])
+    def test_first_sweep_is_the_semi_implicit_step(self, mesh8, refined, monkeypatch, regime):
+        # the first sweep has no defect to force with, so it solves to 1e-12
+        # as the semi-implicit step does, from a kept factor or a V-cycle
+        if regime == "kept-factor":
+            monkeypatch.setattr(schemes, "REUSE_DOFS", 0)
+            mesh = mesh8
+        else:
+            monkeypatch.setattr(schemes, "MG_DOFS", 0)
+            mesh = refined
+        cfg = make_cfg(mesh, coeff=LOWER, source=lambda x, y, t: np.sin(3.0 * x) + y)
+        make = self.holding_a_factor if regime == "kept-factor" else schemes._SpdSolver
+        solvers = [make(cfg) for _ in range(2)]
+        calls = Counted(monkeypatch)
+        u_prev = FemFunction(mesh, np.random.default_rng(12).uniform(-1, 1, mesh.n_interior))
+        assert oracles.first_kacanov_equals_semi_implicit(u_prev, cfg, solvers)
+        assert calls.cg == 2
+
+    def test_forcing_saves_preconditioner_applications(self, mesh8, monkeypatch):
+        applications = []
+        vcycle = schemes._vcycle
+        monkeypatch.setattr(schemes, "_vcycle",
+                            lambda *args: applications.append(1) or vcycle(*args))
+        cfg = make_cfg(mesh8, coeff=LOWER, **self.CFG)
+        u0 = FemFunction(mesh8, np.random.default_rng(2).uniform(-1, 1, mesh8.n_interior))
+        counts = []
+        for forcing in (schemes.KACANOV_FORCING, 0.0):
+            monkeypatch.setattr(schemes, "KACANOV_FORCING", forcing)
+            applications.clear()
+            traj, calls = evolve(u0, cfg, monkeypatch, 0)
+            assert calls.cg > 0
+            assert all(st.residual <= cfg.tol_res for st in traj.stats)
+            counts.append(len(applications))
+        assert 0 < counts[0] < counts[1]
+
+    def test_step_solutions_agree_to_a_bound_argued_from_tol_res(self, mesh8, monkeypatch):
+        # Without a lower-order term, T(v) = A(v) v - b is M/tau plus the
+        # gradient of a convex energy, so (T(u) - T(u'), u - u') >=
+        # lambda_min(M)/tau ||u - u'||^2.  Two answers u, u' of one step with
+        # ||T(u)||, ||T(u')|| <= tol therefore lie within 2 tol tau / lambda_min(M).
+        cfg = make_cfg(mesh8, source=lambda x, y, t: np.cos(2.0 * x) * y, **self.CFG)
+        u0 = FemFunction(mesh8, np.random.default_rng(2).uniform(-1, 1, mesh8.n_interior))
+        reused, calls = evolve(u0, cfg, monkeypatch, 0)
+        assert calls.cg > 0
+        monkeypatch.setattr(schemes, "REUSE_DOFS", mesh8.n_interior + 1)
+        lambda_min = np.linalg.eigvalsh(assembly.mass_matrix(mesh8).toarray())[0]
+        for k, (st, u) in enumerate(zip(reused.stats, reused.iterates[1:]), start=1):
+            u_prev = reused.iterates[k - 1]
+            tol = cfg.tol_res * (1.0 + np.linalg.norm(schemes._step_rhs(u_prev, cfg, k)[1]))
+            factored, fst = schemes.implicit_step(u_prev, cfg, k)
+            assert st.residual <= tol and fst.residual <= tol
+            assert np.linalg.norm(u.coeffs - factored.coeffs) <= 2.0 * tol * cfg.tau / lambda_min
+
+
 @pytest.fixture(scope="module")
 def refined():
     """unit_square_mesh(4) red-refined twice: 225 unknowns over a hierarchy of 9 and 49."""
@@ -374,6 +455,8 @@ class TestMultigrid:
 
     @pytest.mark.parametrize("case", list(TestFactorReuse.CASES))
     def test_iterates_match_factoring_every_solve(self, refined, monkeypatch, case):
+        # as in TestFactorReuse, every CG solved to 1e-12
+        monkeypatch.setattr(schemes, "KACANOV_FORCING", 0.0)
         cfg = make_cfg(refined, K=5, T=0.05, **TestFactorReuse.CASES[case])
         u0 = FemFunction(refined, np.random.default_rng(2).uniform(-1, 1, refined.n_interior))
         fresh, fresh_calls = evolve_multigrid(u0, cfg, monkeypatch, refined.n_interior + 1)
