@@ -152,86 +152,56 @@ def _assemble(mesh, element_blocks):
 _ND_LEAF = 32
 
 
-def _dissect(xy, row, col):
-    """Nested-dissection order of the dofs at coordinates xy: perm[k] is the dof in position k.
+def _dissect(xy, nodes, row, col, group):
+    """The dofs nodes in nested-dissection order.
 
-    row, col hold every off-diagonal pattern edge once.  A part is cut at the
-    coordinate median along its longer extent; the separator is the set of
-    lower-half nodes with a neighbour in the upper half.  The lower half
-    without it and the upper half are ordered first, the separator last.
-    Parts of at most _ND_LEAF dofs, and parts that cannot be cut, keep their
-    dofs in increasing order, as does every separator.
-
-    All parts of one level of the dissection are cut at once: the active dofs
-    lie grouped by part, in increasing order within a part, and one lexsort
-    by (part, coordinate) gives every part's median.  Each part knows its
-    first position in perm, so a separator or leaf is written there as soon
-    as it is found.
+    xy holds every dof's coordinates, row, col both directions of each edge
+    between two of the nodes, and group int8 scratch, one per dof.  A part of
+    more than _ND_LEAF dofs is cut at the lower median of its coordinates
+    along its longer extent, x on a tie.  Its lower half less the separator
+    (the lower-half dofs with an upper-half neighbour) comes first, then its
+    upper half, each ordered by a call on its dofs and edges, then the separator.
+    Separators and parts that are small or cannot be cut keep nodes' order.
     """
-    n = xy.shape[0]
-    perm = np.empty(n, dtype=np.int64)
-    nodes = np.arange(n, dtype=np.int32)  # the dofs not yet placed
-    part = np.zeros(n, dtype=np.int32)  # part of each, nondecreasing
-    start = np.zeros(1, dtype=np.int32)  # first position in perm of each part
-    group = np.empty(n, dtype=np.int8)  # per dof: 0 lower, 1 upper, 2 separator, 3 leaf
-    while nodes.size:
-        size = np.bincount(part)
-        first = np.cumsum(size) - size
-        pts = xy[nodes]
-        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
-        along = (extent[:, 1] > extent[:, 0])[part]
-        c = np.where(along, pts[:, 1], pts[:, 0])
-        med = c[np.lexsort((c, part))[first + (size - 1) // 2]]
-        lower = c <= med[part]
-        strict = (np.bincount(part, weights=lower) == size)[part]
-        lower[strict] = c[strict] < med[part[strict]]
-        leaf = ((size <= _ND_LEAF) | (np.bincount(part, weights=lower) == 0))[part]
-
-        group[nodes] = np.where(leaf, 3, np.where(lower, 0, 1))
-        g_row, g_col = group.take(row), group.take(col)
-        group[np.where(g_row == 0, row, col)[g_row + g_col == 1]] = 2
-        g = group[nodes].astype(np.int32)
-        # position of every dof: its part's start, plus the sizes of the groups
-        # ordered before its own, plus its rank within its group
-        key = 4 * part + g
-        order = np.argsort(key, kind="stable")
-        nodes, part, g, key = nodes[order], part[order], g[order], key[order]
-        count = np.bincount(key, minlength=4 * size.size).reshape(-1, 4)
-        before = np.cumsum(count, axis=1) - count
-        before[:, 3] = 0
-        seg = np.cumsum(count.reshape(-1)) - count.reshape(-1)
-        pos = start[part] + before[part, g] + np.arange(nodes.size) - seg[key]
-        placed = g >= 2
-        perm[pos[placed]] = nodes[placed]
-
-        g_row = group.take(row)
-        inside = (g_row == group.take(col)) & (g_row < 2)
-        row, col = row[inside], col[inside]
-        nodes, key, pos = nodes[~placed], key[~placed], pos[~placed]
-        new = np.diff(key, prepend=-1) != 0  # first dof of each part
-        part = np.cumsum(new, dtype=np.int32) - 1
-        start = pos[new]
-    return perm
+    if nodes.size <= _ND_LEAF:
+        return nodes
+    pts = xy[nodes]
+    c = pts[:, np.argmax(np.ptp(pts, axis=0))]
+    k = (c.size - 1) // 2
+    med = np.partition(c, k)[k]
+    lower = c <= med
+    if lower.all():
+        lower = c < med
+    if not lower.any():
+        return nodes
+    group[nodes] = ~lower  # 0 lower, 1 upper, then 2 separator
+    group[row[group.take(row) < group.take(col)]] = 2
+    label, g_row, g_col = group.take(nodes), group.take(row), group.take(col)
+    parts = []
+    for g in (0, 1):
+        inside = (g_row == g) & (g_col == g)
+        parts.append(_dissect(xy, nodes[label == g], row[inside], col[inside], group))
+    return np.concatenate(parts + [nodes[label == 2]])
 
 
 @per_mesh
 def nested_dissection(mesh):
     """Fill-reducing ordering of the interior dofs and the CSC pattern of P A P^T.
 
-    Returns (perm, indptr, indices, gather), built once per mesh: perm[k]
-    is the dof in position k, and for every matrix A on _pattern(mesh) the
-    permuted matrix B[k, l] = A[perm[k], perm[l]] is
-    csc_matrix((A.data[gather], indices, indptr)).  Every matrix on the mesh
-    shares one pattern, so the ordering is computed once per mesh instead of
-    once per factorization.  The permuted pattern is built from _pattern
-    with integer arrays, without sparse fancy indexing, which would hold
-    copies of whole matrices.
+    Returns (perm, indptr, indices, gather), built once per mesh, since every
+    matrix on the mesh shares one pattern: perm[k] is the dof in position k,
+    and for every matrix A on _pattern(mesh) the permuted matrix
+    B[k, l] = A[perm[k], perm[l]] is csc_matrix((A.data[gather], indices,
+    indptr)).  The permuted pattern is built from _pattern with integer
+    arrays, without sparse fancy indexing, which would hold copies of whole
+    matrices.
     """
     indptr_a, indices_a, _ = _pattern(mesh)
     n = indptr_a.size - 1
     row = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr_a))
-    upper = row < indices_a
-    perm = _dissect(mesh.nodes[mesh.interior], row[upper], indices_a[upper])
+    off = row != indices_a
+    perm = _dissect(mesh.nodes[mesh.interior], np.arange(n), row[off], indices_a[off],
+                    np.empty(n, dtype=np.int8))
     inv = np.empty(n, dtype=np.int32)
     inv[perm] = np.arange(n, dtype=np.int32)
     new_col = inv[indices_a]

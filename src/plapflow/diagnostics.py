@@ -71,8 +71,7 @@ class TrajectoryColumns:
     seminorm: np.ndarray    # |u^k|_{1,p}
     dtau_l2_sq: np.ndarray  # ||d u^k||^2, d u^k = (u^k - u^{k-1}) / tau
     diss_dtau: np.ndarray   # D_k = int w^{k-1} |grad d u^k|^2
-    diss_u_lag: np.ndarray  # int w^{k-1} |grad u^k|^2
-    diss_u_cur: np.ndarray  # int w^k |grad u^k|^2
+    diss_u: np.ndarray      # int w |grad u^k|^2, w = w^{k-1} (semi-implicit) or w^k (implicit)
     f_sq: np.ndarray        # ||f(., k tau)||^2 by the load vector's midpoint rule
     lower: np.ndarray       # (d(u^{k-1})^2, (u^k)^2)
 
@@ -103,7 +102,7 @@ class Walk:
         self.cfg, self.full, self.k, self.prev = cfg, full, 0, None
         self.mass = assembly.mass_matrix(cfg.mesh)
         self.cols = TrajectoryColumns(*(np.empty(cfg.K + 1) for _ in range(3)),
-                                      *(np.zeros(cfg.K) for _ in range(6)))
+                                      *(np.zeros(cfg.K) for _ in range(5)))
         for u in iterates:
             self.push(u)
 
@@ -126,9 +125,8 @@ class Walk:
             if full:
                 d = (u.coeffs - u_prev.coeffs) / tau
                 cols.dtau_l2_sq[i] = d @ (mass @ d)
-                g2 = vdot(g, g)
-                cols.diss_u_lag[i] = np.sum(areas * w_prev * g2)
-                cols.diss_u_cur[i] = np.sum(areas * w * g2)
+                w_step = w_prev if cfg.scheme == SEMI_IMPLICIT else w
+                cols.diss_u[i] = np.sum(areas * w_step * vdot(g, g))
                 if cfg.source is not None:
                     cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
             if lower:
@@ -162,21 +160,18 @@ def check_energy_ledgers(walk):
     cum_f = np.cumsum(cols.f_sq)
     cum_du = np.cumsum(cols.lower)
 
-    if cfg.scheme == SEMI_IMPLICIT:
-        if pure_flow:
-            lhs = energies[1:] + tau * cum_dtau + 0.5 * tau * tau * cum_diss
-            rhs = np.full(K, energies[0])
-            entries.append(_ledger_entry("energy-stability", lhs, rhs))
-        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(cols.diss_u_lag)
-        rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
-        entries.append(_ledger_entry("apriori", lhs, rhs))
+    semi = cfg.scheme == SEMI_IMPLICIT
+    if semi and pure_flow:
+        lhs = energies[1:] + tau * cum_dtau + 0.5 * tau * tau * cum_diss
+        rhs = np.full(K, energies[0])
+        entries.append(_ledger_entry("energy-stability", lhs, rhs))
+    lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(cols.diss_u)
+    rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
+    entries.append(_ledger_entry("apriori" if semi else "apriori-implicit", lhs, rhs))
+    if semi:
         lhs = energies[1:] + 0.5 * tau * cum_dtau + 0.5 * tau * tau * cum_diss
         rhs = energies[0] + tau * cum_f + tau * cum_du
         entries.append(_ledger_entry("ener-bound", lhs, rhs))
-    else:
-        lhs = 0.5 * l2_sq[1:] + tau * np.cumsum(cols.diss_u_cur)
-        rhs = (0.5 * l2_sq[0] + (cfg.coeff.c7 + 1.0) * tau * cum_l2 + tau * cum_f)
-        entries.append(_ledger_entry("apriori-implicit", lhs, rhs))
     return LedgerReport(entries, cols)
 
 

@@ -40,6 +40,4 @@ def make_source(name, decay=0.0, amplitude=1.0):
     if name == "zero":
         return None
     spatial = make_field(name, amplitude)
-    if decay == 0.0:
-        return lambda x, y, t: spatial(x, y)
     return lambda x, y, t: spatial(x, y) * np.exp(-decay * t)

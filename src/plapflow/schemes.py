@@ -15,35 +15,10 @@ The first sweep from v_0 = u^{k-1} has no history, so it is exactly the
 semi-implicit step.
 
 Every linear solve of one run -- each semi-implicit step, each Kacanov sweep
-and each Newton tangent -- goes through one _SpdSolver, in one of three
-regimes fixed by the mesh:
-
-- below REUSE_DOFS unknowns it factors every system;
-- from REUSE_DOFS on it keeps the last factor and solves the next system by
-  conjugate gradients preconditioned with it; a solve that needs more than
-  REUSE_CG_ITERS iterations retires the factor, and a solve that fails
-  refactors at once; CG runs in the mesh's numbering, the factor in its own;
-- on a red-refined mesh of at least MG_DOFS unknowns it solves by CG
-  preconditioned with a multigrid V-cycle on the refinement hierarchy,
-  rebuilt for every system, and factors nothing larger than the coarsest
-  mesh; a solve that fails factors its system, and the run continues in
-  the kept-factor regime.
-
-MG_DOFS sits where the V-cycle overtook the kept factor: on 10-step runs
-from 3969 unknowns on for the semi-implicit scheme, and from about 12 000
-for warm-started Kacanov with every CG solved to 1e-12.  With the forcing
-below, the kept factor gains as much as the V-cycle, and Kacanov broke even
-at about 16 000 to 20 000 unknowns.  Both CG regimes run _cg, the arithmetic
-of scipy's ``cg`` without its per-call wrapping.
-
-CG stops at ||b - A x|| < 1e-12 ||b||, except in Kacanov sweeps after the
-first: such a sweep starts from the iterate v_j, whose defect
-||A(v_j) v_j - b|| the sweep before computed, and that defect is the residual
-of the sweep's system at CG's guess v_j.  Its CG may stop once the residual
-is below KACANOV_FORCING times that defect (a constant forcing term, Eisenstat
-and Walker, SISC 1996), since the next sweep replaces its answer anyway.  The
-first sweep, semi-implicit steps and Newton tangents solve to 1e-12, and a
-factored system is solved exactly in every case.
+and each Newton tangent -- goes through one _SpdSolver, whose docstring
+gives its three regimes.  The constants that fix them, and KACANOV_FORCING,
+by which a Kacanov sweep after the first may stop its CG early, carry their
+measurements in their comments.
 """
 
 from __future__ import annotations
@@ -70,7 +45,9 @@ ANDERSON_DEPTH = 3
 # Relative size below which a difference counts as dependent on newer ones.
 _DEPENDENT = 1e-10
 # From its second sweep on, a Kacanov sweep's CG may stop once its residual is
-# below KACANOV_FORCING times the nonlinear defect at the sweep's start point.
+# below KACANOV_FORCING times the nonlinear defect at the sweep's start point,
+# a constant forcing term (Eisenstat and Walker, SISC 1996), since the next
+# sweep replaces its answer anyway.
 # 10-step Kacanov runs: implicit-n64's config (3969 unknowns, kept factor) and
 # sin-product (p = 1.5, eps = 0.1) on unit_square_mesh(4) refined 5 times
 # (16129 unknowns, V-cycle); sweeps, factorizations, preconditioner

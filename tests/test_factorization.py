@@ -81,6 +81,17 @@ def check_permuted_pattern(mesh, seed):
     assert np.all(indices[later + 1] > indices[later])
 
 
+def check_oracle_order(mesh):
+    indptr, indices, _ = assembly._pattern(mesh)
+    row = np.repeat(np.arange(mesh.n_interior, dtype=np.int32), np.diff(indptr))
+    off = row != indices
+    perm = oracles.nested_dissection_order(mesh.nodes[mesh.interior], row[off], indices[off],
+                                           leaf=assembly._ND_LEAF)
+    ours = assembly.nested_dissection(mesh)[0]
+    assert ours.dtype == perm.dtype
+    np.testing.assert_array_equal(ours, perm)
+
+
 class TestNestedDissection:
     @pytest.mark.parametrize("mesh", [unit_square_mesh(n) for n in (1, 2, 3, 8, 20)]
                              + [jittered(3, 2, 4)], ids=lambda m: f"{m.n_interior}dofs")
@@ -91,16 +102,29 @@ class TestNestedDissection:
         second = assembly.nested_dissection(mesh)
         assert all(a is b for a, b in zip(first, second))
 
-    @pytest.mark.parametrize("mesh", [unit_square_mesh(n) for n in (1, 2, 3, 8, 20, 64)]
+    @pytest.mark.parametrize("mesh", [unit_square_mesh(n) for n in (1, 2, 3, 8, 20, 64, 128)]
                              + [jittered(3, 2, 4)], ids=lambda m: f"{m.n_interior}dofs")
-    def test_level_by_level_bisection_matches_recursive_oracle(self, mesh):
-        indptr, indices, _ = assembly._pattern(mesh)
-        row = np.repeat(np.arange(mesh.n_interior, dtype=np.int32), np.diff(indptr))
-        off = row != indices
-        perm = oracles.nested_dissection_order(mesh.nodes[mesh.interior], row[off], indices[off],
-                                               leaf=assembly._ND_LEAF)
-        ours = assembly.nested_dissection(mesh)[0]
-        assert ours.dtype == perm.dtype
+    def test_bisection_matches_recursive_oracle(self, mesh):
+        check_oracle_order(mesh)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 6), refinements=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_bisection_matches_recursive_oracle_on_jittered_meshes(self, n, refinements, seed):
+        check_oracle_order(jittered(n, refinements, seed))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_bisection_matches_recursive_oracle_with_ties(self, n, seed):
+        # dofs on a 3 x 3 lattice with random edges: parts whose median is
+        # their largest coordinate, and parts of coincident dofs, which
+        # cannot be cut
+        rng = np.random.default_rng(seed)
+        xy = rng.integers(0, 3, (n, 2)).astype(float)
+        a, b = rng.integers(0, max(n, 1), (2, 3 * n))
+        a, b = a[a != b], b[a != b]
+        row, col = np.concatenate([a, b]), np.concatenate([b, a])
+        ours = assembly._dissect(xy, np.arange(n), row, col, np.empty(n, dtype=np.int8))
+        perm = oracles.nested_dissection_order(xy, row, col, leaf=assembly._ND_LEAF)
         np.testing.assert_array_equal(ours, perm)
 
     def test_separator_is_ordered_last(self):
