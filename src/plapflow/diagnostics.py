@@ -353,6 +353,13 @@ def _strictly_decreasing(xs):
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
+def _gaps_decreasing(levels, tol_res):
+    """Each level's gap below the one before, or zero: a gap at or below
+    tol_res times the level's linf_l2 (run_study) counts as zero."""
+    gaps = [0.0 if lv.gap <= tol_res * lv.linf_l2 else lv.gap for lv in levels]
+    return all(b < a or b == 0.0 for a, b in zip(gaps, gaps[1:]))
+
+
 def _cauchy_difference(coarse, cfg, j, u):
     """The L2 norm and, for j >= 1, the W^{1,p} seminorm of u - u_c(t_j), u
     the iterate u^j of a level's run under cfg and u_c the previous level's
@@ -438,6 +445,15 @@ def run_study(sc):
     remaining levels still run; a level whose implicit run fails keeps its
     semi-implicit measurements.  The report always carries the anti-coupled control
     totals so that a passing study demonstrably depends on the coupling.
+
+    gap-decreasing reads each level's gap, max_k ||u_semi^k - u_impl^k||_L2,
+    against a rounding floor.  The implicit solvers stop once the residual of
+    the step is at most tol_res (1 + ||F_k||), so they resolve an iterate to
+    about tol_res relative to its size, and no iterate of a level is larger
+    than its linf_l2.  A gap at or below tol_res * linf_l2 is below what that
+    stopping rule resolves and counts as zero, and a zero gap passes after
+    any gap.  At p = 2 the two schemes coincide: the example study's gaps
+    read 0, 0, 8.9e-17 and 9.0e-16 against a floor of 4.5e-11.
     """
     base = sc.base
     u0 = interpolate_nodal(sc.initial, base.mesh)
@@ -460,7 +476,7 @@ def run_study(sc):
     assertions = {
         "all-levels-ran": ran,
         "cauchy-linf-l2-decreasing": ran and _strictly_decreasing([c["linf_l2"] for c in cauchy]),
-        "gap-decreasing": ran and _strictly_decreasing([lv.gap for lv in levels]),
+        "gap-decreasing": ran and _gaps_decreasing(levels, base.tol_res),
         "discrepancy-decreasing": ran and _strictly_decreasing(
             [lv.discrepancy_total for lv in levels]),
         "e-cell-bound": ran and all(lv.e_cell_ratio <= 1.0 + 1e-10 for lv in levels),

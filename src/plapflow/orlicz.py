@@ -13,8 +13,10 @@ floating point.
 Two regularizations of the degenerate weight at zero gradient are supported:
 the additive shift (shifted density, weight (delta+eps+t)^(p-2)) and the
 quadratic norm (weight (t^2 + eps^2)^((p-2)/2)); ``diffusion_weight`` is the
-one the solver assembles.  Each certified inequality is one private array
-kernel, and ``certify_lemmas`` is the one entry point that checks them.
+one the solver assembles.  ``certify_lemmas`` is the one entry point that
+checks the certified inequalities on sampled pairs of vectors.  Per block of
+samples it computes each quantity that several inequalities share once, on
+arrays of vector components, and runs every check on those values.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ def _phi_closed(p, delta, t):
                                   np.asarray(p, dtype=float))
     shift = d > 0.0
     plain = ~shift
+    if shift.all() or plain.all():  # one branch: a scalar where= runs it unmasked
+        shift, plain = bool(shift.all()), bool(plain.all())
     out, u, w = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.power(t, p, out=out, where=plain)
@@ -173,12 +177,6 @@ def vnorm(a):
     return np.sqrt(vdot(a, a))
 
 
-def _op_A(p, shift, a, r):
-    """A_shift(a) = (shift + |a|)^(p-2) a with A(0) = 0, given r = |a|."""
-    w = _additive_weight(p, shift, r)  # unbounded only at r = shift = 0
-    return np.where(np.isinf(w), 0.0, w)[..., None] * a
-
-
 def _op_S(p, eps, a, r2):
     """S_eps(a) = (|a|^2 + eps^2)^((p-2)/2) a with S(0) = 0, given r2 = |a|^2."""
     w = _quadratic_weight(p, eps, r2)  # unbounded only at r2 = eps = 0
@@ -194,8 +192,9 @@ def op_S_eps(p, eps, a):
 def diffusion_weight(nf, eps, kind, t):
     """Diffusion weight at gradient magnitude t for the chosen regularization.
 
-    additive-shift: (delta + eps + t)^(p-2), so w(|g|) g = _op_A(p, delta + eps, g, |g|);
+    additive-shift: (delta + eps + t)^(p-2), so w(|g|) g = A_{delta+eps}(g);
     quadratic-norm: (t^2 + eps^2)^((p-2)/2), so w(|g|) g = op_S_eps(p, eps, g).
+    These are the operators whose inequalities certify_lemmas checks.
     For p <= 2 the weight is largest at t = 0, where SchemeConfig requires it
     to be finite, so the weight of a run is finite at every gradient.
     """
@@ -203,51 +202,6 @@ def diffusion_weight(nf, eps, kind, t):
     if kind == QUADRATIC_NORM:
         return _quadratic_weight(nf.p, eps, t * t)
     return _additive_weight(nf.p, nf.delta + eps, t)
-
-
-# The certified inequalities, one kernel each; a batch computes |a|, |b|, |a-b| once.
-
-def _uniform_eps_bound(p, delta, eps, a, ra):
-    """|A_eps(a) - A_0(a)| <= (2 - p) phi'(eps); returns (lhs, rhs, holds)."""
-    lhs = vnorm(_op_A(p, delta + eps, a, ra) - _op_A(p, delta, a, ra))
-    rhs = (2.0 - p) * _additive_weight(p, delta, eps) * eps
-    return lhs, rhs, lhs <= rhs + _ineq_scale(lhs, rhs)
-
-
-def _orlicz_stability(p, shift, a, ra, b, rb, s):
-    """w b.(b-a) >= phi(|b|) - phi(|a|) + (w/2) |b-a|^2 with phi the shifted
-    density phi_shift and w = phi'(|a|)/|a|; returns (lhs, rhs, holds)."""
-    w = _additive_weight(p, shift, ra)
-    lhs = w * vdot(b, b - a)
-    rhs = _phi_closed(p, shift, rb) - _phi_closed(p, shift, ra) + 0.5 * w * s * s
-    return lhs, rhs, lhs >= rhs - _ineq_scale(lhs, rhs)
-
-
-def _lagged_weight(p, shift, a, ra, rb, s):
-    """|(w(|a|) - w(|b|)) a| / (w(|b|) |a-b|) for w(t) = phi_shift'(t)/t; 0
-    where |b| = 0 or the denominator is 0."""
-    wb = _additive_weight(p, shift, rb)
-    # (w_a - w_b) a as A(a) - w_b a, finite even where the weight at |a| = 0 is not
-    lhs = vnorm(_op_A(p, shift, a, ra) - wb[..., None] * a)
-    den = wb * s
-    good = (rb > 0.0) & (den > 0.0)
-    return np.where(good, lhs / np.where(good, den, 1.0), 0.0)
-
-
-def _monotone_forms(p, shift, a, ra, b, rb, s):
-    """The three equivalent monotonicity quantities of A_shift at a != b:
-    (A(a) - A(b)).(a-b), phi_{shift+|a|}(|a-b|), phi'(|a|+|b|)/(|a|+|b|) |a-b|^2."""
-    inner = vdot(_op_A(p, shift, a, ra) - _op_A(p, shift, b, rb), a - b)
-    shifted = _phi_closed(p, shift + ra, s)
-    quotient = _additive_weight(p, shift, ra + rb) * s * s
-    return inner, shifted, quotient
-
-
-def _s_eps_quotient(p, eps, a, ra, b, rb, s):
-    """|S_eps(a) - S_eps(b)| / (|a-b| (eps^2+|a|^2+|b|^2)^((p-2)/2)); 0 where a = b."""
-    num = vnorm(_op_S(p, eps, a, ra * ra) - _op_S(p, eps, b, rb * rb))
-    den = s * _quadratic_weight(p, eps, ra * ra + rb * rb)
-    return np.where(s > 0.0, num / den, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +213,12 @@ def _s_eps_quotient(p, eps, a, ra, b, rb, s):
 P_GRID = (1.2, 1.5, 1.8, 2.0)
 DELTA_GRID = (0.0, 0.1)
 
-# Samples certify_lemmas checks at once.  Its working set is a few dozen
-# block-sized arrays of 128 KiB per block in flight, whatever the sample
-# count.  Of 2^14 ... 2^17, measured at 10^6 samples, 2^14 gave the lowest
-# peak RSS, as fast as 2^15 and faster than 2^16 and 2^17 (CHANGES.md).
+# Samples certify_lemmas checks at once.  A block's working set peaks at
+# about 14 block-sized arrays of 128 KiB besides its 8 inputs, whatever the
+# sample count.  Of 2^13 ... 2^16, measured at 10^6 samples on 2 threads
+# (medians of three 7-run processes each), 2^14 took 0.23-0.25 s at a peak
+# RSS of 50.5 MB; 2^13 was slower (0.30-0.34 s) for 48-49 MB, and 2^15 and
+# 2^16 were faster (0.20-0.26 s) for 56 and 67 MB (CHANGES.md).
 LEMMA_BLOCK = 2**14
 
 # Most threads certify_lemmas runs its blocks on, so that at most this many
@@ -286,10 +242,6 @@ class CheckResult:
     @property
     def passed(self):
         return self.violations == 0
-
-
-def _vectors(r, theta):
-    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
 _CHECKS = ("monotonicity", "uniform-eps-bound", "orlicz-stability", "kappa-bracket",
@@ -344,68 +296,161 @@ class _Fold:
             out[check][stat] = values if len(values) == 2 else values[0]
         return out
 
+    def results(self, samples):
+        """A CheckResult per check of the samples folded in: its stats, the
+        frozen bounds of the regressions, and the sandwich's spans keyed by p
+        in increasing order."""
+        stats = self.stats()
+        stats["lagged-weight-ratio"]["frozen_bound"] = LAGGED_WEIGHT_RATIO_MAX
+        stats["s-eps-difference-quotient"]["frozen_bound"] = S_EPS_LIPSCHITZ_MAX
+        sandwich = "shifted-density-sandwich"
+        stats[sandwich] = {f"p={pv}": span for pv, span in sorted(stats[sandwich].items())}
+        return [CheckResult(name, samples, self.violations[name], stats[name])
+                for name in _CHECKS]
 
-def _certify_block(fold, p, delta, eps, alpha, a, b):
-    """Run every check on one block of samples and fold the outcome."""
-    ra, rb, s = vnorm(a), vnorm(b), vnorm(a - b)
+
+def _masked(w):
+    """The weight w of an operator w(|v|) v with its infinite entries, at
+    shift = |v| = 0, set to 0: the operator is 0 at v = 0."""
+    return np.where(np.isinf(w), 0.0, w)
+
+
+def _length(x, y):
+    """|(x, y)|, summed as vnorm sums the components of an (n, 2) array."""
+    return np.sqrt(x * x + y * y)
+
+
+def _components(r, theta):
+    """The components of the plane vectors of length r at angle theta."""
+    return r * np.cos(theta), r * np.sin(theta)
+
+
+def _certify_block(fold, p, delta, eps, alpha, ax, ay, bx, by):
+    """Run every check on one block of samples a = (ax, ay), b = (bx, by) and
+    fold the outcome.
+
+    The block computes each quantity that checks share once: |a|, |b|,
+    |a - b|, the weights (shift + |v|)^(p-2) at v = a and b for the shifts
+    delta, delta + eps and delta + alpha, phi_{delta+eps}(|a|), eps^p and
+    delta^p.  (C2) compares the weights at |a| and |b| in the order of |a|
+    and |b|, and the kappa bracket takes phi'(|a|)/|a| as the weight at |a|
+    wherever |a| > 0.  Every value is the floating-point expression,
+    in the same order, of a kernel that checks one inequality on its own
+    (tests/oracles.py keeps those), so the outcome is theirs bit for bit.
+    The checks run in the order that lets each array go after its last use.
+    """
+    ra, rb = _length(ax, ay), _length(bx, by)
+    dx, dy = ax - bx, ay - by
+    s = _length(dx, dy)
     ok = s > 0.0  # excludes the measure-zero coincidence a == b
-    shift = delta + eps
 
     # --- monotonicity of A_alpha and the equivalence of its three forms -----
-    inner, shifted_val, quotient = _monotone_forms(p, delta + alpha, a, ra, b, rb, s)
-    fold.count("monotonicity", ok & (inner <= 0.0))
-    fold.min("monotonicity", "min_inner", inner[ok])
+    # (A(a) - A(b)).(a-b), phi_{shift+|a|}(|a-b|), phi'(|a|+|b|)/(|a|+|b|) |a-b|^2
+    shift = delta + alpha
+    wa, wb = _masked(_additive_weight(p, shift, ra)), _masked(_additive_weight(p, shift, rb))
+    inner = (wa * ax - wb * bx) * dx + (wa * ay - wb * by) * dy
+    del wa, wb, dx, dy
+    shifted_val = _phi_closed(p, shift + ra, s)
+    quotient = _additive_weight(p, shift, ra + rb) * s * s
+    del shift
+    if not ok.all():  # the forms compare pairs a != b; a == b is rare, 2^-53 a sample
+        inner, shifted_val, quotient = inner[ok], shifted_val[ok], quotient[ok]
+    fold.count("monotonicity", inner <= 0.0)
+    fold.min("monotonicity", "min_inner", inner)
     for key, num, den in (("inner-over-shifted", inner, shifted_val),
                           ("inner-over-quotient", inner, quotient),
                           ("shifted-over-quotient", shifted_val, quotient)):
-        q = np.where(ok, num / np.where(ok, den, 1.0), 1.0)
+        q = num / den
         lo, hi = MONOTONE_RATIO_BOUNDS[key]
-        fold.count("monotonicity-equivalence", ok & ((q < lo) | (q > hi)))
-        fold.span("monotonicity-equivalence", key, q[ok])
+        fold.count("monotonicity-equivalence", (q < lo) | (q > hi))
+        fold.span("monotonicity-equivalence", key, q)
+    del inner, shifted_val, quotient, q
 
-    # --- uniform eps-bound |A_eps - A_0| <= (2-p) phi'(eps) -----------------
-    lhs, rhs, holds = _uniform_eps_bound(p, delta, eps, a, ra)
-    fold.count("uniform-eps-bound", ~holds)
-    fold.max("uniform-eps-bound", "max_excess", lhs - rhs)
+    # --- quadratic-norm operator difference quotient (regression) -----------
+    # |S_eps(a) - S_eps(b)| / (|a-b| (eps^2+|a|^2+|b|^2)^((p-2)/2)); 0 where a = b
+    ra2, rb2 = ra * ra, rb * rb
+    wa, wb = _masked(_quadratic_weight(p, eps, ra2)), _masked(_quadratic_weight(p, eps, rb2))
+    num = _length(wa * ax - wb * bx, wa * ay - wb * by)
+    del wa, wb
+    q = np.where(ok, num / (s * _quadratic_weight(p, eps, ra2 + rb2)), 0.0)
+    del ra2, rb2, num, ok
+    fold.count("s-eps-difference-quotient", q > S_EPS_LIPSCHITZ_MAX)
+    fold.max("s-eps-difference-quotient", "max_ratio", q)
+    del q
 
     # --- Orlicz stability ----------------------------------------------------
-    lhs, rhs, holds = _orlicz_stability(p, shift, a, ra, b, rb, s)
-    fold.count("orlicz-stability", ~holds)
+    # w b.(b-a) >= phi(|b|) - phi(|a|) + (w/2) |b-a|^2, phi = phi_{delta+eps},
+    # w = phi'(|a|)/|a|
+    shift = delta + eps
+    w = _additive_weight(p, shift, ra)
+    phi_a = _phi_closed(p, shift, ra)
+    lhs = w * (bx * (bx - ax) + by * (by - ay))
+    rhs = _phi_closed(p, shift, rb) - phi_a + 0.5 * w * s * s
+    fold.count("orlicz-stability", ~(lhs >= rhs - _ineq_scale(lhs, rhs)))
     fold.min("orlicz-stability", "min_margin", lhs - rhs)
-
-    # --- kappa bracket (exact in closed form, 1e-12 relative) ---------------
-    r = np.where(ra > 0.0, ra, 1.0)  # avoid r = 0 (phi'' undefined there)
-    pp = _additive_weight(p, delta, r) * r
-    rpp2 = r * (delta + r) ** (p - 3.0) * ((p - 1.0) * r + delta)
-    tol = 1e-12 * np.maximum(1.0, pp)
-    fold.count("kappa-bracket", (rpp2 < (p - 1.0) * pp - tol) | (rpp2 > pp + tol))
-    fold.max("kappa-bracket", "max_ratio", rpp2 / pp)
-    fold.min("kappa-bracket", "min_ratio", rpp2 / pp)
-
-    # --- (C2): phi'(r)/r nonincreasing --------------------------------------
-    # w1 may be inf at |a| or |b| = delta = 0, still ordered
-    w1 = _additive_weight(p, delta, np.minimum(ra, rb))
-    w2 = _additive_weight(p, delta, np.maximum(ra, rb))
-    fold.count("weight-nonincreasing", (ra != rb) & (w1 < w2 - 1e-12 * np.maximum(1.0, w2)))
-
-    # --- lagged weight ratio (regression against the frozen sup) ------------
-    ratio = _lagged_weight(p, shift, a, ra, rb, s)
-    fold.count("lagged-weight-ratio", ratio > LAGGED_WEIGHT_RATIO_MAX)
-    fold.max("lagged-weight-ratio", "max_ratio", ratio)
+    del lhs, rhs
 
     # --- sandwich for the shifted density -----------------------------------
-    q = ((_phi_closed(p, shift, ra) + eps**p + delta**p)
-         / (ra**p + eps**p + delta**p))
+    # numpy's vector power is 5 times slower on an array with zero bases, and
+    # delta is 0 at about half the samples: raise 1 there, then multiply by 0
+    eps_p, delta_p = eps ** p, (delta + (delta == 0.0)) ** p * (delta > 0.0)
+    q = (phi_a + eps_p + delta_p) / (ra ** p + eps_p + delta_p)
+    del phi_a, eps_p, delta_p
     for pv in P_GRID:  # p holds P_GRID values; one no sample drew records nothing
         qs = q[p == pv]
         lo, hi = EQUI_SANDWICH_BOUNDS[pv]
         fold.count("shifted-density-sandwich", (qs < lo) | (qs > hi))
         fold.span("shifted-density-sandwich", pv, qs)
+    del q, qs
 
-    # --- quadratic-norm operator difference quotient (regression) -----------
-    q = _s_eps_quotient(p, eps, a, ra, b, rb, s)
-    fold.count("s-eps-difference-quotient", q > S_EPS_LIPSCHITZ_MAX)
-    fold.max("s-eps-difference-quotient", "max_ratio", q)
+    # --- lagged weight ratio (regression against the frozen sup) ------------
+    # |(w(|a|) - w(|b|)) a| / (w(|b|) |a-b|), w(t) = phi_{delta+eps}'(t)/t; 0
+    # where |b| = 0 or the denominator is 0.  (w_a - w_b) a is A(a) - w_b a,
+    # finite even where the weight at |a| = 0 is not.
+    w = _masked(w)
+    aex, aey = w * ax, w * ay  # A_{delta+eps}(a)
+    wb = _additive_weight(p, shift, rb)
+    lhs = _length(aex - wb * ax, aey - wb * ay)
+    den = wb * s
+    del wb, s, shift
+    good = (rb > 0.0) & (den > 0.0)
+    ratio = np.where(good, lhs / np.where(good, den, 1.0), 0.0)
+    del den, good
+    fold.count("lagged-weight-ratio", ratio > LAGGED_WEIGHT_RATIO_MAX)
+    fold.max("lagged-weight-ratio", "max_ratio", ratio)
+    del ratio
+
+    # --- uniform eps-bound |A_eps - A_0| <= (2-p) phi'(eps) -----------------
+    w0a = _additive_weight(p, delta, ra)
+    w = _masked(w0a)
+    lhs = _length(aex - w * ax, aey - w * ay)
+    del w, aex, aey
+    rhs = (2.0 - p) * _additive_weight(p, delta, eps) * eps
+    fold.count("uniform-eps-bound", ~(lhs <= rhs + _ineq_scale(lhs, rhs)))
+    fold.max("uniform-eps-bound", "max_excess", lhs - rhs)
+    del lhs, rhs
+
+    # --- kappa bracket (exact in closed form, 1e-12 relative) ---------------
+    pos = ra > 0.0
+    r = np.where(pos, ra, 1.0)  # avoid r = 0 (phi'' undefined there)
+    pp = (w0a if pos.all() else np.where(pos, w0a, _additive_weight(p, delta, r))) * r
+    del pos
+    rpp2 = r * (delta + r) ** (p - 3.0) * ((p - 1.0) * r + delta)
+    tol = 1e-12 * np.maximum(1.0, pp)
+    fold.count("kappa-bracket", (rpp2 < (p - 1.0) * pp - tol) | (rpp2 > pp + tol))
+    del r, tol
+    ratio = rpp2 / pp
+    fold.max("kappa-bracket", "max_ratio", ratio)
+    fold.min("kappa-bracket", "min_ratio", ratio)
+    del rpp2, pp, ratio
+
+    # --- (C2): phi'(r)/r nonincreasing --------------------------------------
+    # the weight at the smaller of |a|, |b| below the one at the larger; it
+    # may be inf at |a| or |b| = delta = 0, still ordered
+    w0b = _additive_weight(p, delta, rb)
+    fold.count("weight-nonincreasing",
+               ((ra < rb) & (w0a < w0b - 1e-12 * np.maximum(1.0, w0b)))
+               | ((rb < ra) & (w0b < w0a - 1e-12 * np.maximum(1.0, w0a))))
 
 
 def _lemma_threads():
@@ -466,7 +511,8 @@ def certify_lemmas(samples=1_000_000, seed=42):
     the rest were cancelled.
 
     Memory grows by the indices alone, 2 B per sample; besides them it holds
-    one block's working set per thread (a few MB each).
+    one block's working set per thread: its 8 input arrays and at most about
+    14 more, 2.8 MB at LEMMA_BLOCK = 2^14.
     """
     n = int(samples)
     if n < 1:
@@ -483,8 +529,11 @@ def certify_lemmas(samples=1_000_000, seed=42):
         # errstate is a context variable: each thread enters its own
         with np.errstate(divide="ignore", invalid="ignore"):
             eps, alpha, ar, atheta, br, btheta = _uniform_block(state, n, start, stop)
+            ax, ay = _components(ar, atheta)
+            bx, by = _components(br, btheta)
+            del ar, atheta, br, btheta
             _certify_block(fold, p_grid[p_index[start:stop]], delta_grid[delta_index[start:stop]],
-                           eps, alpha, _vectors(ar, atheta), _vectors(br, btheta))
+                           eps, alpha, ax, ay, bx, by)
         return fold
 
     fold = _Fold()
@@ -492,9 +541,4 @@ def certify_lemmas(samples=1_000_000, seed=42):
         for block in pool.map(certify, range(0, n, LEMMA_BLOCK)):
             fold.merge(block)
 
-    stats = fold.stats()
-    stats["lagged-weight-ratio"]["frozen_bound"] = LAGGED_WEIGHT_RATIO_MAX
-    stats["s-eps-difference-quotient"]["frozen_bound"] = S_EPS_LIPSCHITZ_MAX
-    sandwich = "shifted-density-sandwich"
-    stats[sandwich] = {f"p={pv}": span for pv, span in sorted(stats[sandwich].items())}
-    return [CheckResult(name, n, fold.violations[name], stats[name]) for name in _CHECKS]
+    return fold.results(n)

@@ -206,10 +206,64 @@ def _sample_vectors(rng, n):
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
+# The certified inequalities, one kernel each on (n, 2) arrays of vectors,
+# |a|, |b| and |a-b| computed once by the caller: the package's arithmetic
+# before its block shared the quantities that the kernels recompute.
+
+def op_A(p, shift, a, r):
+    """A_shift(a) = (shift + |a|)^(p-2) a with A(0) = 0, given r = |a|."""
+    w = orlicz._additive_weight(p, shift, r)  # unbounded only at r = shift = 0
+    return np.where(np.isinf(w), 0.0, w)[..., None] * a
+
+
+def uniform_eps_bound(p, delta, eps, a, ra):
+    """|A_eps(a) - A_0(a)| <= (2 - p) phi'(eps); returns (lhs, rhs, holds)."""
+    lhs = orlicz.vnorm(op_A(p, delta + eps, a, ra) - op_A(p, delta, a, ra))
+    rhs = (2.0 - p) * orlicz._additive_weight(p, delta, eps) * eps
+    return lhs, rhs, lhs <= rhs + orlicz._ineq_scale(lhs, rhs)
+
+
+def orlicz_stability(p, shift, a, ra, b, rb, s):
+    """w b.(b-a) >= phi(|b|) - phi(|a|) + (w/2) |b-a|^2 with phi the shifted
+    density phi_shift and w = phi'(|a|)/|a|; returns (lhs, rhs, holds)."""
+    w = orlicz._additive_weight(p, shift, ra)
+    lhs = w * orlicz.vdot(b, b - a)
+    rhs = (orlicz._phi_closed(p, shift, rb) - orlicz._phi_closed(p, shift, ra)
+           + 0.5 * w * s * s)
+    return lhs, rhs, lhs >= rhs - orlicz._ineq_scale(lhs, rhs)
+
+
+def lagged_weight(p, shift, a, ra, rb, s):
+    """|(w(|a|) - w(|b|)) a| / (w(|b|) |a-b|) for w(t) = phi_shift'(t)/t; 0
+    where |b| = 0 or the denominator is 0."""
+    wb = orlicz._additive_weight(p, shift, rb)
+    # (w_a - w_b) a as A(a) - w_b a, finite even where the weight at |a| = 0 is not
+    lhs = orlicz.vnorm(op_A(p, shift, a, ra) - wb[..., None] * a)
+    den = wb * s
+    good = (rb > 0.0) & (den > 0.0)
+    return np.where(good, lhs / np.where(good, den, 1.0), 0.0)
+
+
+def monotone_forms(p, shift, a, ra, b, rb, s):
+    """The three equivalent monotonicity quantities of A_shift at a != b:
+    (A(a) - A(b)).(a-b), phi_{shift+|a|}(|a-b|), phi'(|a|+|b|)/(|a|+|b|) |a-b|^2."""
+    inner = orlicz.vdot(op_A(p, shift, a, ra) - op_A(p, shift, b, rb), a - b)
+    shifted = orlicz._phi_closed(p, shift + ra, s)
+    quotient = orlicz._additive_weight(p, shift, ra + rb) * s * s
+    return inner, shifted, quotient
+
+
+def s_eps_quotient(p, eps, a, ra, b, rb, s):
+    """|S_eps(a) - S_eps(b)| / (|a-b| (eps^2+|a|^2+|b|^2)^((p-2)/2)); 0 where a = b."""
+    num = orlicz.vnorm(orlicz._op_S(p, eps, a, ra * ra) - orlicz._op_S(p, eps, b, rb * rb))
+    den = s * orlicz._quadratic_weight(p, eps, ra * ra + rb * rb)
+    return np.where(s > 0.0, num / den, 0.0)
+
+
 def certify_lemmas(samples, seed):
     """orlicz.certify_lemmas with every check on arrays of all samples at once.
 
-    Same draws, kernels and frozen bounds as the package; the statistics are
+    Same draws and frozen bounds as the package; the statistics are
     whole-array reductions instead of folds over blocks.
     """
     rng = np.random.default_rng(seed)
@@ -220,13 +274,20 @@ def certify_lemmas(samples, seed):
     alpha = rng.uniform(0.0, 5.0, size=n)
     a = _sample_vectors(rng, n)
     b = _sample_vectors(rng, n)
+    return certify_pairs(p, delta, eps, alpha, a, b)
+
+
+def certify_pairs(p, delta, eps, alpha, a, b):
+    """The results of every check on the samples p, delta, eps, alpha and the
+    (n, 2) vectors a and b, by the kernels above, in one pass over all of them."""
+    n = len(p)
     ra, rb, s = orlicz.vnorm(a), orlicz.vnorm(b), orlicz.vnorm(a - b)
     ok = s > 0.0  # excludes the measure-zero coincidence a == b
     shift = delta + eps
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # --- monotonicity of A_alpha and the equivalence of its three forms -
-        inner, shifted_val, quotient = orlicz._monotone_forms(p, delta + alpha, a, ra, b, rb, s)
+        inner, shifted_val, quotient = monotone_forms(p, delta + alpha, a, ra, b, rb, s)
         monotonicity = CheckResult("monotonicity", n, int(np.count_nonzero(ok & (inner <= 0.0))),
                                    {"min_inner": float(np.min(inner[ok]))})
         viol, stats = 0, {}
@@ -241,12 +302,12 @@ def certify_lemmas(samples, seed):
         del inner, shifted_val, quotient
 
         # --- uniform eps-bound |A_eps - A_0| <= (2-p) phi'(eps) -------------
-        lhs, rhs, holds = orlicz._uniform_eps_bound(p, delta, eps, a, ra)
+        lhs, rhs, holds = uniform_eps_bound(p, delta, eps, a, ra)
         uniform = CheckResult("uniform-eps-bound", n, int(np.count_nonzero(~holds)),
                               {"max_excess": float(np.max(lhs - rhs))})
 
         # --- Orlicz stability ------------------------------------------------
-        lhs, rhs, holds = orlicz._orlicz_stability(p, shift, a, ra, b, rb, s)
+        lhs, rhs, holds = orlicz_stability(p, shift, a, ra, b, rb, s)
         stability = CheckResult("orlicz-stability", n, int(np.count_nonzero(~holds)),
                                 {"min_margin": float(np.min(lhs - rhs))})
         del lhs, rhs, holds
@@ -271,7 +332,7 @@ def certify_lemmas(samples, seed):
         del w1, w2
 
         # --- lagged weight ratio (regression against the frozen sup) --------
-        ratio = orlicz._lagged_weight(p, shift, a, ra, rb, s)
+        ratio = lagged_weight(p, shift, a, ra, rb, s)
         lagged = CheckResult("lagged-weight-ratio", n,
                              int(np.count_nonzero(ratio > orlicz.LAGGED_WEIGHT_RATIO_MAX)),
                              {"max_ratio": float(np.max(ratio)),
@@ -289,7 +350,7 @@ def certify_lemmas(samples, seed):
         sandwich = CheckResult("shifted-density-sandwich", n, viol, stats)
 
         # --- quadratic-norm operator difference quotient (regression) -------
-        q = orlicz._s_eps_quotient(p, eps, a, ra, b, rb, s)
+        q = s_eps_quotient(p, eps, a, ra, b, rb, s)
         s_eps = CheckResult("s-eps-difference-quotient", n,
                             int(np.count_nonzero(q > orlicz.S_EPS_LIPSCHITZ_MAX)),
                             {"max_ratio": float(np.max(q)),

@@ -501,6 +501,28 @@ def test_example_study_at_p_1_2_passes(tmp_path):
     assert all(rep.assertions.values()), rep.assertions
 
 
+def test_example_study_at_p_2_passes(tmp_path):
+    # at p = 2 the two schemes coincide and the level gaps are rounding noise
+    # (0, 0, 8.9e-17, 9.0e-16), which gap-decreasing counts as zero
+    path = tmp_path / "p2.ini"
+    path.write_text(example_config().replace("\np = 1.5\n", "\np = 2.0\n"))
+    rep = run_study(load_run_config(str(path), want_study=True).study)
+    assert all(lv.gap <= 1e-15 for lv in rep.levels), [lv.gap for lv in rep.levels]
+    assert all(rep.assertions.values()), rep.assertions
+
+
+def test_gap_decreasing_reads_gaps_at_the_rounding_floor_as_zero():
+    def levels(*gaps):
+        return [LevelResult(n=0, h=1.0, eps=1.0, tau=1.0, K=1, linf_l2=0.5, gap=g)
+                for g in gaps]
+
+    floor = 1e-10 * 0.5
+    assert diagnostics._gaps_decreasing(levels(0.0, floor, 0.0), 1e-10)
+    assert diagnostics._gaps_decreasing(levels(0.3, 0.2, floor), 1e-10)
+    assert not diagnostics._gaps_decreasing(levels(0.3, 0.3), 1e-10)
+    assert not diagnostics._gaps_decreasing(levels(floor, 2 * floor), 1e-10)
+
+
 def test_failed_level_names_level_step_and_parameters():
     # one Kacanov sweep cannot reach tol-res, so every implicit run fails
     base = SchemeConfig(mesh=unit_square_mesh(2), nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2,
