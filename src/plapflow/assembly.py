@@ -2,8 +2,7 @@
 
 P1 gradients are constant per cell, so every gradient-based integral below is
 exact.  Mass-type integrals with nonlinear coefficients use the 3-point
-edge-midpoint rule, which is exact for quadratic integrands; the error
-quadrature uses the 7-point degree-5 rule.
+edge-midpoint rule, which is exact for quadratic integrands.
 
 The kernels that run once per nonlinear sweep are sparse matrix-vector
 products with operators built once per mesh through ``mesh.per_mesh``, so a
@@ -37,18 +36,6 @@ from . import lower_order
 from .mesh import EDGE_ENDS, FemFunction, per_mesh
 from .orlicz import QUADRATIC_NORM, diffusion_weight, vnorm
 
-# Degree-5 rule: barycentric coordinates and weights (normalized to 1).
-_S15 = np.sqrt(15.0)
-_A1 = (6.0 - _S15) / 21.0
-_A2 = (6.0 + _S15) / 21.0
-_QUAD7_BARY = np.array(
-    [[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-     [_A1, _A1, 1.0 - 2.0 * _A1], [_A1, 1.0 - 2.0 * _A1, _A1], [1.0 - 2.0 * _A1, _A1, _A1],
-     [_A2, _A2, 1.0 - 2.0 * _A2], [_A2, 1.0 - 2.0 * _A2, _A2], [1.0 - 2.0 * _A2, _A2, _A2]])
-_QUAD7_W = np.array([9.0 / 40.0]
-                    + [(155.0 - _S15) / 1200.0] * 3
-                    + [(155.0 + _S15) / 1200.0] * 3)
-
 
 @per_mesh
 def _pattern(mesh):
@@ -64,42 +51,29 @@ def _pattern(mesh):
     weighted_stiffness, and _assemble's); Q of midpoint_mass gathers its row
     indices from it.
 
-    The mesh's edges, in dof numbers lo < hi with the boundary sentinel n,
-    are interior where hi < n; one argsort orders those by their keys
-    lo (n + 1) + hi, that is by (lo, hi).  Row r holds, in column order, the
-    lower ends of the interior edges whose higher end is r, the diagonal,
-    then the higher ends of those whose lower end is r.  The latter are
-    consecutive and ascending in key order; a stable sort by the higher end
-    lists the former the same way.  So the per-row counts below and above
-    the diagonal place every entry, and the slots are looked up per edge
-    through mesh.cell_edges, with no search.  The keys are formed from the
-    int64 dof numbers: at n = 65025 they overflow int32.
+    scipy converts the entries to CSR with each entry's id as its value: dof
+    i's diagonal is id i, and the k-th of the K interior edges, lo < hi in
+    dof numbers, is id n + k as (lo, hi) and n + K + k as (hi, lo).  The
+    converted data say where each id went; the cells' slots are looked up
+    per edge through mesh.cell_edges.
     """
     n = mesh.n_interior
     number = mesh.dof_numbers()
     dof = number[mesh.cells]
-    lo, hi = np.sort(number[mesh.edges], axis=1).T
-    inner = np.flatnonzero(hi < n)
-    inner = inner[np.argsort(lo[inner] * (n + 1) + hi[inner])]
-    lo, hi = lo[inner], hi[inner]
-    below, above = np.bincount(hi, minlength=n), np.bincount(lo, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(below + 1 + above, out=indptr[1:])
-    nnz = int(indptr[-1])
-    # entry position per dof (diagonal) and per edge, the trash slot for the
-    # boundary sentinel and for edges with a boundary end
-    diag = np.append(indptr[:-1] + below, nnz)
+    lo, hi = np.sort(number[mesh.edges], axis=1).astype(np.int32).T
+    inner = hi < n  # a boundary edge ends at the sentinel n
+    dofs, lo_in, hi_in = np.arange(n, dtype=np.int32), lo[inner], hi[inner]
+    k = lo_in.size
+    ids = np.arange(n + 2 * k, dtype=np.int32)
+    csr = sp.csr_matrix((ids, (np.concatenate([dofs, lo_in, hi_in]),
+                               np.concatenate([dofs, hi_in, lo_in]))), shape=(n, n))
+    csr.sum_duplicates()  # sorts each row's columns; no two ids share an entry
+    nnz = ids.size
+    at = np.empty(nnz, dtype=np.int32)  # at[id] is the slot of entry id
+    at[csr.data] = ids
+    diag = np.append(at[:n], nnz)  # and the trash slot for the boundary sentinel
     up, down = np.full(len(mesh.edges), nnz), np.full(len(mesh.edges), nnz)
-    rank = np.arange(lo.size)
-    up[inner] = diag[lo] + 1 + rank - (np.cumsum(above) - above)[lo]
-    order = np.argsort(hi, kind="stable")
-    ends = hi[order]
-    down[inner[order]] = indptr[ends] + rank - (np.cumsum(below) - below)[ends]
-
-    indices = np.empty(nnz, dtype=np.int32)
-    indices[diag[:-1]] = np.arange(n)
-    indices[up[inner]] = hi
-    indices[down[inner]] = lo
+    up[inner], down[inner] = at[n:n + k], at[n + k:]
 
     edge = mesh.cell_edges
     slot = np.empty((mesh.n_cells, 3, 3), dtype=np.int32)
@@ -109,6 +83,7 @@ def _pattern(mesh):
         forward = dof[:, i] < dof[:, j]  # entry (i, j) lies above the diagonal
         slot[:, i, j] = np.where(forward, up[edge[:, e]], down[edge[:, e]])
         slot[:, j, i] = np.where(forward, down[edge[:, e]], up[edge[:, e]])
+    indptr, indices = csr.indptr, csr.indices
     for shared in (indptr, indices, slot):
         shared.flags.writeable = False  # every matrix on the mesh holds these
     return indptr, indices, slot.reshape(-1)
@@ -192,9 +167,9 @@ def nested_dissection(mesh):
     matrix on the mesh shares one pattern: perm[k] is the dof in position k,
     and for every matrix A on _pattern(mesh) the permuted matrix
     B[k, l] = A[perm[k], perm[l]] is csc_matrix((A.data[gather], indices,
-    indptr)).  The permuted pattern is built from _pattern with integer
-    arrays, without sparse fancy indexing, which would hold copies of whole
-    matrices.
+    indptr)).  scipy converts the pattern's entries, each with its position
+    in A as its value, to CSC in the new numbering, without sparse fancy
+    indexing, which would hold copies of whole matrices.
     """
     indptr_a, indices_a, _ = _pattern(mesh)
     n = indptr_a.size - 1
@@ -204,11 +179,10 @@ def nested_dissection(mesh):
                     np.empty(n, dtype=np.int8))
     inv = np.empty(n, dtype=np.int32)
     inv[perm] = np.arange(n, dtype=np.int32)
-    new_col = inv[indices_a]
-    gather = np.argsort(new_col.astype(np.int64) * n + inv[row]).astype(np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(new_col, minlength=n), out=indptr[1:])
-    indices = inv[row[gather]]
+    csc = sp.csc_matrix((np.arange(indices_a.size, dtype=np.int32), (inv[row], inv[indices_a])),
+                        shape=(n, n))
+    csc.sum_duplicates()
+    indptr, indices, gather = csc.indptr, csc.indices, csc.data
     for shared in (perm, indptr, indices, gather):
         shared.flags.writeable = False
     return perm, indptr, indices, gather
@@ -404,17 +378,3 @@ def seminorm_W1p(u, p, grads=None):
     """Exact W^{1,p} seminorm: (sum area |grad u|^p)^(1/p); grads as for energy."""
     gn = vnorm(gradients(u) if grads is None else grads)
     return float(np.sum(u.mesh.areas * gn**p) ** (1.0 / p))
-
-
-def l2_error(u, exact, t=None):
-    """||u - exact||_L2 with the 7-point degree-5 rule; exact = exact(x, y[, t])."""
-    mesh = u.mesh
-    v = mesh.nodes[mesh.cells]
-    xq = np.einsum("qi,mid->mqd", _QUAD7_BARY, v)
-    uq = np.einsum("qi,mi->mq", _QUAD7_BARY, u.full_values()[mesh.cells])
-    if t is None:
-        eq = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
-    else:
-        eq = np.asarray(exact(xq[..., 0], xq[..., 1], t), dtype=float)
-    diff2 = (uq - eq) ** 2
-    return float(np.sqrt(np.sum(mesh.areas[:, None] * _QUAD7_W * diff2)))

@@ -85,8 +85,8 @@ def cmd_run(args):
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
-    ledgers = diagnostics.check_energy_ledgers(diagnostics.Walk(cfg, iterates))
-    cols = ledgers.columns
+    walk = diagnostics.Walk(cfg, iterates)
+    ledgers, cols = diagnostics.check_energy_ledgers(walk), walk.cols
     os.makedirs(setup.out_dir, exist_ok=True)
     base = os.path.join(setup.out_dir, setup.prefix)
     _trajectory_csv(traj, cols, base + "_trajectory.csv")

@@ -13,9 +13,9 @@ mass-type terms use the same quadrature as the scheme):
 
 with D_k = int w^{k-1} |grad d u^k|^2 the lagged dissipation.  Every sum
 above is over per-iterate and per-step quantities that one fold over the
-iterates computes (``Walk``).  The ledgers hand its columns back, and the
-run CSV and the study's norms and discrepancy totals read them instead of
-computing them again; ``discrepancy_total`` takes the D_k column.
+iterates computes (``Walk``).  The ledgers, the run CSV and the study's
+norms and discrepancy totals read its columns instead of computing them
+again; ``discrepancy_total`` takes the D_k column.
 
 The semi-implicit iterates also solve the unregularized implicit equation up
 to two residual fields per step: a regularization error bounded cellwise by
@@ -37,9 +37,8 @@ import numpy as np
 
 from . import assembly, lower_order
 from .lower_order import IMPLICIT, SEMI_IMPLICIT
-from .mesh import FemFunction, interpolate_nodal, prolong, refine_red, unit_square_mesh
-from .orlicz import (NFunctionPD, QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight,
-                     op_S_eps, vdot, vnorm)
+from .mesh import FemFunction, interpolate_nodal, prolong, refine_red
+from .orlicz import QUADRATIC_NORM, S_EPS_LIPSCHITZ_MAX, diffusion_weight, op_S_eps, vdot, vnorm
 from .schemes import AdmissibilityWarning, SchemeConfig, SolverError, run_evolution
 
 LEDGER_REL_SLACK = 1e-9
@@ -79,7 +78,6 @@ class TrajectoryColumns:
 @dataclass
 class LedgerReport:
     entries: list
-    columns: TrajectoryColumns | None = None  # the walk the entries came from; not serialized
 
     @property
     def passed(self):
@@ -145,10 +143,10 @@ def _ledger_entry(name, lhs, rhs):
 
 def check_energy_ledgers(walk):
     """Audit the run that walk has folded against every applicable energy
-    inequality.  The report also carries the walk's columns."""
+    inequality."""
     cfg, cols, K = walk.cfg, walk.cols, walk.cfg.K
     if K == 0:
-        return LedgerReport([], cols)
+        return LedgerReport([])
     tau = cfg.tau
     pure_flow = cfg.source is None and cfg.coeff.is_zero
     energies, l2_sq = cols.energy, cols.l2_sq
@@ -172,7 +170,7 @@ def check_energy_ledgers(walk):
         lhs = energies[1:] + 0.5 * tau * cum_dtau + 0.5 * tau * tau * cum_diss
         rhs = energies[0] + tau * cum_f + tau * cum_du
         entries.append(_ledger_entry("ener-bound", lhs, rhs))
-    return LedgerReport(entries, cols)
+    return LedgerReport(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -488,29 +486,3 @@ def run_study(sc):
     }
     return StudyReport(levels, cauchy, products, control_totals, assertions,
                        anti_coupled=sc.tau_exponent <= 2.0 - base.nf.p)
-
-
-# ---------------------------------------------------------------------------
-# Manufactured solution for the quadratic boundary case
-# ---------------------------------------------------------------------------
-
-def heat_exact(x, y, t):
-    """Decaying eigenmode of the Dirichlet heat flow on the unit square."""
-    return np.exp(-2.0 * np.pi**2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-
-def heat_run_error(n, K, T, scheme=SEMI_IMPLICIT):
-    """Max-over-time-nodes L2 error of the p = 2 run against the exact mode."""
-    mesh = unit_square_mesh(n)
-    cfg = SchemeConfig(mesh=mesh, nf=NFunctionPD(2.0), eps=0.5, K=K, T=T,
-                       scheme=scheme, kind=QUADRATIC_NORM)
-    u0 = interpolate_nodal(lambda x, y: heat_exact(x, y, 0.0), mesh)
-    errors = []
-    run_evolution(u0, cfg, lambda u: errors.append(
-        assembly.l2_error(u, heat_exact, t=len(errors) * cfg.tau)))
-    return max(errors)
-
-
-def heat_manufactured_error(n=4, K=4, T=0.05, levels=3):
-    """Errors across levels that halve tau at fixed h."""
-    return [heat_run_error(n, K * 2**lvl, T) for lvl in range(levels)]

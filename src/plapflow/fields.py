@@ -12,6 +12,12 @@ import numpy as np
 FIELD_NAMES = ("zero", "sin-product", "bump", "bilinear")
 
 
+def _finite(name, value):
+    """Reject a nan or inf parameter value, which would reach the solver as nan data."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def make_field(name, amplitude=1.0):
     """Spatial field by registry name and amplitude A, as a callable (x, y) -> values.
 
@@ -20,6 +26,7 @@ def make_field(name, amplitude=1.0):
     bump         A exp(-((x-1/2)^2 + (y-1/2)^2)/0.15^2)       (centred in the square)
     bilinear     A x (1-x) y (1-y)                            (vanishes on the boundary)
     """
+    _finite("amplitude", amplitude)
     if name == "zero":
         return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     if name == "sin-product":
@@ -37,6 +44,8 @@ def make_source(name, decay=0.0, amplitude=1.0):
 
     The zero field gives None: the run has no source.
     """
+    _finite("amplitude", amplitude)
+    _finite("decay", decay)
     if name == "zero":
         return None
     spatial = make_field(name, amplitude)

@@ -147,7 +147,7 @@ class TriMesh:
         """The node-to-dof numbering, (N,) int64: interior node i gets its
         position in self.interior, every boundary node the sentinel N_int.
 
-        It is int64 so that products of two numbers, such as the pattern keys
+        It is int64 so that products of two numbers, such as keys
         i * N_int + j, cannot overflow.
         """
         number = np.full(self.n_nodes, self.n_interior, dtype=np.int64)

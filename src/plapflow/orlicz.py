@@ -115,49 +115,31 @@ class NFunctionPD:
 
 
 def _phi_closed(p, delta, t):
-    # int_0^t (delta+s)^(p-2) s ds, elementwise for array p/delta/t: t^p/p
-    # where delta = 0, and where delta > 0 the expm1/log1p form, which stays
-    # accurate for t << delta:
-    # delta^p [expm1(p u)/p - expm1((p-1) u)/(p-1)] with u = log1p(t/delta).
-    # Each ufunc runs only on the samples of its branch (where=) and writes
-    # into one of three buffers, so a call holds three arrays of the
-    # broadcast shape; out doubles as scratch for p - 1 until the last step.
-    # Where delta^p falls below the normal range or expm1 overflows, that form
-    # loses its digits (0, inf or nan at t >> delta), and the (delta+t)-power
-    # form s^(p-1) (s/p - delta/(p-1)) + delta^p/(p(p-1)), s = delta + t,
-    # takes over: it cancels only at t <~ delta, where phi is itself below
-    # the normal range, and it tends to t^p/p as delta/t -> 0.
+    # int_0^t (delta+s)^(p-2) s ds, elementwise for array p/delta/t >= 0:
+    # delta^p [expm1(p u)/p - expm1((p-1) u)/(p-1)] with u = log1p(t/delta),
+    # accurate for t << delta.  Where delta^p is below the normal range or the
+    # value is not finite (t >> delta, or delta = 0), that form has lost its
+    # digits, and s^(p-1) (s/p - delta/(p-1)) + delta^p/(p(p-1)), s = delta + t,
+    # takes over: it cancels only at t <~ delta, where phi is itself below the
+    # normal range, and tends to t^p/p as delta/t -> 0.  At delta = 0, phi is
+    # t^p/p, raised on the broadcast inputs: numpy squares at a broadcast
+    # p = 2, and its vector power can miss a square in the last bit.
     d, t, p = np.broadcast_arrays(np.asarray(delta, dtype=float),
                                   np.asarray(t, dtype=float),
                                   np.asarray(p, dtype=float))
-    shift = d > 0.0
-    plain = ~shift
-    if shift.all() or plain.all():  # one branch: a scalar where= runs it unmasked
-        shift, plain = bool(shift.all()), bool(plain.all())
-    out, u, w = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.power(t, p, out=out, where=plain)
-        np.divide(out, p, out=out, where=plain)
-        np.divide(t, d, out=u, where=shift)
-        np.log1p(u, out=u, where=shift)
-        np.multiply(p, u, out=w, where=shift)
-        np.expm1(w, out=w, where=shift)
-        np.divide(w, p, out=w, where=shift)
-        np.subtract(p, 1.0, out=out, where=shift)
-        np.multiply(out, u, out=u, where=shift)
-        np.expm1(u, out=u, where=shift)
-        np.divide(u, out, out=u, where=shift)
-        np.subtract(w, u, out=w, where=shift)
-        np.power(d, p, out=u, where=shift)
-        np.multiply(u, w, out=out, where=shift)
-        lost = shift & ((u < np.finfo(float).tiny) | ~np.isfinite(w))
+        u = np.log1p(t / d)
+        dp = d ** p
+        out = np.asarray(dp * (np.expm1(p * u) / p - np.expm1((p - 1.0) * u) / (p - 1.0)))
+        lost = (dp < np.finfo(float).tiny) | ~np.isfinite(out)
         if lost.any():
-            dl, pl, ul = d[lost], p[lost], u[lost]
+            dl, pl = d[lost], p[lost]
             s = dl + t[lost]
-            out[lost] = s ** (pl - 1.0) * (s / pl - dl / (pl - 1.0)) + ul / (pl * (pl - 1.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
+            out[lost] = s ** (pl - 1.0) * (s / pl - dl / (pl - 1.0)) + dp[lost] / (pl * (pl - 1.0))
+            plain = ~(d > 0.0)
+            if plain.any():
+                out[plain] = (t ** p / p)[plain]
+    return float(out) if out.ndim == 0 else out
 
 
 def _ineq_scale(lhs, rhs):
@@ -214,11 +196,11 @@ P_GRID = (1.2, 1.5, 1.8, 2.0)
 DELTA_GRID = (0.0, 0.1)
 
 # Samples certify_lemmas checks at once.  A block's working set peaks at
-# about 14 block-sized arrays of 128 KiB besides its 8 inputs, whatever the
-# sample count.  Of 2^13 ... 2^16, measured at 10^6 samples on 2 threads
-# (medians of three 7-run processes each), 2^14 took 0.23-0.25 s at a peak
-# RSS of 50.5 MB; 2^13 was slower (0.30-0.34 s) for 48-49 MB, and 2^15 and
-# 2^16 were faster (0.20-0.26 s) for 56 and 67 MB (CHANGES.md).
+# 14.2 block-sized arrays of 128 KiB besides its 8 inputs (tracemalloc),
+# whatever the sample count.  Of 2^13 ... 2^16, measured at 10^6 samples on
+# 2 threads (medians of three 7-run processes each), 2^14 took 0.23-0.25 s
+# at a peak RSS of 50.5 MB; 2^13 was slower (0.30-0.34 s) for 48-49 MB, and
+# 2^15 and 2^16 were faster (0.20-0.26 s) for 56 and 67 MB (CHANGES.md).
 LEMMA_BLOCK = 2**14
 
 # Most threads certify_lemmas runs its blocks on, so that at most this many
@@ -510,9 +492,12 @@ def certify_lemmas(samples=1_000_000, seed=42):
     function raise that error, after the blocks still running have ended and
     the rest were cancelled.
 
-    Memory grows by the indices alone, 2 B per sample; besides them it holds
-    one block's working set per thread: its 8 input arrays and at most about
-    14 more, 2.8 MB at LEMMA_BLOCK = 2^14.
+    Memory grows by the indices alone, 2 B per sample, after each is drawn
+    as int64 and cast (8 B per sample more while it is cast); besides them
+    it holds one block's working set per thread: its 8 input arrays and
+    about 14 more.  A one-block call on one thread peaks at 2.9 MB
+    (tracemalloc, LEMMA_BLOCK = 2^14), and a call on 10^6 samples at
+    10.0 MB, at the cast.
     """
     n = int(samples)
     if n < 1:

@@ -20,6 +20,11 @@ package's own loop changes no bit of x or of the iteration count.
 kept_run is run_evolution with its iterates collected by a list observer:
 the whole trajectory that these oracles and the tests that compare iterates
 read, and that the package no longer keeps.
+
+phi_closed_masked is the package's shifted density as it was scheduled for
+whole arrays of samples, and pins that its plain expression changes no bit.
+The heat section at the end, the p = 2 exact solution and the degree-5 L2
+error, is reached by tests alone.
 """
 
 import types
@@ -665,3 +670,93 @@ def scipy_cg(A, b, precond, guess=None, atol=0.0):
     x, info = spla.cg(A, b, x0=x0, rtol=schemes._CG_RTOL, atol=atol,
                       maxiter=schemes._CG_MAXITER, M=M, callback=count)
     return (x if info == 0 else None), iterations
+
+
+def phi_closed_masked(p, delta, t):
+    """orlicz._phi_closed as it was written for 10^6 samples in one array:
+    each ufunc runs only on the samples of its branch (where=) and writes
+    into one of three reused buffers."""
+    d, t, p = np.broadcast_arrays(np.asarray(delta, dtype=float),
+                                  np.asarray(t, dtype=float),
+                                  np.asarray(p, dtype=float))
+    shift = d > 0.0
+    plain = ~shift
+    if shift.all() or plain.all():  # one branch: a scalar where= runs it unmasked
+        shift, plain = bool(shift.all()), bool(plain.all())
+    out, u, w = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.power(t, p, out=out, where=plain)
+        np.divide(out, p, out=out, where=plain)
+        np.divide(t, d, out=u, where=shift)
+        np.log1p(u, out=u, where=shift)
+        np.multiply(p, u, out=w, where=shift)
+        np.expm1(w, out=w, where=shift)
+        np.divide(w, p, out=w, where=shift)
+        np.subtract(p, 1.0, out=out, where=shift)
+        np.multiply(out, u, out=u, where=shift)
+        np.expm1(u, out=u, where=shift)
+        np.divide(u, out, out=u, where=shift)
+        np.subtract(w, u, out=w, where=shift)
+        np.power(d, p, out=u, where=shift)
+        np.multiply(u, w, out=out, where=shift)
+        lost = shift & ((u < np.finfo(float).tiny) | ~np.isfinite(w))
+        if lost.any():
+            dl, pl, ul = d[lost], p[lost], u[lost]
+            s = dl + t[lost]
+            out[lost] = s ** (pl - 1.0) * (s / pl - dl / (pl - 1.0)) + ul / (pl * (pl - 1.0))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+# The heat section: the p = 2 flow is the heat equation, whose decaying
+# eigenmode is an exact solution, and the L2 error against it by the 7-point
+# degree-5 rule.
+
+_S15 = np.sqrt(15.0)
+_A1 = (6.0 - _S15) / 21.0
+_A2 = (6.0 + _S15) / 21.0
+# barycentric coordinates and weights (normalized to 1) of the degree-5 rule
+QUAD7_BARY = np.array(
+    [[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+     [_A1, _A1, 1.0 - 2.0 * _A1], [_A1, 1.0 - 2.0 * _A1, _A1], [1.0 - 2.0 * _A1, _A1, _A1],
+     [_A2, _A2, 1.0 - 2.0 * _A2], [_A2, 1.0 - 2.0 * _A2, _A2], [1.0 - 2.0 * _A2, _A2, _A2]])
+QUAD7_W = np.array([9.0 / 40.0]
+                   + [(155.0 - _S15) / 1200.0] * 3
+                   + [(155.0 + _S15) / 1200.0] * 3)
+
+
+def l2_error(u, exact, t=None):
+    """||u - exact||_L2 with the 7-point degree-5 rule; exact = exact(x, y[, t])."""
+    mesh = u.mesh
+    v = mesh.nodes[mesh.cells]
+    xq = np.einsum("qi,mid->mqd", QUAD7_BARY, v)
+    uq = np.einsum("qi,mi->mq", QUAD7_BARY, u.full_values()[mesh.cells])
+    if t is None:
+        eq = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
+    else:
+        eq = np.asarray(exact(xq[..., 0], xq[..., 1], t), dtype=float)
+    diff2 = (uq - eq) ** 2
+    return float(np.sqrt(np.sum(mesh.areas[:, None] * QUAD7_W * diff2)))
+
+
+def heat_exact(x, y, t):
+    """Decaying eigenmode of the Dirichlet heat flow on the unit square."""
+    return np.exp(-2.0 * np.pi**2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def heat_run_error(n, K, T, scheme=SEMI_IMPLICIT):
+    """Max-over-time-nodes L2 error of the p = 2 run against the exact mode."""
+    mesh = plapflow.mesh.unit_square_mesh(n)
+    cfg = schemes.SchemeConfig(mesh=mesh, nf=orlicz.NFunctionPD(2.0), eps=0.5, K=K, T=T,
+                               scheme=scheme, kind=orlicz.QUADRATIC_NORM)
+    u0 = interpolate_nodal(lambda x, y: heat_exact(x, y, 0.0), mesh)
+    errors = []
+    run_evolution(u0, cfg, lambda u: errors.append(
+        l2_error(u, heat_exact, t=len(errors) * cfg.tau)))
+    return max(errors)
+
+
+def heat_manufactured_error(n=4, K=4, T=0.05, levels=3):
+    """Errors across levels that halve tau at fixed h."""
+    return [heat_run_error(n, K * 2**lvl, T) for lvl in range(levels)]

@@ -376,6 +376,24 @@ class TestConfigErrors:
             load_run_config(cfg)
         assert str(info.value).count("[source]") == 1
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("initial", "amplitude", "nan"), ("initial", "amplitude", "inf"),
+        ("source", "amplitude", "-inf"), ("source", "decay", "nan"),
+        ("source", "decay", "inf"),
+    ])
+    def test_non_finite_field_parameter_is_a_config_error(self, tmp_path, capsys, section,
+                                                          key, value):
+        # a nan amplitude once reached the solver as a singular factorization
+        text = MINIMAL.replace("[initial]\nfield = sin-product\n", "")
+        text += f"\n[initial]\nfield = sin-product\n\n[source]\nfield = bump\n"
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        cfg = write_config(tmp_path, text, out=tmp_path / "out")
+        assert main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: [{section}] {key} must be finite, got {value}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("levels", [0, 1])
     def test_control_levels_below_two_name_study_once(self, tmp_path, levels):
         text = STUDY.replace("control-levels = 4", f"control-levels = {levels}")

@@ -10,15 +10,14 @@ from hypothesis import assume, given, settings, strategies as st
 from plapflow import assembly, diagnostics, fields
 from plapflow.config import example_config, load_run_config
 from plapflow.diagnostics import (LevelResult, StudyConfig, Walk, cell_bound_satisfied,
-                                  check_energy_ledgers, discrepancy_total, heat_exact,
-                                  heat_manufactured_error, heat_run_error, run_study)
+                                  check_energy_ledgers, discrepancy_total, run_study)
 from plapflow.lower_order import LowerOrderCoeff, admissibility
 from plapflow.mesh import FemFunction, interpolate_nodal, unit_square_mesh
 from plapflow.orlicz import ADDITIVE_SHIFT, QUADRATIC_NORM, NFunctionPD, S_EPS_LIPSCHITZ_MAX
 from plapflow.schemes import SchemeConfig, run_evolution
 
 import oracles
-from oracles import kept_run
+from oracles import heat_exact, heat_manufactured_error, heat_run_error, kept_run
 
 
 def make_cfg(mesh, **kw):
@@ -32,14 +31,19 @@ def random_u(mesh, rng, scale=1.0):
     return FemFunction(mesh, scale * rng.uniform(-1, 1, mesh.n_interior))
 
 
+def columns(traj):
+    """The columns of a kept trajectory, its walk pushed from the list."""
+    return Walk(traj.config, traj.iterates).cols
+
+
 def ledgers(traj):
     """The ledger report of a kept trajectory, its walk pushed from the list."""
     return check_energy_ledgers(Walk(traj.config, traj.iterates))
 
 
 def total_of(traj):
-    """The discrepancy total of traj, from the dissipations of its ledger walk."""
-    return discrepancy_total(traj.config, ledgers(traj).columns.diss_dtau)
+    """The discrepancy total of traj, from the dissipations of its walk."""
+    return discrepancy_total(traj.config, columns(traj).diss_dtau)
 
 
 def cell_ratio(traj):
@@ -77,14 +81,15 @@ class TestLedgers:
                        source=fields.make_source("bump", amplitude=2.0))
         u0 = random_u(mesh8, rng)
         traj = kept_run(u0, cfg)
-        report = ledgers(traj)
+        kept = Walk(cfg, traj.iterates)
+        report = check_energy_ledgers(kept)
         assert report.to_dict() == oracles.check_energy_ledgers(traj).to_dict()
-        np.testing.assert_array_equal(report.columns.diss_dtau, oracles.lagged_dissipation(traj)[2])
+        np.testing.assert_array_equal(kept.cols.diss_dtau, oracles.lagged_dissipation(traj)[2])
         # the same run again, walked as it goes instead of from the kept list
         walk = Walk(cfg)
         run_evolution(u0, cfg, walk.push)
         assert check_energy_ledgers(walk).to_dict() == report.to_dict()
-        for name, column in vars(report.columns).items():
+        for name, column in vars(kept.cols).items():
             np.testing.assert_array_equal(getattr(walk.cols, name), column)
 
     @pytest.mark.parametrize("scheme", ["semi-implicit", "implicit"])
@@ -109,7 +114,7 @@ class TestLedgers:
         values = assembly.values_at_midpoints
         monkeypatch.setattr(assembly, "values_at_midpoints",
                             lambda u: calls.append(u) or values(u))
-        lower = ledgers(traj).columns.lower
+        lower = columns(traj).lower
         assert len(calls) == traj.K + 1
         np.testing.assert_array_equal(lower, expect)
 
@@ -210,7 +215,7 @@ class TestDiscrepancyTotal:
         traj = kept_run(random_u(mesh8, rng), cfg)
         p, eps, tau = cfg.nf.p, cfg.eps, cfg.tau
         alpha = np.sqrt(tau * eps ** (p - 2.0))
-        diss = tau * tau * np.sum(ledgers(traj).columns.diss_dtau)
+        diss = tau * tau * np.sum(columns(traj).diss_dtau)
         expect = ((2.0 - p) * eps ** (p - 1.0)
                   + S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
                   + tau * eps ** (p - 2.0) / (2.0 * alpha))
@@ -227,7 +232,7 @@ class TestDiscrepancyTotal:
         tail = cfg.tau / (2.0 * alpha)
         assert tail == pytest.approx(np.sqrt(cfg.tau) / 2.0, rel=1e-14)
         assert total >= tail
-        diss = cfg.tau**2 * np.sum(ledgers(traj).columns.diss_dtau)
+        diss = cfg.tau**2 * np.sum(columns(traj).diss_dtau)
         middle = S_EPS_LIPSCHITZ_MAX**2 * alpha * diss
         assert total == pytest.approx(tail + middle, rel=1e-13)
 
@@ -237,7 +242,7 @@ class TestDiscrepancyTotal:
         u0 = random_u(mesh8, rng)
         traj = kept_run(u0, cfg)
         e0 = assembly.energy(u0, cfg.nf, cfg.eps, cfg.kind)
-        diss = cfg.tau**2 * np.sum(ledgers(traj).columns.diss_dtau)
+        diss = cfg.tau**2 * np.sum(columns(traj).diss_dtau)
         assert diss <= 2.0 * e0 * (1.0 + 1e-9)
 
     def test_cell_bound_satisfied_ratio(self, mesh8, rng):
@@ -603,7 +608,7 @@ class TestHeatManufactured:
         # t = 0 contribution is the P1 interpolation error of the eigenmode
         mesh = unit_square_mesh(4)
         u = interpolate_nodal(lambda x, y: heat_exact(x, y, 0.0), mesh)
-        err = assembly.l2_error(u, heat_exact, t=0.0)
+        err = oracles.l2_error(u, heat_exact, t=0.0)
         assert err == pytest.approx(0.0601, abs=0.007)
 
     def test_error_decreases_with_tau(self):

@@ -70,6 +70,7 @@ def matrices(mesh, seed):
 def check_permuted_pattern(mesh, seed):
     perm, indptr, indices, gather = assembly.nested_dissection(mesh)
     n = mesh.n_interior
+    assert all(a.dtype == np.int32 for a in (indptr, indices, gather))
     for A in matrices(mesh, seed):
         B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
         ref = oracles.symmetric_permutation(A, perm)

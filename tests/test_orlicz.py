@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 import oracles
@@ -74,6 +75,50 @@ class TestPhiEval:
         val = orlicz._phi_closed(p, delta[keep], t[keep])
         assert np.all(np.isfinite(val))
         np.testing.assert_allclose(val, t[keep] ** p / p, rtol=1e-12, atol=0.0)
+
+
+# The exponents, shifts and times of the bit-equality property below: every
+# branch of _phi_closed, the lost digits of tiny shifts and overflow included.
+PHI_EXPONENTS = st.sampled_from(orlicz.P_GRID + (1.01,))
+PHI_SHIFTS = st.one_of(st.sampled_from([0.0, 1e-300, 1e-160, 1e-100]), st.floats(0.0, 10.0))
+PHI_TIMES = st.one_of(st.sampled_from([0.0, 1e100]), st.floats(0.0, 10.0))
+# a Python float, or an array shape; any three broadcast together
+PHI_SHAPES = st.sampled_from([None, (), (24,), (3, 1), (1, 24), (3, 24)])
+
+
+def phi_argument(data, values):
+    shape = data.draw(PHI_SHAPES)
+    return data.draw(values if shape is None else arrays(np.float64, shape, elements=values))
+
+
+def assert_phi_closed_is_the_masked_oracle(p, delta, t):
+    got, want = orlicz._phi_closed(p, delta, t), oracles.phi_closed_masked(p, delta, t)
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_phi_closed_is_the_masked_oracle_to_the_bit(data):
+    assert_phi_closed_is_the_masked_oracle(
+        *(phi_argument(data, values) for values in (PHI_EXPONENTS, PHI_SHIFTS, PHI_TIMES)))
+
+
+@pytest.mark.parametrize("p", orlicz.P_GRID + (1.01,))
+def test_phi_closed_is_the_masked_oracle_on_mixed_samples(p):
+    # uniform times, which the property above draws rarely: numpy squares
+    # where a broadcast p is 2, and its vector power misses the square in
+    # the last bit at about 4% of them
+    rng = np.random.default_rng(3)
+    delta = rng.choice([0.0, 1e-300, 1e-160, 1e-100, 0.5], 4096)
+    delta[delta == 0.5] = rng.uniform(0.0, 10.0, np.count_nonzero(delta == 0.5))
+    t = rng.choice([0.0, 1e100, 0.5], 4096)
+    t[t == 0.5] = rng.uniform(0.0, 10.0, np.count_nonzero(t == 0.5))
+    for args in ((p, delta, t), (p, 0.0, t), (np.full(4096, p), delta, t),
+                 (p, delta[:64, None], t[None, :64]), (rng.choice(orlicz.P_GRID, 4096), delta, t)):
+        assert_phi_closed_is_the_masked_oracle(*args)
 
 
 class TestShiftedDensity:

@@ -12,9 +12,7 @@ REGISTRIES = {"REGULARIZATION_KINDS", "SCHEMES", "NONLINEAR_SOLVERS", "COUPLINGS
 READERS = {"SchemeConfig.__post_init__", "StudyConfig.__post_init__"}
 
 # Definitions no code in the package refers to, each with why it stays.
-UNREFERENCED = {
-    "heat_manufactured_error": "ROADMAP item 5 replaces the heat section",
-}
+UNREFERENCED = {}
 
 
 def test_every_definition_is_referenced_in_the_package():
