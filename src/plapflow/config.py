@@ -1,22 +1,28 @@
 """INI-style configuration files for runs and studies.
 
 A config file is the reproducibility artifact: everything a run needs sits
-in one file, and identical files give identical outputs.  Values
-are validated here with section/key identification before any computation,
-and a section or key the reader does not know is an error.
+in one file, and identical files give identical outputs.  This module reads
+the file, casts each value to its type in KEYS and names the section of any
+error; a section or key the reader does not know is an error.  Of the keys
+that a config class (SchemeConfig, StudyConfig, NFunctionPD) or a field
+builder takes, it passes on only those the file sets: the classes and
+builders own their defaults and check every rule, before any computation.
+The keys nothing else takes (the mesh size, the seed, the output and the
+names of the fields and lower-order kind) get their defaults here.
 """
 
 from __future__ import annotations
 
 import configparser
+import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import fields
 from .lower_order import LowerOrderCoeff
 from .mesh import refine_red, unit_square_mesh
-from .orlicz import NFunctionPD, QUADRATIC_NORM
-from .schemes import KACANOV, NONLINEAR_SOLVERS, SchemeConfig
+from .orlicz import NFunctionPD
+from .schemes import AdmissibilityWarning, SchemeConfig
 from .diagnostics import StudyConfig
 
 
@@ -122,6 +128,12 @@ class _Section:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{self._name}] {key} = {raw!r}: {exc}") from exc
 
+    def given(self, names):
+        """{field: value} for each key of names {ini_key: field} that the
+        section sets, cast as get casts it; a key not set is left out, so its
+        default is the one of the class or function that takes the field."""
+        return {field: self.get(key) for key, field in names.items() if key in self._sec}
+
 
 @contextmanager
 def _invalid_in(section):
@@ -166,7 +178,7 @@ def load_run_config(path, want_study=False):
     run = _Section(parser, "run")
 
     with _invalid_in("run"):
-        nf = NFunctionPD(run.get("p"), run.get("delta", 0.0))
+        nf = NFunctionPD(run.get("p"), **run.given({"delta": "delta"}))
 
     n = run.get("n", 4)
     if n < 1:
@@ -193,51 +205,30 @@ def load_run_config(path, want_study=False):
     src = _Section(parser, "source")
     with _invalid_in("source"):
         source = fields.make_source(src.get("field", "zero"),
-                                    decay=src.get("decay", 0.0),
-                                    amplitude=src.get("amplitude", 1.0))
+                                    **src.given({"decay": "decay", "amplitude": "amplitude"}))
 
     ini = _Section(parser, "initial")
     with _invalid_in("initial"):
         initial = fields.make_field(ini.get("field", "sin-product"),
-                                    amplitude=ini.get("amplitude", 1.0))
-
-    sol = _Section(parser, "solver")
-    nonlinear = sol.get("nonlinear", KACANOV)
-    if nonlinear not in NONLINEAR_SOLVERS:
-        raise ConfigError(f"[solver] unknown nonlinear solver {nonlinear!r}")
-    tol_res = sol.get("tol-res", 1e-10)
-    if not tol_res > 0.0:
-        raise ConfigError(f"[solver] tol-res must be > 0, got {tol_res}")
-    max_iter = sol.get("max-iter", 60)
-    if max_iter < 1:
-        raise ConfigError(f"[solver] max-iter must be >= 1, got {max_iter}")
+                                    **ini.given({"amplitude": "amplitude"}))
 
     with _invalid_in("run"):
         scheme_config = SchemeConfig(
-            mesh=mesh, nf=nf,
-            eps=run.get("eps"),
-            K=run.get("K"),
-            T=run.get("T"),
-            scheme=run.get("scheme", "semi-implicit"),
-            kind=run.get("regularization", QUADRATIC_NORM),
-            coeff=coeff,
-            source=source,
-            nonlinear=nonlinear,
-            tol_res=tol_res,
-            max_iter=max_iter,
-        )
+            mesh=mesh, nf=nf, eps=run.get("eps"), K=run.get("K"), T=run.get("T"),
+            coeff=coeff, source=source,
+            **run.given({"scheme": "scheme", "regularization": "kind"}))
+    solver = _Section(parser, "solver").given(
+        {"nonlinear": "nonlinear", "tol-res": "tol_res", "max-iter": "max_iter"})
+    with _invalid_in("solver"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdmissibilityWarning)  # the [run] config warned
+        scheme_config = replace(scheme_config, **solver)
 
     study = None
     if want_study:
         st = _Section(parser, "study")
         with _invalid_in("study"):
-            study = StudyConfig(
-                base=scheme_config,
-                initial=initial,
-                levels=st.get("levels", 4),
-                coupling=st.get("coupling", "default"),
-                control_levels=st.get("control-levels", 6),
-            )
+            study = StudyConfig(base=scheme_config, initial=initial, **st.given(
+                {"levels": "levels", "coupling": "coupling", "control-levels": "control_levels"}))
 
     out = _Section(parser, "output")
     raw = {s: dict(parser[s]) for s in parser.sections()}

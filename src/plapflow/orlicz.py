@@ -458,7 +458,7 @@ def _uniform_block(state, n, start, stop):
     return out
 
 
-def certify_lemmas(samples=1_000_000, seed=42):
+def certify_lemmas(samples, seed):
     """Sample every certified inequality and report violation counts.
 
     A violation is an inequality broken beyond the floating-point tolerance,

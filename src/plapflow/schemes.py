@@ -129,6 +129,10 @@ class SchemeConfig:
             raise ValueError(f"unknown regularization kind {self.kind!r}")
         if self.nonlinear not in NONLINEAR_SOLVERS:
             raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
+        if not self.tol_res > 0.0:  # rejects nan too
+            raise ValueError(f"tol_res must be > 0, got {self.tol_res}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.K < 0 or int(self.K) != self.K:
             raise ValueError("K must be a nonnegative integer")
         if self.K == 0 and self.T != 0.0:
@@ -235,18 +239,20 @@ class _SpdSolver:
             if x is None or iterations > REUSE_CG_ITERS:
                 self.lu = None
         if x is None:
-            perm, indptr, indices, gather = assembly.nested_dissection(self.cfg.mesh)
-            B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
-            B.has_canonical_format = True
-            lu = partial(_vcycle, [], self._factor(B), perm)  # no levels: the LU solve
+            lu = partial(_vcycle, [], *self._factor(self.cfg.mesh, A))  # no levels: the LU solve
             x = lu(b)
             if self.reuse:
                 self.lu = lu
         return x
 
-    def _factor(self, B):
+    def _factor(self, mesh, A):
+        """(lu, perm): perm the nested-dissection ordering of mesh, and lu the
+        SuperLU factor of A, a matrix on mesh's _pattern, permuted to it."""
+        perm, indptr, indices, gather = assembly.nested_dissection(mesh)
+        B = sp.csc_matrix((A.data[gather], indices, indptr), shape=A.shape)
+        B.has_canonical_format = True
         try:
-            return spla.splu(B, permc_spec="NATURAL")
+            return spla.splu(B, permc_spec="NATURAL"), perm
         except RuntimeError as exc:
             if self.cfg.coeff.c7 > 0.0:
                 warnings.warn(
@@ -274,8 +280,8 @@ class _SpdSolver:
         for P, R, _ in self.hierarchy:
             levels.append((op, _JACOBI_DAMPING / op.diagonal(), P, R))
             op = R @ op @ P
-        perm = assembly.nested_dissection(self.hierarchy[-1][2])[0]
-        return partial(_vcycle, levels, self._factor(op[perm][:, perm].tocsc()), perm)
+        op.sort_indices()  # then op lies on the coarsest mesh's _pattern
+        return partial(_vcycle, levels, *self._factor(self.hierarchy[-1][2], op))
 
 
 def _vcycle(levels, lu, perm, r):

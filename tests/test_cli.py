@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plapflow import assembly, diagnostics, orlicz, schemes
+from plapflow import assembly, diagnostics, fields, orlicz, schemes
 from plapflow.cli import main
 from plapflow.config import KEYS, ConfigError, example_config, load_run_config
 from plapflow.mesh import FemFunction, interpolate_nodal
@@ -419,9 +421,9 @@ class TestConfigErrors:
         ("[solvr]\nnonlinear = newton", "unknown section [solvr]"),
         ("[DEFAULT]\nnonlinear = newton", "unknown section [DEFAULT]"),
         ("[solver]\nnonlinear = foo", "[solver] unknown nonlinear solver 'foo'"),
-        ("[solver]\ntol-res = -1", "[solver] tol-res must be > 0, got -1.0"),
-        ("[solver]\ntol-res = nan", "[solver] tol-res must be > 0, got nan"),
-        ("[solver]\nmax-iter = 0", "[solver] max-iter must be >= 1, got 0"),
+        ("[solver]\ntol-res = -1", "[solver] tol_res must be > 0, got -1.0"),
+        ("[solver]\ntol-res = nan", "[solver] tol_res must be > 0, got nan"),
+        ("[solver]\nmax-iter = 0", "[solver] max_iter must be >= 1, got 0"),
     ])
     def test_solver_errors_name_the_section_once(self, tmp_path, extra, message):
         cfg = write_config(tmp_path, MINIMAL + "\n" + extra + "\n", out=tmp_path / "out")
@@ -489,6 +491,27 @@ def test_example_config_parses(tmp_path, capsys):
     setup = load_run_config(str(path), want_study=True)
     assert setup.scheme_config.nf.p == 1.5
     assert setup.study.levels == 4
+
+
+def _defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+@pytest.mark.parametrize("text", [re.sub(r"(scheme|regularization|delta) = .*\n", "", MINIMAL),
+                                  example_config()], ids=["unset", "example"])
+def test_config_defaults_are_the_classes_defaults(tmp_path, text):
+    # config.py passes on only the keys a file sets, so the defaults are the
+    # classes' own, and the example config documents them
+    setup = load_run_config(write_config(tmp_path, text, out=tmp_path / "out"), want_study=True)
+    cfg = setup.scheme_config
+    for obj in (cfg, cfg.nf, setup.study):
+        defaults = _defaults(type(obj))
+        assert {name: getattr(obj, name) for name in defaults} == defaults
+    for section, build in (("initial", fields.make_field), ("source", fields.make_source)):
+        for key, value in setup.raw.get(section, {}).items():
+            if key != "field":
+                assert float(value) == inspect.signature(build).parameters[key].default
 
 
 IMPORT_PROBE = """\

@@ -500,14 +500,34 @@ class TestMultigrid:
         sizes = []
         factor = schemes._SpdSolver._factor
         monkeypatch.setattr(schemes._SpdSolver, "_factor",
-                            lambda self, B: sizes.append(B.shape) or factor(self, B))
+                            lambda self, mesh, A: sizes.append((mesh.n_interior, A.shape))
+                            or factor(self, mesh, A))
         cfg = make_cfg(refined)
         b = np.random.default_rng(5).standard_normal(refined.n_interior)
         A = schemes._system_matrix(FemFunction(refined, np.zeros(refined.n_interior)), cfg)
         x = schemes._SpdSolver(cfg)(A, b)
-        assert sizes == [(9, 9)]
+        assert sizes == [(9, (9, 9))]
         ref = spla.spsolve(A.tocsc(), b)
         assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_galerkin_products_lie_on_the_coarser_pattern(self, jitter):
+        # the coarsest V-cycle operator is factored through its mesh's
+        # nested-dissection gather, which needs it on that mesh's _pattern
+        m = jittered(4, 4, 6) if jitter else unit_square_mesh(4)
+        for _ in range(0 if jitter else 4):
+            m = refine_red(m)
+        for A in matrices(m, 9):
+            op = A
+            for P, R, parent in schemes._hierarchy(m):
+                op = R @ op @ P
+                op.sort_indices()
+                indptr, indices, _ = assembly._pattern(parent)
+                np.testing.assert_array_equal(op.indptr, indptr)
+                np.testing.assert_array_equal(op.indices, indices)
+                perm, nd_indptr, nd_indices, gather = assembly.nested_dissection(parent)
+                B = sp.csc_matrix((op.data[gather], nd_indices, nd_indptr), shape=op.shape)
+                assert (B != oracles.symmetric_permutation(op, perm).tocsc()).nnz == 0
 
     def test_failed_cg_factors_the_fine_system(self, refined, monkeypatch):
         monkeypatch.setattr(schemes, "_CG_MAXITER", 1)

@@ -421,7 +421,7 @@ def test_blocked_certification_counts_every_sample(samples, monkeypatch):
 def test_certification_rejects_fewer_than_one_sample():
     for samples in (0, -5):
         with pytest.raises(ValueError, match="^samples must be >= 1$"):
-            certify_lemmas(samples)
+            certify_lemmas(samples, 0)
 
 
 def test_fold_propagates_nan_as_whole_array_extremes_do():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestConfigValidation:
     def test_unknown_choice_rejected(self, mesh4, field, value):
         with pytest.raises(ValueError, match=f"^unknown .* '{value}'$"):
             make_cfg(mesh4, **{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("tol_res", 0.0, "tol_res must be > 0, got 0.0"),
+        ("tol_res", -1.0, "tol_res must be > 0, got -1.0"),
+        ("tol_res", np.nan, "tol_res must be > 0, got nan"),
+        ("max_iter", 0, "max_iter must be >= 1, got 0"),
+        ("max_iter", -3, "max_iter must be >= 1, got -3"),
+    ])
+    def test_solver_bounds_rejected(self, mesh4, field, value, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make_cfg(mesh4, scheme="implicit", **{field: value})
 
     def test_weight_at_a_zero_gradient_must_be_finite(self, mesh4):
         # eps^2 underflows to 0, so the quadratic-norm weight at a zero gradient is inf
@@ -256,8 +268,9 @@ class TestAndersonMixing:
 
     def test_fixed_point_step_stays_finite(self, mesh4):
         # u_prev = 0 without a source is the step's own fixed point; a tolerance
-        # that is never met runs sweeps on an all-zero history
-        cfg = make_cfg(mesh4, scheme="implicit", max_iter=4, tol_res=-1.0)
+        # that is never met, set past the validator, runs sweeps on an all-zero history
+        cfg = make_cfg(mesh4, scheme="implicit", max_iter=4)
+        object.__setattr__(cfg, "tol_res", -1.0)
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=r"residual history \[0\.0, 0\.0, 0\.0, 0\.0\]"):
