@@ -328,9 +328,8 @@ def midpoint_mass(mesh, qvals):
 
 
 def weighted_mass(mesh, w, coeff):
-    """Mass matrix with coefficient d(w), 3-point edge-midpoint quadrature."""
-    if coeff.is_zero:
-        return sp.csr_matrix((mesh.n_interior, mesh.n_interior))
+    """Mass matrix with coefficient d(w), 3-point edge-midpoint quadrature;
+    coeff is not the zero coefficient."""
     return midpoint_mass(mesh, lower_order.d_eval(coeff, values_at_midpoints(w)))
 
 

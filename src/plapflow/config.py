@@ -97,6 +97,9 @@ KEYS = {
     "study": {"levels": int, "coupling": str, "control-levels": int},
 }
 
+# The [lower-order] keys each kind takes, in LowerOrderCoeff's argument order.
+LOWER_ORDER_KEYS = {"zero": (), "power": ("r",), "shifted-power": ("r", "c")}
+
 
 def _check_known(parser):
     """Reject a section or key that KEYS does not list, so a typo fails loudly."""
@@ -192,15 +195,14 @@ def load_run_config(path, want_study=False):
 
     lo = _Section(parser, "lower-order")
     lo_kind = lo.get("kind", "zero")
+    if lo_kind not in LOWER_ORDER_KEYS:
+        raise ConfigError(f"[lower-order] kind = {lo_kind!r} is not in the registry")
+    takes = LOWER_ORDER_KEYS[lo_kind]
+    for key in lo.given({"r": "r", "c": "c"}):
+        if key not in takes:
+            raise ConfigError(f"[lower-order] kind = {lo_kind} takes no key {key!r}")
     with _invalid_in("lower-order"):
-        if lo_kind == "zero":
-            coeff = LowerOrderCoeff()
-        elif lo_kind == "power":
-            coeff = LowerOrderCoeff(lo.get("r"))
-        elif lo_kind == "shifted-power":
-            coeff = LowerOrderCoeff(lo.get("r"), lo.get("c"))
-        else:
-            raise ConfigError(f"[lower-order] kind = {lo_kind!r} is not in the registry")
+        coeff = LowerOrderCoeff(*(lo.get(key) for key in takes))
 
     src = _Section(parser, "source")
     with _invalid_in("source"):

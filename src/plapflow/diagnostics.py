@@ -22,10 +22,12 @@ to two residual fields per step: a regularization error bounded cellwise by
 (2-p) eps^(p-1), and a lag error controlled by the dissipation.  Their
 balanced total must decay along parameter sequences with tau = o(eps^(2-p)),
 which the coupled refinement studies verify empirically; an anti-coupled
-control run guards against vacuously passing assertions.  A study runs its
-levels one at a time and measures each run in the one pass that makes it,
-so at most two lists of iterates are alive at once: level n's semi-implicit
-iterates and, while they are made, level n-1's (``_run_levels``).
+control run guards against vacuously passing assertions.  A run that keeps
+its iterates is measured from that list after it returns, and only a run
+that keeps none is measured by run_evolution's observers.  A study runs its
+levels one at a time and keeps each level's semi-implicit iterates, so at
+most two lists of iterates are alive at once: level n's and, while they are
+made, level n-1's (``_run_levels``).
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ class Walk:
     them (those in iterates at once), with the cell gradients, weights and
     midpoint values of two iterates live at a time.  Each iterate's
     gradients are evaluated once and shared by its energy, seminorm and
-    dissipation terms, and its midpoint values once.  A walk that is not
-    full, as a control run's, fills the D_k column alone."""
+    dissipation terms, and its midpoint values once."""
 
-    def __init__(self, cfg, iterates=(), full=True):
-        self.cfg, self.full, self.k, self.prev = cfg, full, 0, None
+    def __init__(self, cfg, iterates=()):
+        self.cfg, self.k, self.prev = cfg, 0, None
         self.mass = assembly.mass_matrix(cfg.mesh)
         self.cols = TrajectoryColumns(*(np.empty(cfg.K + 1) for _ in range(3)),
                                       *(np.zeros(cfg.K) for _ in range(5)))
@@ -105,14 +106,13 @@ class Walk:
             self.push(u)
 
     def push(self, u):
-        cfg, cols, k, full, mass = self.cfg, self.cols, self.k, self.full, self.mass
+        cfg, cols, k, mass = self.cfg, self.cols, self.k, self.mass
         mesh, areas = cfg.mesh, cfg.mesh.areas
-        lower = full and not cfg.coeff.is_zero
+        lower = not cfg.coeff.is_zero
         g = assembly.gradients(u)
-        if full:
-            cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind, g)
-            cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
-            cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p, g)
+        cols.energy[k] = assembly.energy(u, cfg.nf, cfg.eps, cfg.kind, g)
+        cols.l2_sq[k] = u.coeffs @ (mass @ u.coeffs)
+        cols.seminorm[k] = assembly.seminorm_W1p(u, cfg.nf.p, g)
         w = diffusion_weight(cfg.nf, cfg.eps, cfg.kind, vnorm(g))
         uv = assembly.values_at_midpoints(u) if lower else None
         if k:
@@ -120,13 +120,12 @@ class Walk:
             u_prev, g_prev, w_prev, uv_prev = self.prev
             gd = (g - g_prev) / tau
             cols.diss_dtau[i] = np.sum(areas * w_prev * vdot(gd, gd))
-            if full:
-                d = (u.coeffs - u_prev.coeffs) / tau
-                cols.dtau_l2_sq[i] = d @ (mass @ d)
-                w_step = w_prev if cfg.scheme == SEMI_IMPLICIT else w
-                cols.diss_u[i] = np.sum(areas * w_step * vdot(g, g))
-                if cfg.source is not None:
-                    cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
+            d = (u.coeffs - u_prev.coeffs) / tau
+            cols.dtau_l2_sq[i] = d @ (mass @ d)
+            w_step = w_prev if cfg.scheme == SEMI_IMPLICIT else w
+            cols.diss_u[i] = np.sum(areas * w_step * vdot(g, g))
+            if cfg.source is not None:
+                cols.f_sq[i] = assembly.quadrature_norm_sq(mesh, cfg.source, k * tau)
             if lower:
                 dv = lower_order.d_eval(cfg.coeff, uv_prev)
                 cols.lower[i] = np.sum((areas / 3.0)[:, None] * dv * dv * uv * uv)
@@ -205,17 +204,15 @@ def discrepancy_total(cfg, diss_dtau):
             + tau * eps ** (p - 2.0) / (2.0 * alpha_eps))
 
 
-def cell_bound_satisfied(cfg, u, grads=None):
+def cell_bound_satisfied(cfg, u):
     """(max-cell |E|) / ((2-p) eps^(p-1)) at the iterate u of a run under cfg;
     must stay <= 1.  cfg must be semi-implicit with the quadratic-norm
-    regularization, as every config of a StudyConfig's run is.  grads, if
-    given, are u's cell gradients, assembly.gradients(u), already computed."""
+    regularization, as every config of a StudyConfig's run is."""
     p, eps = cfg.nf.p, cfg.eps
     bound = (2.0 - p) * eps ** (p - 1.0)
     if bound == 0.0:  # p = 2, where the residual vanishes
         return 0.0
-    g = assembly.gradients(u) if grads is None else grads
-    return float(np.max(_regularization_residual(p, eps, g))) / bound
+    return float(np.max(_regularization_residual(p, eps, assembly.gradients(u)))) / bound
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +366,16 @@ def _cauchy_difference(coarse, cfg, j, u):
     return assembly.norm_L2(diff), assembly.seminorm_W1p(diff, cfg.nf.p) if j else 0.0
 
 
-def _measure_level(level, walk, ratios, semi, u0):
-    """Fill level from its semi-implicit run's walk, cell-bound ratios and
-    iterates semi, then from an implicit run from u0 that keeps no iterate."""
-    cfg, cols, p = walk.cfg, walk.cols, walk.cfg.nf.p
+def _measure_level(level, cfg, semi):
+    """Fill level from the iterates semi of its semi-implicit run under cfg,
+    then from an implicit run from semi[0] that keeps no iterate."""
+    walk = Walk(cfg, semi)
+    cols, p = walk.cols, cfg.nf.p
     level.ledgers_semi = check_energy_ledgers(walk)
     level.discrepancy_total = discrepancy_total(cfg, cols.diss_dtau)
     level.linf_l2 = float(np.max(np.sqrt(cols.l2_sq)))
     level.lp_w1p = sum(cfg.tau * s ** p for s in cols.seminorm[1:].tolist()) ** (1.0 / p)
-    level.e_cell_ratio = max([0.0, *ratios])
+    level.e_cell_ratio = max([0.0, *(cell_bound_satisfied(cfg, u) for u in semi[1:])])
     impl = Walk(replace(cfg, scheme=IMPLICIT))
     gaps = []
 
@@ -385,7 +383,7 @@ def _measure_level(level, walk, ratios, semi, u0):
         gaps.append(assembly.norm_L2(FemFunction(cfg.mesh, semi[len(gaps)].coeffs - u.coeffs)))
 
     try:
-        run_evolution(u0, impl.cfg, impl.push, gap)
+        run_evolution(semi[0], impl.cfg, impl.push, gap)
     except SolverError as exc:
         level.error = f"level {level.n}: {exc}"
         return
@@ -397,9 +395,8 @@ def _run_levels(sc, u0):
     """The study's levels, and the Cauchy differences of consecutive ones.
 
     Level n runs on the red refinement of level n-1's mesh, from the
-    prolonged initial data.  Its semi-implicit run feeds its walk, its cell
-    bound, its Cauchy difference against level n-1's iterates, and a list of
-    its own iterates, which replaces level n-1's once the run ends."""
+    prolonged initial data.  Its semi-implicit run keeps a list of its
+    iterates, which is measured against level n-1's and then replaces it."""
     levels, cauchy = [], []
     coarse = None  # the previous level's semi-implicit iterates, if its run finished
     for n, (eps_n, K_n) in enumerate(sc.parameter_sequence()):
@@ -408,30 +405,22 @@ def _run_levels(sc, u0):
         cfg = replace(sc.base, mesh=u0.mesh, eps=eps_n, K=K_n, scheme=SEMI_IMPLICIT)
         level = LevelResult(n=n, h=u0.mesh.h, eps=eps_n, tau=cfg.tau, K=K_n)
         levels.append(level)
-        walk, semi, ratios, terms = Walk(cfg), [], [], []
-
-        def cell_bound(u):  # walk.push, observed first, left u's gradients in walk.prev
-            if u is not u0:  # no step made u^0
-                ratios.append(cell_bound_satisfied(cfg, u, walk.prev[1]))
-
-        observers = [walk.push, semi.append, cell_bound]
-        if coarse is not None:
-            observers.append(
-                lambda u: terms.append(_cauchy_difference(coarse, cfg, len(terms), u)))
+        semi = []
         try:
-            run_evolution(u0, cfg, *observers)
+            run_evolution(u0, cfg, semi.append)
         except SolverError as exc:
             level.error = f"level {n}: {exc}"
             semi = None
         if n:
             linf = lp = np.nan
             if coarse is not None and semi is not None:
+                terms = [_cauchy_difference(coarse, cfg, j, u) for j, u in enumerate(semi)]
                 linf = max([0.0, *(norm for norm, _ in terms)])
                 lp = sum(cfg.tau * s ** cfg.nf.p for _, s in terms[1:]) ** (1.0 / cfg.nf.p)
             cauchy.append({"linf_l2": linf, "lp_w1p": lp})
         coarse = semi
         if semi is not None:
-            _measure_level(level, walk, ratios, semi, u0)
+            _measure_level(level, cfg, semi)
     return levels, cauchy
 
 
@@ -463,7 +452,7 @@ def run_study(sc):
     control_totals = [levels[0].discrepancy_total]
     for m in range(1, sc.control_levels):
         cfg = replace(base, eps=base.eps * 2.0 ** (-m), scheme=SEMI_IMPLICIT)
-        walk = Walk(cfg, full=False)
+        walk = Walk(cfg)
         try:
             run_evolution(u0, cfg, walk.push)
             control_totals.append(discrepancy_total(cfg, walk.cols.diss_dtau))

@@ -51,10 +51,8 @@ class LowerOrderCoeff:
 
 
 def d_eval(coeff, s):
-    """Pointwise coefficient value; vectorized over s."""
+    """Pointwise value of a coefficient that is not the zero one; vectorized over s."""
     s = np.asarray(s, dtype=float)
-    if coeff.is_zero:
-        return np.zeros_like(s)
     return np.abs(s) ** (coeff.r - 2.0) - coeff.c
 
 
@@ -62,11 +60,9 @@ def g_prime_eval(coeff, s):
     """Derivative of g, needed for Newton's method.
 
     g(s) = (|s|^(r-2) - c) s, so g'(s) = (r-1) |s|^(r-2) - c, which is finite
-    at s = 0 because r > 2.
+    at s = 0 because r > 2.  coeff is not the zero coefficient.
     """
     s = np.asarray(s, dtype=float)
-    if coeff.is_zero:
-        return np.zeros_like(s)
     return (coeff.r - 1.0) * np.abs(s) ** (coeff.r - 2.0) - coeff.c
 
 

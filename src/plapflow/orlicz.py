@@ -221,10 +221,6 @@ class CheckResult:
     violations: int
     stats: dict
 
-    @property
-    def passed(self):
-        return self.violations == 0
-
 
 _CHECKS = ("monotonicity", "uniform-eps-bound", "orlicz-stability", "kappa-bracket",
            "weight-nonincreasing", "lagged-weight-ratio", "monotonicity-equivalence",

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from plapflow import assembly, lower_order, schemes
+from plapflow import assembly, diagnostics, lower_order, schemes
 from plapflow.assembly import (energy, gradients, jacobian_stiffness, load_vector,
                                mass_matrix, norm_L2, quadrature_norm_sq,
                                seminorm_W1p, weighted_mass, weighted_stiffness)
@@ -137,10 +137,24 @@ class TestWeightedMass:
             fd = (term(u.coeffs + h * v) - term(u.coeffs - h * v)) / (2 * h)
             np.testing.assert_allclose(J @ v, fd, rtol=1e-5, atol=1e-7)
 
-    def test_zero_coefficient(self, mesh4):
-        w = FemFunction(mesh4, np.zeros(mesh4.n_interior))
-        M = weighted_mass(mesh4, w, LowerOrderCoeff())
-        assert M.nnz == 0
+    def test_zero_coefficient(self, mesh4, monkeypatch):
+        # d, g' and the weighted mass take no zero coefficient: each caller
+        # (the system matrix, Newton's tangent and the walk's lower-order
+        # column) leaves its term out instead
+        def never(*args):
+            raise AssertionError("a lower-order term of the zero coefficient was evaluated")
+
+        for name in ("d_eval", "g_prime_eval"):
+            monkeypatch.setattr(lower_order, name, never)
+        monkeypatch.setattr(assembly, "weighted_mass", never)
+        u0 = interpolate_nodal(make_field("sin-product"), mesh4)
+        for scheme, nonlinear in [("semi-implicit", "kacanov"), ("implicit", "kacanov"),
+                                  ("implicit", "newton")]:
+            cfg = schemes.SchemeConfig(mesh=mesh4, nf=NFunctionPD(1.5), eps=0.1, K=2, T=0.1,
+                                       scheme=scheme, nonlinear=nonlinear)
+            walk = diagnostics.Walk(cfg)
+            schemes.run_evolution(u0, cfg, walk.push)
+            assert not walk.cols.lower.any()
 
     def test_power_vanishes_at_zero_state(self, mesh4):
         zero = FemFunction(mesh4, np.zeros(mesh4.n_interior))
@@ -345,8 +359,9 @@ class TestSharedPattern:
                                    coeff=coeff)
         v = FemFunction(m, rng.uniform(-1, 1, m.n_interior))
         expect = (mass_matrix(m) / cfg.tau
-                  + weighted_stiffness(m, v, cfg.nf, cfg.eps, cfg.kind)
-                  + weighted_mass(m, v, coeff)).toarray()
+                  + weighted_stiffness(m, v, cfg.nf, cfg.eps, cfg.kind)).toarray()
+        if not coeff.is_zero:  # the zero coefficient adds no mass term
+            expect += weighted_mass(m, v, coeff).toarray()
         got = schemes._system_matrix(v, cfg).toarray()
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14 * np.max(np.abs(expect)))
 

@@ -356,6 +356,19 @@ class TestConfigErrors:
             load_run_config(cfg)
         assert str(info.value).count("[lower-order]") == 1
 
+    @pytest.mark.parametrize("lower,message", [
+        ("kind = zero\nr = 2.5", "[lower-order] kind = zero takes no key 'r'"),
+        ("kind = zero\nc = 0.7", "[lower-order] kind = zero takes no key 'c'"),
+        ("kind = power\nr = 2.5\nc = 0.7", "[lower-order] kind = power takes no key 'c'"),
+    ])
+    def test_lower_order_keys_the_kind_does_not_take_are_errors(self, tmp_path, lower,
+                                                                message):
+        # the file would state an equation that the run does not solve
+        cfg = write_config(tmp_path, LOWER_ORDER, out=tmp_path / "out", lower=lower)
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$") as info:
+            load_run_config(cfg)
+        assert str(info.value).count("[lower-order]") == 1
+
     @pytest.mark.parametrize("old,new,message", [
         ("n = 4", "n = 0", "[run] n must be >= 1"),
         ("n = 4", "n = 4\nrefine = -1", "[run] refine must be >= 0"),

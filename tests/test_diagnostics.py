@@ -1,6 +1,5 @@
 import types
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -417,19 +416,20 @@ def test_a_study_keeps_one_earlier_run_alive(monkeypatch):
     assert all(alive(refs) == 0 for _, refs in runs)
 
 
-def test_control_runs_fold_the_dissipation_alone(monkeypatch):
-    # energy and seminorm are evaluated once per iterate of each level's two
-    # runs (whose u^0 is the same object), and never on a control run's
-    # iterates, which feed D_k alone; the Cauchy differences take seminorms
-    # of differences, which are no iterate
+def test_every_run_is_walked_once_per_iterate(monkeypatch):
+    # energy and seminorm are evaluated once per iterate of every run, control
+    # runs included, by the run's walk: u^0 once per run that starts from it,
+    # and the Cauchy differences take seminorms of differences, which are no
+    # iterate.  A level's cell-bound ratio is the largest over its
+    # semi-implicit iterates u^1..u^K.
     runs, calls = [], {"energy": [], "seminorm_W1p": []}
 
     def collecting_run_evolution(u0, cfg, *observers):
-        runs.append([])
-        return run_evolution(u0, cfg, *observers, runs[-1].append)
+        runs.append((cfg, []))
+        return run_evolution(u0, cfg, *observers, runs[-1][1].append)
 
     def recording(seen, f):
-        return lambda u, *args: seen.append(u) or f(u, *args)
+        return lambda u, *args: seen.append(u) or f(u, *args)  # seen keeps u alive, and so its id unique
 
     monkeypatch.setattr(diagnostics, "run_evolution", collecting_run_evolution)
     for name, seen in calls.items():
@@ -437,42 +437,14 @@ def test_control_runs_fold_the_dissipation_alone(monkeypatch):
     base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
     rep = run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=3,
                                 control_levels=4))
-    levels, controls = runs[:6], runs[6:]
-    assert len(controls) == 3 and all(len(run) == base.K + 1 for run in controls)
-    level_ids = sorted(id(u) for run in levels for u in run)
-    assert len(level_ids) == 2 * sum(lv.K + 1 for lv in rep.levels)
-    assert sorted(id(u) for u in calls["energy"]) == level_ids
-    assert sorted(id(u) for u in calls["seminorm_W1p"] if id(u) in level_ids) == level_ids
-    control_ids = {id(u) for run in controls for u in run[1:]}
-    assert not control_ids & {id(u) for seen in calls.values() for u in seen}
-
-
-def test_the_cell_bound_reads_the_walks_gradients(monkeypatch):
-    # the study evaluates the gradients of each iterate u^1..u^K of a level's
-    # semi-implicit run once, in its walk, and the cell bound reads them from
-    # there (the scheme's own assembly is not the study's, so only the
-    # diagnostics' calls are counted); the Cauchy differences take gradients
-    # of differences, which are no iterate.  The ratios are those of the cell
-    # bound's own gradients.
-    runs, seen = [], []
-
-    def collecting_run_evolution(u0, cfg, *observers):
-        runs.append((cfg, []))
-        return run_evolution(u0, cfg, *observers, runs[-1][1].append)
-
-    counting = types.SimpleNamespace(**vars(assembly))
-    counting.gradients = lambda u: seen.append(u) or assembly.gradients(u)
-    monkeypatch.setattr(diagnostics, "run_evolution", collecting_run_evolution)
-    monkeypatch.setattr(diagnostics, "assembly", counting)
-    base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
-    rep = run_study(StudyConfig(base=base, initial=fields.make_field("sin-product"), levels=3,
-                                control_levels=2))
+    assert len(runs) == 2 * 3 + 3
+    assert all(len(run) == cfg.K + 1 for cfg, run in runs)
+    run_ids = sorted(id(u) for _, run in runs for u in run)
+    iterates = set(run_ids)
+    assert sorted(id(u) for u in calls["energy"]) == run_ids
+    assert sorted(id(u) for u in calls["seminorm_W1p"] if id(u) in iterates) == run_ids
     semi = [(cfg, run) for cfg, run in runs[:6] if cfg.scheme == "semi-implicit"]
-    assert len(semi) == 3
-    counts = Counter(id(u) for u in seen)
-    assert all(counts[id(u)] == 1 for _, run in semi for u in run[1:])
-    monkeypatch.undo()
-    for level, (cfg, run) in zip(rep.levels, semi):
+    for level, (cfg, run) in zip(rep.levels, semi, strict=True):
         assert level.e_cell_ratio == max(cell_bound_satisfied(cfg, u) for u in run[1:]) > 0.0
 
 

@@ -21,10 +21,11 @@ def test_registry_validation():
 
 class TestEvaluation:
     def test_zero_kind(self):
+        # d = 0 is r = None; its callers leave the term out instead of evaluating it
         z = LowerOrderCoeff()
-        assert d_eval(z, 5.0) == 0.0
-        assert d_eval(z, 7.0) * 7.0 == 0.0
-        assert g_prime_eval(z, 3.0) == 0.0
+        assert z.is_zero and z.r is None and z.c == 0.0 and z.c7 == 0.0
+        assert not LowerOrderCoeff(2.5).is_zero
+        assert admissibility(z, 1.5, IMPLICIT) and admissibility(z, 1.5, SEMI_IMPLICIT)
 
     def test_power_scalar(self):
         c = LowerOrderCoeff(2.5)
@@ -37,8 +38,7 @@ class TestEvaluation:
         assert d_eval(c, -3.0) * -3.0 == pytest.approx(-27.0)
 
     def test_g_vanishes_at_zero(self):
-        for c in (LowerOrderCoeff(), LowerOrderCoeff(2.5),
-                  LowerOrderCoeff(3.0, 1.0)):
+        for c in (LowerOrderCoeff(2.5), LowerOrderCoeff(3.0, 1.0), LowerOrderCoeff(3.0, -1.0)):
             assert d_eval(c, 0.0) * 0.0 == 0.0
 
     def test_shifted_power(self):
@@ -63,7 +63,7 @@ class TestEvaluation:
 
 
 class TestGrowthBounds:
-    @pytest.mark.parametrize("coeff", [LowerOrderCoeff(),
+    @pytest.mark.parametrize("coeff", [LowerOrderCoeff(2.2, -0.5),
                                        LowerOrderCoeff(2.5),
                                        LowerOrderCoeff(3.7),
                                        LowerOrderCoeff(2.8, 1.3)])
@@ -72,10 +72,7 @@ class TestGrowthBounds:
         d = d_eval(coeff, s)
         assert np.all(d >= -coeff.c7 - 1e-12)
         c8 = max(1.0, abs(coeff.c))  # |d(s)| <= c8 (1 + |s|^(r-2))
-        if coeff.is_zero:
-            bound = c8
-        else:
-            bound = c8 * (1.0 + np.abs(s) ** (coeff.r - 2.0))
+        bound = c8 * (1.0 + np.abs(s) ** (coeff.r - 2.0))
         assert np.all(np.abs(d) <= bound + 1e-12 * np.maximum(1.0, bound))
 
     def test_g_growth(self, rng):

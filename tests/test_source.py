@@ -88,3 +88,23 @@ def test_one_step_loop_and_no_kept_trajectory():
                   _reads(tree, {"semi_implicit_step", "implicit_step"})}
     assert not iterates, iterates
     assert steps == {("schemes.py", "run_evolution")}, steps
+
+
+def test_a_kept_run_feeds_its_list_alone():
+    # a run that keeps its iterates is measured from that list after it
+    # returns, so a run_evolution call that passes a list's append passes no
+    # other observer; each observer is spelled out in the call, so the rule
+    # can be read from it
+    calls = []
+    for path in sorted(Path(plapflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) == "run_evolution":
+                calls.append((f"{path.name}:{node.lineno}", node.args[2:]))
+    kept = [where for where, observers in calls
+            if any(getattr(obs, "attr", None) == "append" for obs in observers)]
+    assert kept, calls
+    bad = [where for where, observers in calls
+           if any(isinstance(obs, ast.Starred) for obs in observers)
+           or (where in kept and len(observers) > 1)]
+    assert not bad, bad
