@@ -23,8 +23,8 @@ the load vector.  P is only built on meshes whose run has a source or a
 lower-order term, and Q on those with a lower-order term.
 
 The energy and the norms at the end are the per-iterate quantities of a run;
-``diagnostics.Walk`` folds them over its iterates as the run hands them out,
-so each is computed once per iterate, and not at all for a control run.
+``diagnostics.Walk`` folds them over its iterates, so each is computed once
+per iterate.  The energy density is ``orlicz.energy_density``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from . import lower_order
 from .mesh import EDGE_ENDS, FemFunction, per_mesh
-from .orlicz import QUADRATIC_NORM, diffusion_weight, vnorm
+from .orlicz import diffusion_weight, energy_density, vnorm, weight_slope
 
 
 @per_mesh
@@ -256,20 +256,14 @@ def weighted_stiffness(mesh, w, nf, eps, kind):
 def jacobian_stiffness(mesh, w, nf, eps, kind):
     """Tangent of the weighted diffusion term at w, for Newton's method.
 
-    Per cell the tangent tensor is omega(t) I + (omega'(t)/t) g g^T with
-    g = grad w and t = |g|; both terms are positive definite for p in (1, 2].
+    Per cell the tangent tensor is omega(t) I + coef g g^T, g = grad w, t = |g|,
+    coef = omega'(t)/t; its eigenvalues omega and omega + coef t^2 >= (p-1) omega
+    are positive for p in (1, 2].
     """
     g = gradients(w)
     t = vnorm(g)
     omega = diffusion_weight(nf, eps, kind, t)
-    # omega'(t)/t from omega = base^e itself; the additive form's t -> 0 limit is 0
-    if nf.p == 2.0:
-        coef = np.zeros_like(t)
-    elif kind == QUADRATIC_NORM:
-        coef = (nf.p - 2.0) * omega / (t * t + eps * eps)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(t > 0.0, (nf.p - 2.0) * omega / ((nf.delta + eps + t) * t), 0.0)
+    coef = weight_slope(nf, eps, kind, t, omega)
     # area grad phi_i . tensor grad phi_j = omega (stiffness block) + area coef s_i s_j
     grads = mesh.hat_gradients()
     s = grads[:, :, 0] * g[:, 0, None] + grads[:, :, 1] * g[:, 1, None]  # grad phi_i . g
@@ -352,19 +346,12 @@ def quadrature_norm_sq(mesh, f, t=0.0):
 
 
 def energy(u, nf, eps, kind, grads=None):
-    """Regularized gradient energy, exact cellwise.
-
-    quadratic-norm: (1/p) sum area (|grad u|^2 + eps^2)^(p/2)
-    additive-shift: sum area phi_eps(|grad u|)
+    """Regularized gradient energy sum area energy_density(|grad u|), exact cellwise.
 
     grads, if given, are u's cell gradients, gradients(u), already computed.
     """
     gn = vnorm(gradients(u) if grads is None else grads)
-    if kind == QUADRATIC_NORM:
-        vals = (gn * gn + eps * eps) ** (nf.p / 2.0) / nf.p
-    else:
-        vals = nf.shifted(eps).phi(gn)
-    return float(np.sum(u.mesh.areas * vals))
+    return float(np.sum(u.mesh.areas * energy_density(nf, eps, kind, gn)))
 
 
 def norm_L2(u):

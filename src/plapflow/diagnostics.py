@@ -32,6 +32,7 @@ made, level n-1's (``_run_levels``).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -245,9 +246,9 @@ class StudyConfig:
     def __post_init__(self):
         if self.coupling not in COUPLINGS:
             raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.levels < 2:
+        if not isinstance(self.levels, numbers.Integral) or self.levels < 2:
             raise ValueError("a study needs at least two levels")
-        if self.control_levels < 2:
+        if not isinstance(self.control_levels, numbers.Integral) or self.control_levels < 2:
             raise ValueError("the negative control needs at least two control levels, "
                              f"got {self.control_levels}")
         if self.base.K < 1:

@@ -12,11 +12,13 @@ floating point.
 
 Two regularizations of the degenerate weight at zero gradient are supported:
 the additive shift (shifted density, weight (delta+eps+t)^(p-2)) and the
-quadratic norm (weight (t^2 + eps^2)^((p-2)/2)); ``diffusion_weight`` is the
-one the solver assembles.  ``certify_lemmas`` is the one entry point that
-checks the certified inequalities on sampled pairs of vectors.  Per block of
-samples it computes each quantity that several inequalities share once, on
-arrays of vector components, and runs every check on those values.
+quadratic norm (weight (t^2 + eps^2)^((p-2)/2)).  Only this module writes
+out a kind: ``diffusion_weight`` is the weight the solver assembles,
+``weight_slope`` its w'(t)/t and ``energy_density`` its energy density.
+``certify_lemmas`` is the one entry point that checks the certified
+inequalities on sampled pairs of vectors.  Per block of samples it computes
+each quantity that several inequalities share once, on arrays of vector
+components, and runs every check on those values.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def vnorm(a):
 def _op_S(p, eps, a, r2):
     """S_eps(a) = (|a|^2 + eps^2)^((p-2)/2) a with S(0) = 0, given r2 = |a|^2."""
     w = _quadratic_weight(p, eps, r2)  # unbounded only at r2 = eps = 0
-    return np.where(np.isinf(w), 0.0, w)[..., None] * a
+    return _masked(w)[..., None] * a
 
 
 def op_S_eps(p, eps, a):
@@ -184,6 +186,24 @@ def diffusion_weight(nf, eps, kind, t):
     if kind == QUADRATIC_NORM:
         return _quadratic_weight(nf.p, eps, t * t)
     return _additive_weight(nf.p, nf.delta + eps, t)
+
+
+def weight_slope(nf, eps, kind, t, w):
+    """w'(t)/t of the weight w = diffusion_weight(nf, eps, kind, t); the
+    additive kind's is 0 at t = 0, where it multiplies g g^T = 0."""
+    if nf.p == 2.0:
+        return np.zeros_like(t)
+    if kind == QUADRATIC_NORM:
+        return (nf.p - 2.0) * w / (t * t + eps * eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0.0, (nf.p - 2.0) * w / ((nf.delta + eps + t) * t), 0.0)
+
+
+def energy_density(nf, eps, kind, t):
+    """The density whose derivative is diffusion_weight(nf, eps, kind, t) * t."""
+    if kind == QUADRATIC_NORM:
+        return (t * t + eps * eps) ** (nf.p / 2.0) / nf.p
+    return nf.shifted(eps).phi(t)
 
 
 # ---------------------------------------------------------------------------

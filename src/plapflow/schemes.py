@@ -23,7 +23,9 @@ measurements in their comments.
 
 from __future__ import annotations
 
+import numbers
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -131,14 +133,14 @@ class SchemeConfig:
             raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
         if not self.tol_res > 0.0:  # rejects nan too
             raise ValueError(f"tol_res must be > 0, got {self.tol_res}")
-        if self.max_iter < 1:
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.K < 0 or int(self.K) != self.K:
+        if not isinstance(self.K, numbers.Integral) or self.K < 0:
             raise ValueError("K must be a nonnegative integer")
         if self.K == 0 and self.T != 0.0:
             raise ValueError("K = 0 requires T = 0 (tau K = T must hold exactly)")
-        if self.K > 0 and not self.T > 0.0:
-            raise ValueError("final time T must be positive")
+        if self.K > 0 and not 0.0 < self.T < np.inf:  # rejects nan too
+            raise ValueError(f"final time T must be finite and > 0, got {self.T}")
         if self.scheme == SEMI_IMPLICIT:
             if not 0.0 < self.eps < 1.0:
                 raise ValueError(
@@ -385,56 +387,46 @@ class _AndersonMixer:
     of g between consecutive sweeps, the last ANDERSON_DEPTH of them (Walker
     and Ni, SINUM 2011).  The first call has no history and returns g_0 itself.
 
-    The differences sit in preallocated ring buffers, one per row.  The least
-    squares problem is solved by modified Gram-Schmidt over the rows, newest
-    first, with no LAPACK call: np.linalg.lstsq raised the peak memory of a
-    whole implicit run measurably.  A row of dF whose part orthogonal to the
-    newer kept rows is at most _DEPENDENT times the larger of its norm and its
-    dG row's norm is numerically dependent and gets coefficient 0.  So does a
-    zero row, and a row that is rounding noise left by a repeated update
-    while the iterates still move: fitting it would give a huge coefficient.
+    The least squares problem is solved by modified Gram-Schmidt over the
+    differences, newest first, with no LAPACK call: np.linalg.lstsq raised the
+    peak memory of a whole implicit run measurably.  A dF whose part orthogonal
+    to the newer kept ones is at most _DEPENDENT times the larger of its norm
+    and its dG's norm is numerically dependent and gets coefficient 0.  So does
+    a zero dF, and one that is rounding noise left by a repeated update while
+    the iterates still move: fitting it would give a huge coefficient.
     """
 
     def __init__(self):
-        self.count = 0  # differences recorded so far
         self.prev = None  # (f, g) of the previous sweep
-        self.dF = self.dG = self.Q = None
+        self.history = deque(maxlen=ANDERSON_DEPTH)  # (dF, dG), newest first
 
     def __call__(self, v, g):
         f = g - v
         prev, self.prev = self.prev, (f, g)
         if prev is None:
             return g
-        if self.dF is None:
-            self.dF, self.dG, self.Q = (np.empty((ANDERSON_DEPTH, f.size)) for _ in range(3))
-        newest = self.count % ANDERSON_DEPTH
-        np.subtract(f, prev[0], out=self.dF[newest])
-        np.subtract(g, prev[1], out=self.dG[newest])
-        self.count += 1
-        rows = [(newest - i) % ANDERSON_DEPTH for i in range(min(self.count, ANDERSON_DEPTH))]
+        self.history.appendleft((f - prev[0], g - prev[1]))
 
-        # dF[rows[kept]] = Q[:m]^T R, Q with orthonormal rows, R upper triangular
+        # the kept dF are Q^T R, Q with orthonormal rows, R upper triangular
         R = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))
-        kept = []
-        for row in rows:
-            m = len(kept)
-            q = self.Q[m]
-            q[:] = self.dF[row]
-            scale = max(np.linalg.norm(q), np.linalg.norm(self.dG[row]))
+        Q, kept = [], []
+        for dF, dG in self.history:
+            m = len(Q)
+            q = dF.copy()
             for i in range(m):
-                R[i, m] = self.Q[i] @ q
-                q -= R[i, m] * self.Q[i]
+                R[i, m] = Q[i] @ q
+                q -= R[i, m] * Q[i]
             R[m, m] = float(np.linalg.norm(q))
-            if R[m, m] > _DEPENDENT * scale:
-                q /= R[m, m]
-                kept.append(row)
-        m = len(kept)
-        gamma = self.Q[:m] @ f
+            if R[m, m] > _DEPENDENT * max(np.linalg.norm(dF), np.linalg.norm(dG)):
+                Q.append(q / R[m, m])
+                kept.append(dG)
+        m = len(Q)
+        gamma = np.array(Q).reshape(m, f.size) @ f
         for i in reversed(range(m)):
             gamma[i] = (gamma[i] - R[i, i + 1:m] @ gamma[i + 1:]) / R[i, i]
         out = g.copy()
-        for coef, row in zip(gamma, kept):
-            out -= coef * self.dG[row]
+        for coef, dG in zip(gamma, kept):
+            out -= coef * dG
         return out
 
 

@@ -409,6 +409,19 @@ class TestConfigErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_final_time_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     value):
+        # T = inf once ran, with t_k nan and then inf, and violated its ledgers
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, f"[run]\np = 1.5\neps = 0.5\nK = 4\nT = {value}\n")
+        assert main(["run", cfg]) == 1
+        captured = capsys.readouterr()
+        message = f"[run] final time T must be finite and > 0, got {value}"
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("levels", [0, 1])
     def test_control_levels_below_two_name_study_once(self, tmp_path, levels):
         text = STUDY.replace("control-levels = 4", f"control-levels = {levels}")

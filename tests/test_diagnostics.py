@@ -1,3 +1,4 @@
+import re
 import types
 import weakref
 
@@ -347,6 +348,22 @@ class TestStudy:
         with pytest.raises(ValueError, match="at least two control levels"):
             StudyConfig(base=base, initial=fields.make_field("sin-product"),
                         control_levels=control_levels)
+
+    @pytest.mark.parametrize("field,message", [
+        ("levels", "a study needs at least two levels"),
+        ("control_levels", "the negative control needs at least two control levels, got 2.5"),
+    ])
+    def test_non_integer_level_counts_rejected(self, field, message):
+        # a float count once built a study whose run failed with a TypeError
+        base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            StudyConfig(base=base, initial=fields.make_field("sin-product"), **{field: 2.5})
+
+    def test_numpy_integer_level_counts_accepted(self):
+        base = SchemeConfig(mesh=unit_square_mesh(2), **STUDY_BASE)
+        study = StudyConfig(base=base, initial=fields.make_field("sin-product"),
+                            levels=np.int64(2), control_levels=np.int64(3))
+        assert len(study.parameter_sequence()) == 2
 
 
 STUDY_BASE = dict(nf=NFunctionPD(1.5), eps=0.5, K=4, T=0.2, kind=QUADRATIC_NORM)

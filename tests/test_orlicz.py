@@ -548,6 +548,29 @@ def test_diffusion_weight_times_gradient_is_the_certified_operator(g, p, eps, de
     np.testing.assert_allclose(w[:, None] * g, expect, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", orlicz.REGULARIZATION_KINDS)
+@pytest.mark.parametrize("p", orlicz.P_GRID + (1.01, 1.05))
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.9])
+def test_energy_density_weight_and_slope_agree(kind, p, eps):
+    # d/dt energy_density = w t and d/dt w = slope t, by central differences
+    # of relative step 1e-4, whose error stays below 2e-8 from t = 1e-2 on;
+    # the tangent's eigenvalue along the gradient, w + slope t^2, is at
+    # least (p - 1) w
+    nf = NFunctionPD(p)
+    t = np.geomspace(1e-2, 10.0, 61)
+    h = 1e-4 * t
+
+    def derivative(f):
+        return (f(nf, eps, kind, t + h) - f(nf, eps, kind, t - h)) / (2.0 * h)
+
+    w = orlicz.diffusion_weight(nf, eps, kind, t)
+    slope = orlicz.weight_slope(nf, eps, kind, t, w)
+    np.testing.assert_allclose(derivative(orlicz.energy_density), w * t, rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(derivative(orlicz.diffusion_weight), slope * t, rtol=1e-6,
+                               atol=0.0)
+    assert np.all(w + slope * t * t >= (p - 1.0) * w)
+
+
 def test_diffusion_weight_validation():
     # p = 2 has the constant weight 1, even at a zero gradient without shift
     np.testing.assert_array_equal(

@@ -67,6 +67,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             make_cfg(mesh4, scheme="implicit", **{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("K", 4.0, "K must be a nonnegative integer"),
+        ("max_iter", 2.5, "max_iter must be >= 1, got 2.5"),
+        ("max_iter", 3.0, "max_iter must be >= 1, got 3.0"),
+    ])
+    def test_non_integer_counts_rejected(self, mesh4, field, value, message):
+        # a float count once built a config whose run failed with a TypeError
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            make_cfg(mesh4, scheme="implicit", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self, mesh4):
+        cfg = make_cfg(mesh4, scheme="implicit", K=np.int64(4), max_iter=np.int32(5))
+        assert (cfg.K, cfg.max_iter) == (4, 5)
+
     def test_weight_at_a_zero_gradient_must_be_finite(self, mesh4):
         # eps^2 underflows to 0, so the quadratic-norm weight at a zero gradient is inf
         with pytest.raises(ValueError, match="eps = 1e-170 and delta = 0$"):

@@ -10,6 +10,12 @@ import plapflow
 REGISTRIES = {"REGULARIZATION_KINDS", "SCHEMES", "NONLINEAR_SOLVERS", "COUPLINGS"}
 READERS = {"SchemeConfig.__post_init__", "StudyConfig.__post_init__"}
 
+# The regularization kinds, and where outside orlicz, which writes out every
+# formula that depends on the kind, they may be read: the config constructors
+# default and check a kind, SchemeConfig's field default included.
+KINDS = {"QUADRATIC_NORM", "ADDITIVE_SHIFT"}
+KIND_READERS = {"SchemeConfig", "SchemeConfig.__post_init__", "StudyConfig.__post_init__"}
+
 # Definitions no code in the package refers to, each with why it stays.
 UNREFERENCED = {}
 
@@ -59,6 +65,17 @@ def test_only_the_config_constructors_read_the_registries():
         tree = ast.parse(path.read_text(), filename=path.name)
         reads |= {(path.name, scope, name) for scope, name in _reads(tree, REGISTRIES)}
     assert {scope for _, scope, _ in reads} == READERS, sorted(reads)
+
+
+def test_only_orlicz_and_the_config_constructors_read_the_kinds():
+    # a formula written out per kind in a second module is a second owner
+    # of the regularization
+    reads = set()
+    for path in sorted(Path(plapflow.__file__).parent.glob("*.py")):
+        if path.name != "orlicz.py":
+            tree = ast.parse(path.read_text(), filename=path.name)
+            reads |= {(path.name, scope, name) for scope, name in _reads(tree, KINDS)}
+    assert {scope for _, scope, _ in reads} == KIND_READERS, sorted(reads)
 
 
 def test_no_scipy_cg_in_the_package():
